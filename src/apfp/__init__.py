@@ -75,7 +75,6 @@ from .errors import (
     PartitionOverflow,
     RankMismatch,
     RankTooHighForDensity,
-    SelfCheckFailed,
     SingularInput,
     SingularValueOnPath,
 )

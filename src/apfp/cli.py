@@ -39,13 +39,13 @@ from .determinant import (
 from .errors import (
     APFPError,
     BranchCut,
+    DescriptorMismatch,
     InconsistentFlags,
     NoConvergence,
     NotALoop,
     NotInClosure,
     NotUnitaryPath,
     RankTooHighForDensity,
-    SelfCheckFailed,
     SingularInput,
     SingularValueOnPath,
 )
@@ -73,7 +73,6 @@ NUMERIC_ERRORS = (
     SingularValueOnPath,
     SingularInput,
     BranchCut,
-    SelfCheckFailed,
     NotALoop,
     NotUnitaryPath,
 )
@@ -194,7 +193,7 @@ def _cmd_det_path(args, config: RunConfig):
     obj = _read_json(args.path_file)
     try:
         path = serialize.path_from_obj(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DescriptorMismatch) as exc:
         raise _ParseError(f"bad path file: {exc}") from exc
     det = path_determinant(path, config.quadrature)
     reduced = lattice_reduce(det)
@@ -221,7 +220,7 @@ def _cmd_det_path(args, config: RunConfig):
         "is_positive": bool(positive),
     }
     if endpoints_identity and unitary:
-        f = delta_1_0(path, config.quadrature)
+        f = delta_1_0(path, det=det)
         results["delta_1_0"] = {
             "values": [float(v) for v in f.values],
             "imag_residual": max(abs(c.real) / (2 * np.pi) for c in det.coords),
@@ -254,7 +253,7 @@ def _load_element(path) -> Element:
     obj = _read_json(path)
     try:
         return serialize.element_from_obj(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DescriptorMismatch) as exc:
         raise _ParseError(f"bad element file: {exc}") from exc
 
 
@@ -276,7 +275,7 @@ def _cmd_check(args, config: RunConfig):
             alg = AlgebraDescriptor(tuple(obj["block_sizes"]))
         except (TypeError, ValueError) as exc:
             raise _ParseError(f"bad descriptor: {exc}") from exc
-        report = check_conditions(alg, seed=config.seed)
+        report = check_conditions(alg)
     elif "rank" in obj:
         try:
             desc = serialize.abstract_descriptor_from_obj(obj)

@@ -4,7 +4,9 @@ The determinant of a smooth path a(t) of invertibles is the integral of
 T(a'(t) a(t)^{-1}) over the parameter interval, where T is the universal
 trace.  On elements (rather than paths) it is well defined modulo the
 lattice 2 pi i T(K0(A)), which for a block algebra with k blocks is
-exactly 2 pi i Z^k.
+exactly 2 pi i Z^k.  There it has a closed form: by Jacobi's formula
+T(a'a^{-1}) = (log det a)', so the determinant of an element x is
+blockwise log det x_i modulo 2 pi i Z^k, with no path to integrate.
 
 Path kinds carry exact logarithmic derivatives where a closed form
 exists; sampled paths interpolate geodesically and differentiate the
@@ -30,21 +32,15 @@ from .algebra import (
     _herm,
     _is_herm,
     op_norm,
-    polar,
-    log_positive,
-    log_unitary_principal,
-    universal_trace,
-    DEFAULT_BRANCH_GAP,
     SINGULARITY_RTOL,
 )
 from .checker import AffFunction
 from .errors import (
-    BranchCut,
     NoConvergence,
     NotALoop,
     NotUnitaryPath,
     OutOfDomain,
-    SelfCheckFailed,
+    SingularInput,
     SingularValueOnPath,
 )
 
@@ -548,94 +544,42 @@ def lattice_distance(v: TraceValue) -> float:
     )
 
 
-def _log_unitary_widest_gap(u: Element) -> Element:
-    """A self-adjoint log of a unitary with the branch cut rotated into
-    the widest gap of the spectrum.  Differs from the principal branch by
-    2 pi integer shifts of some eigenvalues, so any determinant built
-    from it moves by a lattice element only."""
-    out = []
-    for b in u.blocks:
-        t, q = sla.schur(b, output="complex")
-        phases = np.angle(np.diag(t))
-        if len(phases) == 1:
-            cut = phases[0] + np.pi
-        else:
-            srt = np.sort(phases)
-            gaps = np.diff(np.concatenate([srt, [srt[0] + TWO_PI]]))
-            g = int(np.argmax(gaps))
-            cut = srt[g] + gaps[g] / 2.0
-        shifted = cut + np.mod(phases - cut, TWO_PI) - TWO_PI
-        out.append(_herm((q * shifted) @ q.conj().T))
-    return Element(u.algebra, tuple(out))
+def log_det(x: Element) -> TraceValue:
+    """Blockwise log det x_i, imaginary parts in (-pi, pi].
 
-
-def _connecting_path(x: Element, branch_gap: float) -> InvertiblePath:
-    u, p = polar(x)
-    c = log_positive(p)
-    try:
-        h = log_unitary_principal(u, branch_gap)
-    except BranchCut:
-        # auto-refine: rotate the branch so the path runs through
-        # intermediate roots of u instead of crossing the cut
-        h = _log_unitary_widest_gap(u)
-    return PointwiseProduct(ExpLine(1j * h), ExpLine(c))
-
-
-def _spectral_path(x: Element, samples: int = 65) -> Sampled:
-    """Second, independent connecting path: interpolate the Schur form
-    T = D + N along s -> diag(lam^s) + s N."""
-    schurs = [sla.schur(b, output="complex") for b in x.blocks]
-    pts = []
-    for s in np.linspace(0.0, 1.0, samples):
-        blocks = []
-        for t, q in schurs:
-            lam = np.diag(t)
-            nil = t - np.diag(lam)
-            ts = np.diag(np.exp(s * np.log(lam))) + s * nil
-            blocks.append(q @ ts @ q.conj().T)
-        pts.append((float(s), Element(x.algebra, tuple(blocks))))
-    return Sampled(tuple(pts))
-
-
-def determinant_mod_lattice(
-    x: Element,
-    quad: QuadratureConfig | None = None,
-    self_test: bool = False,
-    branch_gap: float = DEFAULT_BRANCH_GAP,
-) -> LatticeQuotientValue:
-    """Determinant of an element: integrate along a connecting path from
-    the identity and reduce modulo 2 pi i Z^k.
-
-    The primary path is e^{ith} e^{tc} built from the polar parts.  With
-    self_test=True a spectral-interpolation path is integrated as well
-    and the two answers must agree in the quotient within 1e-6.
+    By Jacobi's formula T(a'a^{-1}) = (log det a)', so this is the
+    determinant of every path of invertibles from 1 to x, modulo the
+    lattice.  SingularInput when a block's smallest singular value is at
+    or below SINGULARITY_RTOL * op_norm(x), the test polar applies.
     """
-    quad = quad or QuadratureConfig()
-    raw = path_determinant(_connecting_path(x, branch_gap), quad)
-    if self_test:
-        for samples in (65, 129, 257):
-            try:
-                other = path_determinant(_spectral_path(x, samples), quad)
-                break
-            except ValueError:
-                continue
-        else:
-            raise SelfCheckFailed("could not build a valid spectral path")
-        gap = lattice_distance(raw - other)
-        if gap > 1e-6:
-            raise SelfCheckFailed(
-                f"two connecting paths disagree modulo the lattice by {gap:.3e}"
-            )
-    return lattice_reduce(raw)
+    svals = [np.linalg.svd(b, compute_uv=False) for b in x.blocks]
+    thresh = SINGULARITY_RTOL * max(float(s[0]) for s in svals)
+    coords = []
+    for b, s in zip(x.blocks, svals):
+        if s[-1] <= thresh:
+            raise SingularInput(f"smallest singular value {s[-1]:.3e} <= {thresh:.3e}")
+        sign, logabs = np.linalg.slogdet(b)
+        coords.append(complex(logabs, np.angle(sign)))
+    return TraceValue(x.algebra, tuple(coords))
+
+
+def determinant_mod_lattice(x: Element) -> LatticeQuotientValue:
+    """Determinant of an element modulo 2 pi i Z^k: blockwise log det."""
+    return lattice_reduce(log_det(x))
 
 
 def delta_1_0(
     loop: InvertiblePath,
     quad: QuadratureConfig | None = None,
     endpoint_tol: float = 1e-8,
+    det: TraceValue | None = None,
 ) -> AffFunction:
     """The loop invariant: h = Delta/(2 pi i) read as an affine function
-    on the trace simplex, value h_i / n_i at the i-th extreme trace."""
+    on the trace simplex, value h_i / n_i at the i-th extreme trace.
+
+    The loop is checked first (identity endpoints, unitary at 17 points).
+    det, when given, is path_determinant(loop) already computed, and the
+    loop is not integrated again."""
     t1, t2 = loop.domain
     ident = loop.algebra.identity()
     for t in (t1, t2):
@@ -648,7 +592,8 @@ def delta_1_0(
         )
         if err > 1e-8:
             raise NotUnitaryPath(f"value at t={t} is not unitary ({err:.3e})")
-    det = path_determinant(loop, quad)
+    if det is None:
+        det = path_determinant(loop, quad)
     h = [c / (2j * np.pi) for c in det.coords]
     values = tuple(
         c.real / n for c, n in zip(h, loop.algebra.block_sizes)

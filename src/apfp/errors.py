@@ -86,7 +86,3 @@ class RankTooHighForDensity(APFPError):
 
 class InconsistentFlags(APFPError):
     """An asserted flag contradicts an exactly computed value."""
-
-
-class SelfCheckFailed(APFPError):
-    """Two independent computation routes disagreed beyond tolerance."""

@@ -3,7 +3,9 @@
 A block-invertible x = u|x| lies in the closure of P(A) exactly when
 every block of the unitary part has determinant 1 (the closed-form
 description of the closed commutator subgroup of the unitaries at block
-scale).  This module provides the membership test, the witnesses used on
+scale).  As det |x_i| > 0, the test reads the phase of det x_i itself,
+the imaginary part of the element determinant log det x_i.  This module
+provides the membership test, the witnesses used on
 the positive side (the unitary polar path of e^{tc} e^{td}, its
 exponential splitting with trace-zero log sums, explicit commutator
 factorizations of determinant-one unitaries), an optimizer that actually
@@ -37,7 +39,7 @@ from .algebra import (
     polar,
     universal_trace,
 )
-from .determinant import InvertiblePath, ProductPolar, _worker_count
+from .determinant import InvertiblePath, ProductPolar, _worker_count, log_det
 from .errors import (
     APFPError,
     DeterminantNotOne,
@@ -209,7 +211,7 @@ def commutator_factor_su(u: Element, tol: float = 1e-8) -> tuple[Element, Elemen
 @dataclass(frozen=True)
 class MembershipResult:
     member: bool
-    det_phases: tuple[float, ...]  # phase of det of the unitary polar part, per block
+    det_phases: tuple[float, ...]  # phase of det x_i per block, in (-pi, pi]
     tol: float
 
     def __bool__(self):
@@ -218,9 +220,10 @@ class MembershipResult:
 
 def membership_test(x: Element, tol: float = 1e-8) -> MembershipResult:
     """Decide membership of an invertible in the closure of P(A): every
-    block of the unitary polar part must have determinant of phase 0."""
-    u, _ = polar(x)
-    phases = tuple(float(np.angle(np.linalg.det(b))) for b in u.blocks)
+    block determinant det x_i must have phase 0.  Since det |x_i| > 0,
+    that is the phase of det of the unitary polar part; it is read off
+    the imaginary parts of log_det(x), with no polar decomposition."""
+    phases = tuple(float(c.imag) for c in log_det(x).coords)
     member = all(abs(p) <= tol for p in phases)
     return MembershipResult(member, phases, tol)
 

@@ -22,7 +22,6 @@ from apfp import (
     rho,
     rho_image_distance,
 )
-from apfp.checker import invertible_density_probe
 from apfp.determinant import ExpLine
 from apfp.errors import InconsistentFlags, RankMismatch, RankTooHighForDensity
 from apfp.sampling import random_element, rng_from
@@ -138,11 +137,6 @@ def test_deep_point_distance_against_brute_force():
     deep = (Fraction(1, 4), Fraction(1, 6))
     dist, _ = nearest_lattice_point(deep, gens, radius=6)
     assert dist == Fraction(1, 4)
-
-
-def test_density_probe_repairs_cheaply():
-    worst = invertible_density_probe(M23, samples=50)
-    assert worst <= 1e-6
 
 
 # ---------------------------------------------------------------------------

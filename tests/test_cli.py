@@ -5,11 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from apfp import AlgebraDescriptor, Element, ExpLine, exp_element
+import apfp.cli
+import apfp.determinant
+from apfp import AlgebraDescriptor, Element, ExpLine, exp_element, path_determinant
 from apfp.cli import (
     EXIT_DEMO_FAILURE,
     EXIT_NOT_IN_CLOSURE,
     EXIT_NO_CONVERGENCE,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_RANK_TOO_HIGH,
@@ -56,11 +59,21 @@ def test_det_path_exp_line(tmp_path, capsys):
     assert report["provenance"]["command"] == "det-path"
 
 
-def test_det_path_winding_loop_reports_delta(tmp_path, capsys):
+def test_det_path_winding_loop_reports_delta(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(path, *rest):
+        calls.append(path)
+        return path_determinant(path, *rest)
+
+    # the loop invariant is read off the determinant already computed
+    monkeypatch.setattr(apfp.cli, "path_determinant", counted)
+    monkeypatch.setattr(apfp.determinant, "path_determinant", counted)
     c = Element(M2, (np.array([[2j * np.pi, 0], [0, 0]]),))
     f = write_json(tmp_path, "loop.json", path_to_obj(ExpLine(c)))
     code, report = run(capsys, "det-path", f)
     assert code == EXIT_OK
+    assert len(calls) == 1
     res = report["results"]
     assert res["is_loop"] and res["is_unitary"]
     assert res["lattice_distance"] <= 1e-9
@@ -114,6 +127,23 @@ def test_factor_starved_optimizer_exits_5(tmp_path, capsys):
     )
     assert code == EXIT_NO_CONVERGENCE
     assert report["results"]["best_residual"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "blocks,expected",
+    [
+        # a 2x3 block is malformed input, not a numeric failure
+        ([[[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]], EXIT_PARSE),
+        ([[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]], EXIT_NUMERIC),
+    ],
+    ids=["non-square", "singular"],
+)
+def test_membership_bad_element_exits_with_error_line(tmp_path, capsys, blocks, expected):
+    f = write_json(tmp_path, "x.json", {"blocks": blocks})
+    assert main(["membership", f]) == expected
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_membership_reports_phases(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, strategies as st
 
 from apfp import (
@@ -30,6 +31,7 @@ from apfp.errors import (
     NotALoop,
     NotUnitaryPath,
     OutOfDomain,
+    SingularInput,
     SingularValueOnPath,
 )
 from apfp.factorization import polar_path
@@ -351,24 +353,61 @@ def test_determinant_of_positive_matches_slogdet():
         assert sign == pytest.approx(1.0, abs=1e-12)
 
 
-def test_determinant_self_test_agrees_on_random_invertibles():
+def schur_path(x, samples=65):
+    """A connecting path from 1 to x independent of log det: interpolate
+    each block's complex Schur form T = D + N along s -> diag(lam^s) + s N.
+    Its path determinant is the quadrature oracle for the element
+    determinant."""
+    schurs = [sla.schur(b, output="complex") for b in x.blocks]
+    pts = []
+    for s in np.linspace(0.0, 1.0, samples):
+        blocks = []
+        for t, q in schurs:
+            lam = np.diag(t)
+            ts = np.diag(np.exp(s * np.log(lam))) + s * (t - np.diag(lam))
+            blocks.append(q @ ts @ q.conj().T)
+        pts.append((float(s), Element(x.algebra, tuple(blocks))))
+    return Sampled(tuple(pts))
+
+
+def assert_matches_quadrature_oracle(x):
+    val = determinant_mod_lattice(x)
+    oracle = path_determinant(schur_path(x))
+    assert lattice_distance(oracle - val.representative) <= 1e-6
+
+
+def test_determinant_agrees_with_quadrature_on_random_invertibles():
     rng = rng_from(73)
     for _ in range(3):
-        x = random_element(M23, rng) + 2.5 * M23.identity()
-        val = determinant_mod_lattice(x, self_test=True)
-        assert np.isfinite(val.coords[0].real)
+        assert_matches_quadrature_oracle(random_element(M23, rng) + 2.5 * M23.identity())
 
 
 def test_determinant_handles_minus_one_spectrum():
-    # polar unitary has both eigenvalues at -1: the principal branch is
-    # cut, the rotated-cut fallback must take over and agree with the
-    # spectral-path oracle modulo the lattice
+    # the polar unitary has both eigenvalues at -1, on the principal
+    # branch cut; log det needs no branch of the unitary's logarithm
     x = elem(M2, [[-2.0, 0.0], [0.0, -0.5]])
-    val = determinant_mod_lattice(x, self_test=True)
+    val = determinant_mod_lattice(x)
     sign, logabs = np.linalg.slogdet(x.blocks[0])
     assert sign == pytest.approx(1.0)
     assert val.coords[0].real == pytest.approx(logabs, abs=1e-8)
     assert lattice_distance(TraceValue(M2, (val.coords[0] - logabs,))) <= 1e-6
+    assert_matches_quadrature_oracle(x)
+
+
+@given(SEEDS)
+def test_determinant_is_multiplicative_mod_lattice(seed):
+    rng = rng_from(seed)
+    x = random_element(M23, rng)
+    y = random_element(M23, rng)
+    lhs = determinant_mod_lattice(mul(x, y)).representative
+    rhs = determinant_mod_lattice(x).representative + determinant_mod_lattice(y).representative
+    assert lattice_distance(lhs - rhs) <= 1e-9
+
+
+def test_determinant_rejects_singular_element():
+    x = elem(M23, [[1, 0], [0, 1]], [[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+    with pytest.raises(SingularInput):
+        determinant_mod_lattice(x)
 
 
 def test_determinant_canonical_strip():
