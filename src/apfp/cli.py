@@ -199,9 +199,9 @@ def _cmd_det_path(args, config: RunConfig):
     reduced = lattice_reduce(det)
     t1, t2 = path.domain
     ident = path.algebra.identity()
+    endpoint_tol = config.tol("loop_endpoint", 1e-8)
     endpoints_identity = all(
-        op_norm(evaluate(path, t) - ident) <= config.tol("loop_endpoint", 1e-8)
-        for t in (t1, t2)
+        op_norm(evaluate(path, t) - ident) <= endpoint_tol for t in (t1, t2)
     )
     ts = np.linspace(t1, t2, 9)
     vals = [evaluate(path, float(t)) for t in ts]
@@ -220,7 +220,7 @@ def _cmd_det_path(args, config: RunConfig):
         "is_positive": bool(positive),
     }
     if endpoints_identity and unitary:
-        f = delta_1_0(path, det=det)
+        f = delta_1_0(path, endpoint_tol=endpoint_tol, det=det)
         results["delta_1_0"] = {
             "values": [float(v) for v in f.values],
             "imag_residual": max(abs(c.real) / (2 * np.pi) for c in det.coords),

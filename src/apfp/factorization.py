@@ -15,9 +15,11 @@ for elements outside the closure.
 
 from __future__ import annotations
 
-import os
+import contextlib
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -27,7 +29,6 @@ from .algebra import (
     AlgebraDescriptor,
     Element,
     TraceValue,
-    _expm_herm,
     _herm,
     adjoint,
     exp_element,
@@ -232,68 +233,87 @@ def membership_test(x: Element, tol: float = 1e-8) -> MembershipResult:
 # the positive-product optimizer
 #
 # Factors are parameterized as p_j = exp(h_j) with h_j self-adjoint, in
-# unconstrained coordinates (real diagonal plus the real and imaginary
-# parts of the strict upper triangle, per block).  The Frobenius-squared
-# residual of the product has an analytic gradient through the Frechet
-# derivative of the exponential, diagonalized once per factor and block.
+# unconstrained coordinates: per factor and then per block, the real
+# diagonal, the real parts and the imaginary parts of the strict upper
+# triangle.  The objective works on one block at a time and holds block i
+# of all m factors as one (m, n, n) stack, gathered from theta through an
+# (m, n*n) index array made once per objective.  One batched eigh then
+# gives every exp(h_j) of the block, and the gradient of a residual goes
+# back through one batched Daleckii-Krein kernel for the Frechet
+# derivative of exp; only the prefix and suffix products of the factors
+# remain a loop over m.  Coordinates are scattered and gathered by index,
+# not through a basis-matrix product, so each entry takes the same scalar
+# arithmetic however the factors are batched, and a non-finite coordinate
+# cannot spread into other entries.
+
+# PositiveFactorization's positivity tolerance on each factor; a restart
+# whose factors miss it cannot become a factorization.
+FACTOR_POSITIVITY_TOL = 1e-10
+
+
+@functools.lru_cache(maxsize=None)
+def _upper(n: int):
+    """Row and column indices of the strict upper triangle of n x n."""
+    return np.triu_indices(n, 1)
 
 
 def _coord_count(alg: AlgebraDescriptor) -> int:
     return sum(n * n for n in alg.block_sizes)
 
 
-def _unpack(theta: np.ndarray, alg: AlgebraDescriptor, m: int):
-    """theta -> list (factor) of lists (block) of hermitian matrices."""
-    out = []
-    pos = 0
-    for _ in range(m):
-        blocks = []
-        for n in alg.block_sizes:
-            diag = theta[pos : pos + n]
-            pos += n
-            nup = n * (n - 1) // 2
-            re = theta[pos : pos + nup]
-            pos += nup
-            im = theta[pos : pos + nup]
-            pos += nup
-            h = np.zeros((n, n), dtype=complex)
-            iu = np.triu_indices(n, 1)
-            h[iu] = re + 1j * im
-            h = h + h.conj().T
-            h[np.diag_indices(n)] = diag
-            blocks.append(h)
-        out.append(blocks)
-    return out
+def _layout(alg: AlgebraDescriptor, m: int) -> list[np.ndarray]:
+    """Per block i, the (m, n_i^2) positions of its coordinates in theta,
+    one row per factor."""
+    ends = np.cumsum([n * n for n in alg.block_sizes])
+    rows = _coord_count(alg) * np.arange(m)[:, None]
+    return [rows + np.arange(end - n * n, end) for n, end in zip(alg.block_sizes, ends)]
+
+
+def _ct(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _hermitian(coords: np.ndarray, n: int) -> np.ndarray:
+    """(m, n^2) coordinates -> (m, n, n) stack of hermitian matrices."""
+    rows, cols = _upper(n)
+    k = n + len(rows)
+    h = np.zeros((len(coords), n, n), dtype=complex)
+    h[:, rows, cols] = coords[:, n:k] + 1j * coords[:, k:]
+    h = h + _ct(h)
+    h[:, np.arange(n), np.arange(n)] = coords[:, :n]
+    return h
+
+
+def _coordinates(h: np.ndarray) -> np.ndarray:
+    """(m, n, n) stack of hermitian matrices -> (m, n^2) coordinates."""
+    rows, cols = _upper(h.shape[-1])
+    upper = h[:, rows, cols]
+    diag = np.diagonal(h, axis1=1, axis2=2)
+    return np.concatenate([np.real(diag), np.real(upper), np.imag(upper)], axis=1)
 
 
 def _pack(hs, alg: AlgebraDescriptor) -> np.ndarray:
-    parts = []
-    for blocks in hs:
-        for h, n in zip(blocks, alg.block_sizes):
-            iu = np.triu_indices(n, 1)
-            parts.append(np.real(np.diag(h)))
-            parts.append(np.real(h[iu]))
-            parts.append(np.imag(h[iu]))
-    return np.concatenate(parts) if parts else np.zeros(0)
+    """Coordinates of factors given as a list (factor) of lists (block)
+    of hermitian matrices."""
+    theta = np.zeros(len(hs) * _coord_count(alg))
+    for i, idx in enumerate(_layout(alg, len(hs))):
+        theta[idx] = _coordinates(np.array([blocks[i] for blocks in hs]))
+    return theta
 
 
-def _grad_coords(g: np.ndarray) -> np.ndarray:
-    iu = np.triu_indices(g.shape[0], 1)
-    return np.concatenate(
-        [np.real(np.diag(g)), 2.0 * np.real(g[iu]), 2.0 * np.imag(g[iu])]
-    )
+class _Block(NamedTuple):
+    """Block i of the m factors at one theta: eigenpairs (w, q) of the
+    h_j, the factors p_j, prefix products pre[j] = p_0 ... p_{j-1} (pre[m]
+    is the product), suffix products suf[j] = p_j ... p_{m-1}, and the
+    residual r = pre[m] - x_i; all but r are stacked along axis 0."""
 
-
-def _expm_frechet_herm(w, q, e):
-    """Frechet derivative of expm at a hermitian point, applied to e.
-    In the eigenbasis the kernel is exp((wa+wb)/2) * sinhc((wa-wb)/2)."""
-    half = 0.5 * np.subtract.outer(w, w)
-    mean = 0.5 * np.add.outer(w, w)
-    small = np.abs(half) < 1e-7
-    safe = np.where(small, 1.0, half)
-    sinhc = np.where(small, 1.0 + half * half / 6.0, np.sinh(safe) / safe)
-    phi = np.exp(mean) * sinhc
-    return q @ (phi * (q.conj().T @ e @ q)) @ q.conj().T
+    w: np.ndarray
+    q: np.ndarray
+    p: np.ndarray
+    pre: np.ndarray
+    suf: np.ndarray
+    r: np.ndarray
 
 
 class _Objective:
@@ -303,89 +323,79 @@ class _Objective:
         self.x = x
         self.alg = x.algebra
         self.m = m
+        self.layout = _layout(self.alg, m)
 
-    def factors(self, theta):
-        hs = _unpack(theta, self.alg, self.m)
-        return [
-            Element(self.alg, tuple(_expm_herm(h) for h in blocks))
-            for blocks in hs
-        ]
+    def _block(self, theta, i) -> _Block:
+        n, m = self.alg.block_sizes[i], self.m
+        w, q = np.linalg.eigh(_hermitian(theta[self.layout[i]], n))
+        p = (q * np.exp(w)[:, None, :]) @ _ct(q)
+        pre = np.empty((m + 1, n, n), dtype=complex)
+        suf = np.empty_like(pre)
+        pre[0] = suf[m] = np.eye(n)
+        for j in range(m):
+            np.matmul(pre[j], p[j], out=pre[j + 1])
+            np.matmul(p[m - 1 - j], suf[m - j], out=suf[m - 1 - j])
+        return _Block(w, q, p, pre, suf, pre[m] - self.x.blocks[i])
 
-    def product(self, theta) -> Element:
-        prod = self.alg.identity()
-        for p in self.factors(theta):
-            prod = mul(prod, p)
-        return prod
+    def _blocks(self, theta) -> list[_Block]:
+        return [self._block(theta, i) for i in range(self.alg.rank)]
 
-    def _decompose(self, theta):
-        hs = _unpack(theta, self.alg, self.m)
-        eigs, ps = [], []
-        for blocks in hs:
-            row_e, row_p = [], []
-            for h in blocks:
-                w, q = np.linalg.eigh(h)
-                row_e.append((w, q))
-                row_p.append((q * np.exp(w)) @ q.conj().T)
-            eigs.append(row_e)
-            ps.append(row_p)
-        return eigs, ps
+    @staticmethod
+    def _gradient(b: _Block, e: np.ndarray, scale: float) -> np.ndarray:
+        """(m, n^2) gradient coordinates of scale * Re tr(e* prod) in the
+        h_j: e pulled back through the prefix and suffix products, then
+        through the Frechet derivative of exp at h_j, which in the
+        eigenbasis is the kernel exp((wa+wb)/2) * sinhc((wa-wb)/2)."""
+        w, q = b.w, b.q
+        qh = _ct(q)
+        c = _ct(b.pre[:-1]) @ e @ _ct(b.suf[1:])
+        half = 0.5 * (w[:, :, None] - w[:, None, :])
+        mean = 0.5 * (w[:, :, None] + w[:, None, :])
+        small = np.abs(half) < 1e-7
+        safe = np.where(small, 1.0, half)
+        sinhc = np.where(small, 1.0 + half * half / 6.0, np.sinh(safe) / safe)
+        phi = np.exp(mean) * sinhc
+        g = scale * (q @ (phi * (qh @ c @ q)) @ qh)
+        coords = _coordinates(0.5 * (g + _ct(g)))
+        coords[:, w.shape[-1] :] *= 2.0  # each off-diagonal coordinate sits in two entries
+        return coords
 
-    def _residuals(self, ps):
-        # per block: prefix/suffix products and the residual matrix
-        k = self.alg.rank
-        res = []
-        for i in range(k):
-            n = self.alg.block_sizes[i]
-            pre = [np.eye(n, dtype=complex)]
-            for j in range(self.m):
-                pre.append(pre[-1] @ ps[j][i])
-            suf = [np.eye(n, dtype=complex)]
-            for j in range(self.m - 1, -1, -1):
-                suf.append(ps[j][i] @ suf[-1])
-            suf.reverse()  # suf[j] = p_j ... p_{m-1}
-            r = pre[-1] - self.x.blocks[i]
-            res.append((pre, suf, r))
-        return res
+    def _factors(self, blocks: list[_Block]) -> list[Element]:
+        return [Element(self.alg, tuple(b.p[j] for b in blocks)) for j in range(self.m)]
+
+    def factors(self, theta) -> list[Element]:
+        return self._factors(self._blocks(theta))
 
     def value_and_grad(self, theta):
-        eigs, ps = self._decompose(theta)
-        res = self._residuals(ps)
-        val = sum(float(np.linalg.norm(r, "fro") ** 2) for _, _, r in res)
-        grads = []
-        for j in range(self.m):
-            for i in range(self.alg.rank):
-                pre, suf, r = res[i]
-                c = pre[j].conj().T @ r @ suf[j + 1].conj().T
-                w, q = eigs[j][i]
-                g = _herm(2.0 * _expm_frechet_herm(w, q, c))
-                grads.append(_grad_coords(g))
-        return val, np.concatenate(grads)
+        blocks = self._blocks(theta)
+        val = sum(float(np.linalg.norm(b.r, "fro") ** 2) for b in blocks)
+        grad = np.empty(len(theta))
+        for idx, b in zip(self.layout, blocks):
+            grad[idx] = self._gradient(b, b.r, 2.0)
+        return val, grad
 
     def op_residual(self, theta) -> float:
-        return op_norm(self.product(theta) - self.x)
+        """Operator-norm residual of the product; inf unless the factors
+        and the residual are finite and every factor is positive within
+        FACTOR_POSITIVITY_TOL."""
+        blocks = self._blocks(theta)
+        if not all(np.isfinite(b.p).all() and np.isfinite(b.r).all() for b in blocks):
+            return np.inf
+        if not all(is_positive(p, FACTOR_POSITIVITY_TOL) for p in self._factors(blocks)):
+            return np.inf
+        return op_norm(Element(self.alg, tuple(b.pre[-1] for b in blocks)) - self.x)
 
     def opnorm_value_and_grad(self, theta):
         """Largest-singular-value residual over blocks; gradient flows
         through the top singular pair of the worst block only."""
-        eigs, ps = self._decompose(theta)
-        res = self._residuals(ps)
-        svds = [np.linalg.svd(r) for _, _, r in res]
+        blocks = self._blocks(theta)
+        svds = [np.linalg.svd(b.r) for b in blocks]
         worst = max(range(self.alg.rank), key=lambda i: svds[i][1][0])
         uu, ss, vvh = svds[worst]
-        val = float(ss[0])
+        grad = np.zeros(len(theta))
         wmat = np.outer(uu[:, 0], vvh[0, :].conj())
-        grads = []
-        for j in range(self.m):
-            for i in range(self.alg.rank):
-                if i != worst:
-                    grads.append(np.zeros(self.alg.block_sizes[i] ** 2))
-                    continue
-                pre, suf, _ = res[i]
-                c = pre[j].conj().T @ wmat @ suf[j + 1].conj().T
-                w, q = eigs[j][i]
-                g = _herm(_expm_frechet_herm(w, q, c))
-                grads.append(_grad_coords(g))
-        return val, np.concatenate(grads)
+        grad[self.layout[worst]] = self._gradient(blocks[worst], wmat, 1.0)
+        return float(ss[0]), grad
 
 
 def _lbfgs(fun, x0, maxiter, gtol):
@@ -471,20 +481,20 @@ def _run_restart(obj, opt, index, polish):
 
 
 def _search(obj, opt, polish, stop_at=None):
-    """Run restarts; return (residual, theta, index).  Selection is the
-    first restart (by index) reaching stop_at if any, else the global
-    minimum with index tie-break, so serial and threaded runs agree."""
+    """Run restarts; return (residual, theta, index).  Restarts run in
+    waves of one per worker, in index order, and no wave starts after one
+    in which a restart reached stop_at.  Selection is the first restart
+    (by index) reaching stop_at if any, else the global minimum with
+    index tie-break, so serial and threaded runs agree."""
     workers = _worker_count()
     results = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda i: _run_restart(obj, opt, i, polish), range(opt.restarts))
+    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        for start in range(0, opt.restarts, workers):
+            wave = range(start, min(start + workers, opt.restarts))
+            results += (pool.map if pool else map)(
+                lambda i: _run_restart(obj, opt, i, polish), wave
             )
-    else:
-        for i in range(opt.restarts):
-            results.append(_run_restart(obj, opt, i, polish))
-            if stop_at is not None and results[-1][0] <= stop_at:
+            if stop_at is not None and any(r <= stop_at for r, _ in results[start:]):
                 break
     if stop_at is not None:
         for i, (r, th) in enumerate(results):
@@ -507,7 +517,7 @@ class PositiveFactorization:
     def __post_init__(self):
         prod = self.target.algebra.identity()
         for p in self.factors:
-            if not is_positive(p, 1e-10):
+            if not is_positive(p, FACTOR_POSITIVITY_TOL):
                 raise NotPositive("factorization contains a non-positive factor")
             prod = mul(prod, p)
         object.__setattr__(self, "residual", op_norm(prod - self.target))
@@ -522,7 +532,8 @@ def factor_positive_products(
     Restart 0 is a deterministic continuation from the positive part of
     x; later restarts are seeded Gaussian perturbations.  Success is a
     residual within opt.target_residual * op_norm(x); otherwise
-    NoConvergence carries the best run found.
+    NoConvergence carries the best run found, or best=None and
+    best_residual=inf when no restart gave finite positive factors.
     """
     if m < 1:
         raise ValueError("need at least one factor")
@@ -540,6 +551,12 @@ def factor_positive_products(
     obj = _Objective(x, m)
     target = opt.target_residual * op_norm(x)
     residual, theta, index = _search(obj, opt, polish=False, stop_at=target)
+    if residual == np.inf:
+        raise NoConvergence(
+            f"no restart of {opt.restarts} gave finite positive factors",
+            best_residual=np.inf,
+            best=None,
+        )
     result = PositiveFactorization(
         tuple(obj.factors(theta)), x, restarts_used=index + 1
     )

@@ -80,6 +80,17 @@ def test_det_path_winding_loop_reports_delta(tmp_path, capsys, monkeypatch):
     assert res["delta_1_0"]["values"][0] == pytest.approx(0.5, abs=1e-9)
 
 
+def test_det_path_loop_tolerance_reaches_delta(tmp_path, capsys):
+    # endpoints 1e-7 off the identity: a loop at the named tolerance 1e-6
+    c = Element(M2, (np.array([[2j * np.pi * (1 + 1e-8), 0], [0, 0]]),))
+    f = write_json(tmp_path, "loop.json", path_to_obj(ExpLine(c)))
+    code, report = run(capsys, "det-path", f, "--tol", "loop_endpoint=1e-6")
+    assert code == EXIT_OK
+    res = report["results"]
+    assert res["is_loop"]
+    assert res["delta_1_0"]["values"][0] == pytest.approx(0.5, abs=1e-7)
+
+
 def test_det_path_rejects_bad_file(tmp_path, capsys):
     p = tmp_path / "junk.json"
     p.write_text("{not json")
