@@ -50,7 +50,6 @@ from .determinant import (
     LatticeQuotientValue,
     PointwiseProduct,
     ProductPolar,
-    QuadratureConfig,
     Reversal,
     Sampled,
     delta_1_0,

@@ -285,13 +285,11 @@ class PairingCheck:
         return self.consistent
 
 
-def pairing_consistency(
-    alg: AlgebraDescriptor, loop, quad=None, tol: float = 1e-6
-) -> PairingCheck:
+def pairing_consistency(alg: AlgebraDescriptor, loop, tol: float = 1e-6) -> PairingCheck:
     """Check that the loop invariant lands on the pairing range of K0."""
     from .determinant import delta_1_0  # deferred: this module is imported by determinant
 
-    f = delta_1_0(loop, quad)
+    f = delta_1_0(loop)
     nearest = tuple(
         int(np.round(v * n)) for v, n in zip(f.values, alg.block_sizes)
     )

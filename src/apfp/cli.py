@@ -29,7 +29,6 @@ from .algebra import (
 from .checker import check_abstract, check_conditions, pairing_consistency
 from .determinant import (
     ExpLine,
-    QuadratureConfig,
     delta_1_0,
     evaluate,
     lattice_distance,
@@ -38,16 +37,11 @@ from .determinant import (
 )
 from .errors import (
     APFPError,
-    BranchCut,
     DescriptorMismatch,
     InconsistentFlags,
     NoConvergence,
-    NotALoop,
     NotInClosure,
-    NotUnitaryPath,
     RankTooHighForDensity,
-    SingularInput,
-    SingularValueOnPath,
 )
 from .factorization import (
     OptimizerConfig,
@@ -68,21 +62,11 @@ EXIT_NO_CONVERGENCE = 5
 EXIT_RANK_TOO_HIGH = 6
 EXIT_DEMO_FAILURE = 7
 
-NUMERIC_ERRORS = (
-    NoConvergence,
-    SingularValueOnPath,
-    SingularInput,
-    BranchCut,
-    NotALoop,
-    NotUnitaryPath,
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
     tolerances: dict = field(default_factory=dict)
-    quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     output_format: str = "json"
 
@@ -100,9 +84,6 @@ def _build_parser():
     # SUPPRESS keeps a later subparser from clobbering an earlier value
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--quad-steps", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--quad-tol", type=float, default=argparse.SUPPRESS)
-    common.add_argument("--quad-max-steps", type=int, default=argparse.SUPPRESS)
     common.add_argument("--restarts", type=int, default=argparse.SUPPRESS)
     common.add_argument("--max-iterations", type=int, default=argparse.SUPPRESS)
     common.add_argument("--gradient-tolerance", type=float, default=argparse.SUPPRESS)
@@ -157,11 +138,6 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(
         seed=seed,
         tolerances=tols,
-        quadrature=QuadratureConfig(
-            steps=get("quad_steps", 256),
-            tol=get("quad_tol", 1e-9),
-            max_steps=get("quad_max_steps", 2 ** 20),
-        ),
         optimizer=OptimizerConfig(
             restarts=get("restarts", 16),
             max_iterations=get("max_iterations", 2000),
@@ -195,16 +171,16 @@ def _cmd_det_path(args, config: RunConfig):
         path = serialize.path_from_obj(obj)
     except (KeyError, TypeError, ValueError, DescriptorMismatch) as exc:
         raise _ParseError(f"bad path file: {exc}") from exc
-    det = path_determinant(path, config.quadrature)
+    det = path_determinant(path)
     reduced = lattice_reduce(det)
     t1, t2 = path.domain
+    # the first and last of the 9 points are exactly t1 and t2
+    vals = [evaluate(path, float(t)) for t in np.linspace(t1, t2, 9)]
     ident = path.algebra.identity()
     endpoint_tol = config.tol("loop_endpoint", 1e-8)
     endpoints_identity = all(
-        op_norm(evaluate(path, t) - ident) <= endpoint_tol for t in (t1, t2)
+        op_norm(v - ident) <= endpoint_tol for v in (vals[0], vals[-1])
     )
-    ts = np.linspace(t1, t2, 9)
-    vals = [evaluate(path, float(t)) for t in ts]
     unitary = all(
         max(np.linalg.norm(b.conj().T @ b - np.eye(len(b)), 2) for b in v.blocks) <= 1e-8
         for v in vals
@@ -220,7 +196,7 @@ def _cmd_det_path(args, config: RunConfig):
         "is_positive": bool(positive),
     }
     if endpoints_identity and unitary:
-        f = delta_1_0(path, endpoint_tol=endpoint_tol, det=det)
+        f = delta_1_0(path, endpoint_tol=endpoint_tol)
         results["delta_1_0"] = {
             "values": [float(v) for v in f.values],
             "imag_residual": max(abs(c.real) / (2 * np.pi) for c in det.coords),
@@ -243,7 +219,10 @@ def _cmd_factor(args, config: RunConfig):
     try:
         fac = factor_positive_products(x, args.factors, config.optimizer)
     except NoConvergence as exc:
-        results["best_residual"] = float(exc.best_residual)
+        # inf when no restart gave finite positive factors; null keeps the
+        # report strict JSON
+        best = float(exc.best_residual)
+        results["best_residual"] = best if np.isfinite(best) else None
         return results, EXIT_NO_CONVERGENCE
     results["factorization"] = serialize.factorization_to_obj(fac)
     return results, EXIT_OK
@@ -296,7 +275,7 @@ def _demo_polar_path(config: RunConfig):
     rng = rng_from((config.seed, 101))
     c = random_self_adjoint(alg, rng, norm=1.3)
     d = random_self_adjoint(alg, rng, norm=1.1)
-    det = path_determinant(polar_path(c, d), config.quadrature)
+    det = path_determinant(polar_path(c, d))
     worst = max(abs(v) for v in det.coords)
     if worst > 1e-7:
         raise _DemoFailure(f"polar path determinant {worst:.3e} exceeds 1e-7")
@@ -351,11 +330,11 @@ def _demo_loop_lattice(config: RunConfig):
     gen = np.zeros((2, 2), dtype=complex)
     gen[0, 0] = 2j * np.pi
     loop = ExpLine(Element(alg, (gen,)))
-    det = path_determinant(loop, config.quadrature)
+    det = path_determinant(loop)
     dist = lattice_distance(det)
     if dist > 1e-6:
         raise _DemoFailure(f"loop determinant misses the lattice by {dist:.3e}")
-    pc = pairing_consistency(alg, loop, config.quadrature)
+    pc = pairing_consistency(alg, loop)
     if not pc:
         raise _DemoFailure("loop invariant misses the pairing range")
     return {
@@ -390,7 +369,7 @@ def _cmd_bench(args, config: RunConfig):
     d = random_self_adjoint(alg, rng, norm=1.0)
 
     t0 = time.perf_counter()
-    det = path_determinant(polar_path(c, d), config.quadrature)
+    det = path_determinant(polar_path(c, d))
     timings["polar_path_determinant"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -462,10 +441,7 @@ def main(argv=None) -> int:
             results, code, timings = outcome
         else:
             results, code = outcome
-    except _ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except InconsistentFlags as exc:
+    except (_ParseError, InconsistentFlags) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
     except RankTooHighForDensity as exc:
@@ -474,9 +450,6 @@ def main(argv=None) -> int:
     except NotInClosure as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NOT_IN_CLOSURE
-    except NUMERIC_ERRORS as exc:
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return EXIT_NUMERIC
     except APFPError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return EXIT_NUMERIC
@@ -487,11 +460,6 @@ def main(argv=None) -> int:
             "command": args.command,
             "seed": config.seed,
             "tolerances": config.tolerances,
-            "quadrature": {
-                "steps": config.quadrature.steps,
-                "tol": config.quadrature.tol,
-                "max_steps": config.quadrature.max_steps,
-            },
             "optimizer": {
                 "restarts": config.optimizer.restarts,
                 "max_iterations": config.optimizer.max_iterations,

@@ -2,24 +2,25 @@
 
 The determinant of a smooth path a(t) of invertibles is the integral of
 T(a'(t) a(t)^{-1}) over the parameter interval, where T is the universal
-trace.  On elements (rather than paths) it is well defined modulo the
-lattice 2 pi i T(K0(A)), which for a block algebra with k blocks is
-exactly 2 pi i Z^k.  There it has a closed form: by Jacobi's formula
-T(a'a^{-1}) = (log det a)', so the determinant of an element x is
-blockwise log det x_i modulo 2 pi i Z^k, with no path to integrate.
+trace.  In a block algebra Jacobi's formula T(a'a^{-1}) = (log det a)'
+makes it the change of blockwise log det along the path, and each path
+kind has that change in closed form:
 
-Path kinds carry exact logarithmic derivatives where a closed form
-exists; sampled paths interpolate geodesically and differentiate the
-interpolant by fourth-order finite differences.  Quadrature is composite
-Simpson with step doubling until two successive refinements agree.
+- ExpLine, t -> e^{tc} on [t1, t2]: (t2 - t1) T(c);
+- ProductPolar: 0, because every value has determinant one;
+- Sampled: sum_j T(L_j) over its geodesic segments a_j e^{s L_j};
+- PointwiseProduct and Concatenation: the sum over the two parts;
+- Reversal: the negative of the inner path.
+
+On elements (rather than paths) the determinant is well defined modulo
+the lattice 2 pi i T(K0(A)), which for a block algebra with k blocks is
+exactly 2 pi i Z^k: the determinant of an element x is blockwise
+log det x_i modulo 2 pi i Z^k, with no path at all.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -36,7 +37,6 @@ from .algebra import (
 )
 from .checker import AffFunction
 from .errors import (
-    NoConvergence,
     NotALoop,
     NotUnitaryPath,
     OutOfDomain,
@@ -47,32 +47,11 @@ from .errors import (
 TWO_PI = 2.0 * np.pi
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    steps: int = 256
-    tol: float = 1e-9
-    max_steps: int = 2 ** 20
-
-    def __post_init__(self):
-        if self.steps < 2:
-            raise ValueError("quad.steps must be >= 2")
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("APFP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # path kinds
 #
-# Internal protocol: _value(t, side) evaluates the path, _dlog(t, side)
-# returns the matrix a'(t) a(t)^{-1} as an Element.  `side` (+1 or -1)
-# picks the right or left one-sided branch when t sits on an interior
-# breakpoint; away from breakpoints it is irrelevant.
+# Internal protocol: _value(t) evaluates the path; _det() returns its
+# determinant as a complex vector with one coordinate per block.
 
 
 class InvertiblePath:
@@ -81,15 +60,15 @@ class InvertiblePath:
     algebra: AlgebraDescriptor
     domain: tuple[float, float]
 
-    def breakpoints(self) -> tuple[float, ...]:
-        """Interior parameters where the derivative may jump."""
-        return ()
-
-    def _value(self, t: float, side: int = 1) -> Element:
+    def _value(self, t: float) -> Element:
         raise NotImplementedError
 
-    def _dlog(self, t: float, side: int = 1) -> Element:
+    def _det(self) -> np.ndarray:
         raise NotImplementedError
+
+
+def _traces(blocks) -> np.ndarray:
+    return np.array([np.trace(b) for b in blocks], dtype=complex)
 
 
 def _check_domain(path, t):
@@ -141,7 +120,7 @@ class ExpLine(InvertiblePath):
                 modes.append(("g", None, None))
         return modes
 
-    def _value(self, t, side=1):
+    def _value(self, t):
         out = []
         for b, (kind, w, q) in zip(self.c.blocks, self._modes):
             if kind == "h":
@@ -152,22 +131,10 @@ class ExpLine(InvertiblePath):
                 out.append(sla.expm(t * b))
         return Element(self.algebra, tuple(out))
 
-    def _dlog(self, t, side=1):
-        # a'(t) a(t)^{-1} = c, exactly, for every generator
-        return self.c
-
-
-def _sqrt_and_derivative(m, mp):
-    """Given m = a*a positive definite and its derivative mp, return
-    (s, sp, s_inv) for s = sqrt(m) by solving X s + s X = mp in the
-    eigenbasis of m."""
-    w, q = np.linalg.eigh(_herm(m))
-    sq = np.sqrt(w)
-    x = (q.conj().T @ mp @ q) / np.add.outer(sq, sq)
-    sp = q @ x @ q.conj().T
-    s = (q * sq) @ q.conj().T
-    s_inv = (q * (1.0 / sq)) @ q.conj().T
-    return s, sp, s_inv
+    def _det(self):
+        # a'(t) a(t)^{-1} = c for every t
+        t1, t2 = self.domain
+        return (t2 - t1) * _traces(self.c.blocks)
 
 
 @dataclass(frozen=True)
@@ -194,46 +161,33 @@ class ProductPolar(InvertiblePath):
             pairs.append((np.linalg.eigh(_herm(cb)), np.linalg.eigh(_herm(db))))
         return pairs
 
-    def _block_data(self, t, i):
+    def _product(self, t, i):
         (wc, qc), (wd, qd) = self._eigs[i]
         ec = (qc * np.exp(t * wc)) @ qc.conj().T
         ed = (qd * np.exp(t * wd)) @ qd.conj().T
-        g = ec @ ed
-        gp = self.c.blocks[i] @ g + ec @ self.d.blocks[i] @ ed
-        return g, gp
+        return ec @ ed
 
-    def _value(self, t, side=1):
+    def _value(self, t):
+        # the polar factor of g = V S W* is V W*, from the SVD of g itself:
+        # forming (g*g)^{-1/2} would square the condition number of g
         out = []
         for i in range(self.algebra.rank):
-            g, _ = self._block_data(t, i)
-            m = g.conj().T @ g
-            w, q = np.linalg.eigh(_herm(m))
-            out.append(g @ ((q * (w ** -0.5)) @ q.conj().T))
+            v, _, wh = np.linalg.svd(self._product(t, i))
+            out.append(v @ wh)
         return Element(self.algebra, tuple(out))
 
-    def _dlog(self, t, side=1):
-        # u = g s^{-1} with s = sqrt(g* g); u' = (g' - u s') s^{-1};
-        # then u' u^{-1} = u' u* since u is unitary
-        out = []
-        for i in range(self.algebra.rank):
-            g, gp = self._block_data(t, i)
-            m = g.conj().T @ g
-            mp = gp.conj().T @ g + g.conj().T @ gp
-            _, sp, s_inv = _sqrt_and_derivative(m, mp)
-            u = g @ s_inv
-            up = (gp - u @ sp) @ s_inv
-            out.append(up @ u.conj().T)
-        return Element(self.algebra, tuple(out))
-
-
-_FD_STEP = Fraction(1, 32)  # in segment units; error ~ (|L|/32)^4 per node
+    def _det(self):
+        # det u = det g / |det g| = 1, since det g = e^{t T(c + d)} > 0
+        return np.zeros(self.algebra.rank, dtype=complex)
 
 
 @dataclass(frozen=True)
 class Sampled(InvertiblePath):
-    """Uniformly dense samples (t_j, a_j), interpolated geodesically:
+    """Samples (t_j, a_j), interpolated geodesically:
     a(t) = a_j exp(s L_j) with s = (t - t_j)/(t_{j+1} - t_j) and
-    L_j = log(a_j^{-1} a_{j+1})."""
+    L_j = log(a_j^{-1} a_{j+1}).  On segment j the logarithmic derivative
+    is a_j L_j a_j^{-1} / (t_{j+1} - t_j), so the determinant is the sum
+    of the T(L_j)."""
 
     samples: tuple[tuple[float, Element], ...]
 
@@ -272,9 +226,6 @@ class Sampled(InvertiblePath):
     def domain(self):
         return (self.samples[0][0], self.samples[-1][0])
 
-    def breakpoints(self):
-        return tuple(t for t, _ in self.samples[1:-1])
-
     @cached_property
     def _seg_logs(self):
         logs = []
@@ -287,41 +238,19 @@ class Sampled(InvertiblePath):
             )
         return logs
 
-    def _segment(self, t, side):
+    def _value(self, t):
         ts = [tt for tt, _ in self.samples]
         j = int(np.searchsorted(ts, t, side="right")) - 1
         j = max(0, min(j, len(ts) - 2))
-        if side < 0 and j > 0 and t <= ts[j] + 1e-15:
-            j -= 1
-        return j
-
-    def _seg_value(self, j, s):
-        _, a = self.samples[j]
-        return tuple(
-            ab @ sla.expm(s * lb) for ab, lb in zip(a.blocks, self._seg_logs[j])
+        (t0, a), (t1, _) = self.samples[j], self.samples[j + 1]
+        s = (t - t0) / (t1 - t0)
+        return Element(
+            self.algebra,
+            tuple(ab @ sla.expm(s * lb) for ab, lb in zip(a.blocks, self._seg_logs[j])),
         )
 
-    def _value(self, t, side=1):
-        j = self._segment(t, side)
-        t0, t1 = self.samples[j][0], self.samples[j + 1][0]
-        s = (t - t0) / (t1 - t0)
-        return Element(self.algebra, self._seg_value(j, s))
-
-    def _dlog(self, t, side=1):
-        # fourth-order central stencil on the segment's own smooth
-        # extension; kinks at sample points never enter the stencil
-        j = self._segment(t, side)
-        t0, t1 = self.samples[j][0], self.samples[j + 1][0]
-        dt = t1 - t0
-        s = (t - t0) / dt
-        h = float(_FD_STEP)
-        f = {k: self._seg_value(j, s + k * h) for k in (-2, -1, 1, 2)}
-        val = self._seg_value(j, s)
-        out = []
-        for i in range(self.algebra.rank):
-            dfds = (-f[2][i] + 8 * f[1][i] - 8 * f[-1][i] + f[-2][i]) / (12 * h)
-            out.append((dfds / dt) @ np.linalg.inv(val[i]))
-        return Element(self.algebra, tuple(out))
+    def _det(self):
+        return sum(_traces(logs) for logs in self._seg_logs)
 
 
 @dataclass(frozen=True)
@@ -345,23 +274,14 @@ class PointwiseProduct(InvertiblePath):
     def domain(self):
         return self.first.domain
 
-    def breakpoints(self):
-        return tuple(sorted(set(self.first.breakpoints()) | set(self.second.breakpoints())))
-
-    def _value(self, t, side=1):
-        a = self.first._value(t, side)
-        b = self.second._value(t, side)
+    def _value(self, t):
+        a = self.first._value(t)
+        b = self.second._value(t)
         return Element(self.algebra, tuple(x @ y for x, y in zip(a.blocks, b.blocks)))
 
-    def _dlog(self, t, side=1):
-        # (ab)'(ab)^{-1} = a'a^{-1} + a (b'b^{-1}) a^{-1}
-        a = self.first._value(t, side)
-        da = self.first._dlog(t, side)
-        db = self.second._dlog(t, side)
-        out = []
-        for ab, dab, dbb in zip(a.blocks, da.blocks, db.blocks):
-            out.append(dab + (ab @ dbb) @ np.linalg.inv(ab))
-        return Element(self.algebra, tuple(out))
+    def _det(self):
+        # T((ab)'(ab)^{-1}) = T(a'a^{-1}) + T(a (b'b^{-1}) a^{-1}) = T(a'a^{-1}) + T(b'b^{-1})
+        return self.first._det() + self.second._det()
 
 
 @dataclass(frozen=True)
@@ -386,29 +306,14 @@ class Concatenation(InvertiblePath):
         c, d = self.second.domain
         return (a, b + (d - c))
 
-    def _joint(self):
-        return self.first.domain[1]
+    def _value(self, t):
+        joint = self.first.domain[1]
+        if t < joint:
+            return self.first._value(t)
+        return self.second._value(self.second.domain[0] + (t - joint))
 
-    def breakpoints(self):
-        joint = self._joint()
-        shift = joint - self.second.domain[0]
-        pts = list(self.first.breakpoints()) + [joint]
-        pts += [t + shift for t in self.second.breakpoints()]
-        return tuple(sorted(set(pts)))
-
-    def _dispatch(self, t, side):
-        joint = self._joint()
-        if t < joint or (t == joint and side < 0):
-            return self.first, t
-        return self.second, self.second.domain[0] + (t - joint)
-
-    def _value(self, t, side=1):
-        path, s = self._dispatch(t, side)
-        return path._value(s, side)
-
-    def _dlog(self, t, side=1):
-        path, s = self._dispatch(t, side)
-        return path._dlog(s, side)
+    def _det(self):
+        return self.first._det() + self.second._det()
 
 
 @dataclass(frozen=True)
@@ -425,90 +330,18 @@ class Reversal(InvertiblePath):
     def domain(self):
         return self.inner.domain
 
-    def _mirror(self, t):
+    def _value(self, t):
         t1, t2 = self.inner.domain
-        return t1 + t2 - t
+        return self.inner._value(t1 + t2 - t)
 
-    def breakpoints(self):
-        return tuple(sorted(self._mirror(t) for t in self.inner.breakpoints()))
-
-    def _value(self, t, side=1):
-        return self.inner._value(self._mirror(t), -side)
-
-    def _dlog(self, t, side=1):
-        d = self.inner._dlog(self._mirror(t), -side)
-        return Element(d.algebra, tuple(-b for b in d.blocks))
+    def _det(self):
+        return -self.inner._det()
 
 
-# ---------------------------------------------------------------------------
-# quadrature
-
-
-def _simpson_sum(values, width):
-    # composite Simpson over n panels; values has n+1 rows
-    n = len(values) - 1
-    arr = np.stack(values)
-    total = arr[0] + arr[-1] + 4.0 * arr[1:-1:2].sum(axis=0) + 2.0 * arr[2:-2:2].sum(axis=0)
-    return total * (width / (3.0 * n))
-
-
-def _integrate_interval(fn, a, b, n0, tol, nmax):
-    """Adaptive composite Simpson with node reuse across doublings."""
-    cache: dict[Fraction, np.ndarray] = {}
-
-    def node(frac):
-        got = cache.get(frac)
-        if got is None:
-            got = cache[frac] = fn(a + (b - a) * float(frac))
-        return got
-
-    n = max(2, n0 + (n0 % 2))
-    prev = _simpson_sum([node(Fraction(i, n)) for i in range(n + 1)], b - a)
-    while True:
-        n *= 2
-        cur = _simpson_sum([node(Fraction(i, n)) for i in range(n + 1)], b - a)
-        if float(np.max(np.abs(cur - prev))) <= tol:
-            return cur
-        if n >= nmax:
-            raise NoConvergence(
-                f"quadrature on [{a}, {b}] still moving by "
-                f"{float(np.max(np.abs(cur - prev))):.3e} at {n} panels"
-            )
-        prev = cur
-
-
-def path_determinant(path: InvertiblePath, quad: QuadratureConfig | None = None) -> TraceValue:
-    """The integral of T(a'(t) a(t)^{-1}) dt along the path."""
-    quad = quad or QuadratureConfig()
-    t1, t2 = path.domain
-    cuts = [t1] + [t for t in path.breakpoints() if t1 < t < t2] + [t2]
-    intervals = list(zip(cuts, cuts[1:]))
-    k = path.algebra.rank
-    if t1 == t2:
-        return TraceValue(path.algebra, (0.0,) * k)
-    per_tol = quad.tol / len(intervals)
-    n0 = max(2, quad.steps // len(intervals))
-
-    def run(ab):
-        a, b = ab
-
-        def integrand(t):
-            side = -1 if t == b else 1
-            d = path._dlog(t, side)
-            return np.array([np.trace(blk) for blk in d.blocks])
-
-        return _integrate_interval(integrand, a, b, n0, per_tol, quad.max_steps)
-
-    workers = _worker_count()
-    if workers > 1 and len(intervals) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, intervals))
-    else:
-        parts = [run(ab) for ab in intervals]
-    total = np.zeros(k, dtype=complex)
-    for p in parts:  # fixed interval order keeps the sum bit-stable
-        total = total + p
-    return TraceValue(path.algebra, tuple(total))
+def path_determinant(path: InvertiblePath) -> TraceValue:
+    """The integral of T(a'(t) a(t)^{-1}) dt along the path, in the
+    closed form of its kind."""
+    return TraceValue(path.algebra, tuple(path._det()))
 
 
 # ---------------------------------------------------------------------------
@@ -568,18 +401,11 @@ def determinant_mod_lattice(x: Element) -> LatticeQuotientValue:
     return lattice_reduce(log_det(x))
 
 
-def delta_1_0(
-    loop: InvertiblePath,
-    quad: QuadratureConfig | None = None,
-    endpoint_tol: float = 1e-8,
-    det: TraceValue | None = None,
-) -> AffFunction:
+def delta_1_0(loop: InvertiblePath, endpoint_tol: float = 1e-8) -> AffFunction:
     """The loop invariant: h = Delta/(2 pi i) read as an affine function
     on the trace simplex, value h_i / n_i at the i-th extreme trace.
 
-    The loop is checked first (identity endpoints, unitary at 17 points).
-    det, when given, is path_determinant(loop) already computed, and the
-    loop is not integrated again."""
+    The loop is checked first (identity endpoints, unitary at 17 points)."""
     t1, t2 = loop.domain
     ident = loop.algebra.identity()
     for t in (t1, t2):
@@ -592,10 +418,5 @@ def delta_1_0(
         )
         if err > 1e-8:
             raise NotUnitaryPath(f"value at t={t} is not unitary ({err:.3e})")
-    if det is None:
-        det = path_determinant(loop, quad)
-    h = [c / (2j * np.pi) for c in det.coords]
-    values = tuple(
-        c.real / n for c, n in zip(h, loop.algebra.block_sizes)
-    )
-    return AffFunction(values)
+    h = [complex(c) / (2j * np.pi) for c in loop._det()]
+    return AffFunction(tuple(c.real / n for c, n in zip(h, loop.algebra.block_sizes)))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -40,7 +41,7 @@ from .algebra import (
     polar,
     universal_trace,
 )
-from .determinant import InvertiblePath, ProductPolar, _worker_count, log_det
+from .determinant import InvertiblePath, ProductPolar, log_det
 from .errors import (
     APFPError,
     DeterminantNotOne,
@@ -478,6 +479,14 @@ def _run_restart(obj, opt, index, polish):
         if cand < best:
             best, theta = cand, polished
     return best, theta
+
+
+def _worker_count() -> int:
+    raw = os.environ.get("APFP_THREADS", "1")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        return 1
 
 
 def _search(obj, opt, polish, stop_at=None):

@@ -7,7 +7,7 @@ import pytest
 
 import apfp.cli
 import apfp.determinant
-from apfp import AlgebraDescriptor, Element, ExpLine, exp_element, path_determinant
+from apfp import AlgebraDescriptor, Element, ExpLine, exp_element, path_determinant, polar_path
 from apfp.cli import (
     EXIT_DEMO_FAILURE,
     EXIT_NOT_IN_CLOSURE,
@@ -19,6 +19,7 @@ from apfp.cli import (
     DEMOS,
     main,
 )
+from apfp.errors import NoConvergence
 from apfp.sampling import random_member, random_self_adjoint, rng_from
 from apfp.serialize import element_to_obj, path_to_obj
 
@@ -61,19 +62,27 @@ def test_det_path_exp_line(tmp_path, capsys):
 
 def test_det_path_winding_loop_reports_delta(tmp_path, capsys, monkeypatch):
     calls = []
+    evaluated = []
 
     def counted(path, *rest):
         calls.append(path)
         return path_determinant(path, *rest)
 
-    # the loop invariant is read off the determinant already computed
+    def counted_evaluate(path, t):
+        evaluated.append(t)
+        return apfp.determinant.evaluate(path, t)
+
+    # one path_determinant call per top-level path, and the endpoints are
+    # read from the 9 points of the unitarity check
     monkeypatch.setattr(apfp.cli, "path_determinant", counted)
     monkeypatch.setattr(apfp.determinant, "path_determinant", counted)
+    monkeypatch.setattr(apfp.cli, "evaluate", counted_evaluate)
     c = Element(M2, (np.array([[2j * np.pi, 0], [0, 0]]),))
     f = write_json(tmp_path, "loop.json", path_to_obj(ExpLine(c)))
     code, report = run(capsys, "det-path", f)
     assert code == EXIT_OK
     assert len(calls) == 1
+    assert len(evaluated) == 9
     res = report["results"]
     assert res["is_loop"] and res["is_unitary"]
     assert res["lattice_distance"] <= 1e-9
@@ -89,6 +98,16 @@ def test_det_path_loop_tolerance_reaches_delta(tmp_path, capsys):
     res = report["results"]
     assert res["is_loop"]
     assert res["delta_1_0"]["values"][0] == pytest.approx(0.5, abs=1e-7)
+
+
+def test_det_path_ill_conditioned_polar_path_is_unitary(tmp_path, capsys):
+    rng = rng_from(1)
+    c = random_self_adjoint(M23, rng, norm=5.0)
+    d = random_self_adjoint(M23, rng, norm=4.0)
+    f = write_json(tmp_path, "polar.json", path_to_obj(polar_path(c, d)))
+    code, report = run(capsys, "det-path", f)
+    assert code == EXIT_OK
+    assert report["results"]["is_unitary"] is True
 
 
 def test_det_path_rejects_bad_file(tmp_path, capsys):
@@ -138,6 +157,20 @@ def test_factor_starved_optimizer_exits_5(tmp_path, capsys):
     )
     assert code == EXIT_NO_CONVERGENCE
     assert report["results"]["best_residual"] > 0.0
+
+
+def test_factor_without_finite_residual_writes_strict_json(tmp_path, capsys, monkeypatch):
+    def no_positive_restart(*args, **kwargs):
+        raise NoConvergence("no restart gave positive factors", best_residual=np.inf, best=None)
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    monkeypatch.setattr(apfp.cli, "factor_positive_products", no_positive_restart)
+    f = element_file(tmp_path, "member.json", random_member(M2, rng_from(11)))
+    assert main(["factor", f]) == EXIT_NO_CONVERGENCE
+    report = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert report["results"]["best_residual"] is None
 
 
 @pytest.mark.parametrize(

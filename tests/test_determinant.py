@@ -11,7 +11,7 @@ from apfp import (
     Element,
     ExpLine,
     PointwiseProduct,
-    QuadratureConfig,
+    ProductPolar,
     Reversal,
     Sampled,
     TraceValue,
@@ -27,7 +27,6 @@ from apfp import (
     universal_trace,
 )
 from apfp.errors import (
-    NoConvergence,
     NotALoop,
     NotUnitaryPath,
     OutOfDomain,
@@ -309,16 +308,51 @@ def test_polar_path_rejects_non_selfadjoint():
 
 
 # ---------------------------------------------------------------------------
-# quadrature behaviour
+# every kind against log det continued along its own values
 
 
-def test_quadrature_refuses_impossible_tolerance():
-    rng = rng_from(61)
-    c = random_self_adjoint(M2, rng, norm=1.0)
-    d = random_self_adjoint(M2, rng, norm=1.0)
-    quad = QuadratureConfig(steps=2, tol=1e-17, max_steps=8)
-    with pytest.raises(NoConvergence):
-        path_determinant(polar_path(c, d), quad)
+def logdet_oracle(path, points=401):
+    """logdet_along_path on each block of the path's values; a
+    concatenation is sampled piece by piece, because its joint may jump."""
+    if isinstance(path, Concatenation):
+        return logdet_oracle(path.first, points) + logdet_oracle(path.second, points)
+    t1, t2 = path.domain
+    values = [path._value(float(t)) for t in np.linspace(t1, t2, points)]
+    return np.array(
+        [logdet_along_path([v.blocks[i] for v in values]) for i in range(path.algebra.rank)]
+    )
+
+
+def polar_at_norm(seed, norm):
+    rng = rng_from(seed)
+    return ProductPolar(
+        random_self_adjoint(M23, rng, norm=norm), random_self_adjoint(M23, rng, norm=norm)
+    )
+
+
+KINDS = {
+    "ExpLine": lambda: two_lines(83)[0],
+    "ProductPolar": lambda: polar_at_norm(89, 3.0),
+    "Sampled": lambda: sampled_product_path(
+        random_self_adjoint(M23, rng_from(97), norm=1.0),
+        random_self_adjoint(M23, rng_from(98), norm=1.0),
+    ),
+    "PointwiseProduct": lambda: PointwiseProduct(polar_at_norm(101, 1.5), two_lines(103)[0]),
+    "Concatenation": lambda: Concatenation(*two_lines(107)),
+    "Reversal": lambda: Reversal(PointwiseProduct(*two_lines(109))),
+    "loop": lambda: Concatenation(winding_loop(M23, 0, 1), winding_loop(M23, 1, -2)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_closed_form_matches_logdet_oracle(kind):
+    path = KINDS[kind]()
+    got = np.array(path_determinant(path).coords)
+    assert np.max(np.abs(got - logdet_oracle(path))) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# determinism
 
 
 def test_thread_count_does_not_change_bits(monkeypatch):
@@ -356,7 +390,7 @@ def test_determinant_of_positive_matches_slogdet():
 def schur_path(x, samples=65):
     """A connecting path from 1 to x independent of log det: interpolate
     each block's complex Schur form T = D + N along s -> diag(lam^s) + s N.
-    Its path determinant is the quadrature oracle for the element
+    Its path determinant is the Schur-path oracle for the element
     determinant."""
     schurs = [sla.schur(b, output="complex") for b in x.blocks]
     pts = []
@@ -370,16 +404,16 @@ def schur_path(x, samples=65):
     return Sampled(tuple(pts))
 
 
-def assert_matches_quadrature_oracle(x):
+def assert_matches_schur_path_oracle(x):
     val = determinant_mod_lattice(x)
     oracle = path_determinant(schur_path(x))
     assert lattice_distance(oracle - val.representative) <= 1e-6
 
 
-def test_determinant_agrees_with_quadrature_on_random_invertibles():
+def test_determinant_agrees_with_schur_path_on_random_invertibles():
     rng = rng_from(73)
     for _ in range(3):
-        assert_matches_quadrature_oracle(random_element(M23, rng) + 2.5 * M23.identity())
+        assert_matches_schur_path_oracle(random_element(M23, rng) + 2.5 * M23.identity())
 
 
 def test_determinant_handles_minus_one_spectrum():
@@ -391,7 +425,7 @@ def test_determinant_handles_minus_one_spectrum():
     assert sign == pytest.approx(1.0)
     assert val.coords[0].real == pytest.approx(logabs, abs=1e-8)
     assert lattice_distance(TraceValue(M2, (val.coords[0] - logabs,))) <= 1e-6
-    assert_matches_quadrature_oracle(x)
+    assert_matches_schur_path_oracle(x)
 
 
 @given(SEEDS)

@@ -75,6 +75,18 @@ def test_split_polar_path_sums_to_zero_trace():
     assert op_norm(split.reconstruct() - path._value(1.0)) <= 1e-8
 
 
+def test_split_ill_conditioned_polar_path():
+    # e^{tc} e^{td} reaches condition number 1.4e6 here, so a polar
+    # factor formed as g (g*g)^{-1/2} would be unitary to only about 1e-4
+    rng = rng_from(1)
+    c = random_self_adjoint(M23, rng, norm=5.0)
+    d = random_self_adjoint(M23, rng, norm=4.0)
+    path = polar_path(c, d)
+    split = split_into_exponentials(path)
+    assert quotient_norm(split.trace_sum()) <= 1e-7
+    assert op_norm(split.reconstruct() - path._value(1.0)) <= 1e-8
+
+
 def test_split_partition_is_increasing_and_spans_domain():
     rng = rng_from(5)
     c = random_self_adjoint(M2, rng, norm=2.0)
