@@ -225,7 +225,9 @@ def _cmd_factor(args, config: RunConfig):
         results["best_residual"] = best if np.isfinite(best) else None
         return results, EXIT_NO_CONVERGENCE
     results["factorization"] = serialize.factorization_to_obj(fac)
-    return results, EXIT_OK
+    # how the factors were found goes to provenance: results stay the answer
+    route = {"route": fac.route, "max_factor_norm": fac.max_factor_norm}
+    return results, EXIT_OK, {"factorization": route}
 
 
 def _load_element(path) -> Element:
@@ -393,7 +395,7 @@ def _cmd_bench(args, config: RunConfig):
         "splitting_segments": len(split.logs),
         "factor_residual": fac.residual,
     }
-    return results, EXIT_OK, timings
+    return results, EXIT_OK, {"timings": timings}
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +436,8 @@ def main(argv=None) -> int:
         "demo": _cmd_demo,
         "bench": _cmd_bench,
     }
-    timings = None
     try:
-        outcome = handlers[args.command](args, config)
-        if len(outcome) == 3:
-            results, code, timings = outcome
-        else:
-            results, code = outcome
+        results, code, *extra = handlers[args.command](args, config)
     except (_ParseError, InconsistentFlags) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
@@ -469,8 +466,8 @@ def main(argv=None) -> int:
             "elapsed_seconds": time.time() - started,
         },
     }
-    if timings:
-        report["provenance"]["timings"] = timings
+    for more in extra:
+        report["provenance"].update(more)
     _emit(report, config, getattr(args, "out", None))
     return code
 

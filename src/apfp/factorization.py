@@ -8,9 +8,10 @@ the imaginary part of the element determinant log det x_i.  This module
 provides the membership test, the witnesses used on
 the positive side (the unitary polar path of e^{tc} e^{td}, its
 exponential splitting with trace-zero log sums, explicit commutator
-factorizations of determinant-one unitaries), an optimizer that actually
-produces factorizations into m positive factors, and a distance probe
-for elements outside the closure.
+factorizations of determinant-one unitaries), exact factorizations of
+members into m >= 4 positive factors in closed form, an optimizer that
+produces factorizations for every m, and a distance probe for elements
+outside the closure.
 """
 
 from __future__ import annotations
@@ -516,12 +517,15 @@ def _search(obj, opt, polish, stop_at=None):
 @dataclass(frozen=True)
 class PositiveFactorization:
     """m positive factors with the product's operator-norm residual
-    against the target, recomputed on construction."""
+    against the target, recomputed on construction.  route says how the
+    factors were found: "positive" (x itself), "construction" or
+    "search"."""
 
     factors: tuple[Element, ...]
     target: Element
     residual: float = field(init=False)
     restarts_used: int = field(default=0, compare=False)
+    route: str = field(default="search", compare=False)
 
     def __post_init__(self):
         prod = self.target.algebra.identity()
@@ -531,16 +535,152 @@ class PositiveFactorization:
             prod = mul(prod, p)
         object.__setattr__(self, "residual", op_norm(prod - self.target))
 
+    @property
+    def max_factor_norm(self) -> float:
+        return max(op_norm(p) for p in self.factors)
+
+
+# ---------------------------------------------------------------------------
+# exact factorization into four or five positives
+#
+# Sourour, "A factorization theorem for matrices" (Linear Multilinear
+# Algebra 19, 1986): a non-scalar invertible T with det T = prod_k
+# beta_k gamma_k is X B C X^-1, with B lower-triangular (diagonal beta)
+# and C upper-triangular (diagonal gamma).  Each of n-1 rank-one
+# Schur-complement steps takes a basis [v, N] of the current complement
+# S whose dual first row w* has w* v = 1 and w* S v = beta_k gamma_k, so
+# that the next LU pivot of X^-1 T X is beta_k gamma_k.  Wu, "Products of
+# positive semidefinite matrices" (Linear Algebra Appl. 111, 1988): V L
+# V^-1 with L > 0 diagonal is the product of the positives V L V* and
+# (V V*)^-1.  So T = P1 P2 P3 P4; a non-positive scalar block takes a
+# fifth factor in front, T = P0 (P0^-1 T).  Conditioning is kept down by
+# geometric spectra (beta increasing, gamma decreasing, every pivot the
+# same), unit eigenvectors, equal norms across the factors of a block,
+# and the best of a few seeded choices of the first vectors.
+
+SPECTRUM_RATIO = 3.0
+CONSTRUCTION_CANDIDATES = 4
+# a block within this relative distance of a scalar takes the scalar route
+_SCALAR_RTOL = 1e-12
+
+
+def _ramp(n: int) -> np.ndarray:
+    """n geometric steps of SPECTRUM_RATIO with product 1."""
+    return SPECTRUM_RATIO ** (np.arange(n) - (n - 1) / 2)
+
+
+def _triangular_eigvecs(t: np.ndarray) -> np.ndarray:
+    """Unit upper-triangular V with t = V diag(t) V^-1, for an
+    upper-triangular t with distinct diagonal."""
+    n = len(t)
+    d = np.diag(t)
+    v = np.eye(n, dtype=complex)
+    for i in range(n - 2, -1, -1):
+        v[i, i + 1 :] = (t[i, i + 1 :] @ v[i + 1 :, i + 1 :]) / (d[i + 1 :] - d[i])
+    return v
+
+
+def _wu_pair(v: np.ndarray, lam: np.ndarray) -> list[np.ndarray]:
+    """The positives (V L V*, (V V*)^-1) whose product is V L V^-1, with
+    the columns of V scaled to unit norm."""
+    v = v / np.linalg.norm(v, axis=0)
+    vi = np.linalg.inv(v)
+    return [_herm((v * lam) @ v.conj().T), _herm(vi.conj().T @ vi)]
+
+
+def _sourour_wu(t: np.ndarray, beta: np.ndarray, rng) -> list[np.ndarray]:
+    """Four positives with product t, a non-scalar block with det t > 0,
+    B's spectrum beta and C's spectrum |det t| / beta in pivot order."""
+    n = len(t)
+    pivot = np.exp(np.linalg.slogdet(t)[1] / n)
+    x = np.eye(n, dtype=complex)
+    s = t
+    for k in range(n - 1):
+        v = rng.normal(size=n - k) + 1j * rng.normal(size=n - k)
+        g = np.stack([v, s @ v], axis=1)
+        w = g @ np.linalg.solve(g.conj().T @ g, [1.0, pivot])
+        q, _ = np.linalg.qr(np.column_stack([w, np.eye(n - k)]))
+        y = np.column_stack([v, q[:, 1:]])  # q[:, 1:] spans w-perp
+        x[:, k:] = x[:, k:] @ y
+        a = np.linalg.solve(y, s @ y)
+        s = a[1:, 1:] - np.outer(a[1:, 0], a[0, 1:]) / a[0, 0]
+    # LU of X^-1 t X without pivoting; its pivots are the chosen ones up
+    # to rounding, except the last, which is det t / pivot^(n-1)
+    u = np.linalg.solve(x, t @ x)
+    lower = np.eye(n, dtype=complex)
+    for k in range(n - 1):
+        lower[k + 1 :, k] = u[k + 1 :, k] / u[k, k]
+        u[k + 1 :] -= np.outer(lower[k + 1 :, k], u[k])
+    d = np.diag(u).copy()
+    gamma = np.abs(d) / beta
+    b = lower * beta
+    c = gamma[:, None] * (u / d[:, None])
+    # B's eigenvectors from those of the flipped (upper-triangular) B
+    vb = _triangular_eigvecs(b[::-1, ::-1])[::-1, ::-1]
+    return _wu_pair(x @ vb, beta) + _wu_pair(x @ _triangular_eigvecs(c), gamma)
+
+
+def _balanced(factors: list[np.ndarray]) -> tuple[list[np.ndarray], float]:
+    """Rescale by positive scalars with product 1 to equal norms; returns
+    the factors and that common norm, their geometric mean."""
+    stack = np.array(factors)
+    norms = np.linalg.norm(stack, 2, axis=(1, 2))
+    mean = float(np.exp(np.mean(np.log(norms))))
+    return list(stack * (mean / norms)[:, None, None]), mean
+
+
+def _construct_block(t: np.ndarray, m: int, rng) -> list[np.ndarray] | None:
+    """At most m positive factors with product t (det t > 0), or None
+    when the block is a non-positive scalar and m < 5, or when no
+    candidate gave finite factors."""
+    n = len(t)
+    mu = np.trace(t) / n
+    lead = []
+    if np.linalg.norm(t - mu * np.eye(n)) <= _SCALAR_RTOL * abs(mu) * n:
+        # det t > 0 puts mu on a ray exp(2 pi i k / n); k = 0 is positive
+        if round(n * np.angle(mu) / (2 * np.pi)) == 0:
+            return [abs(mu) * np.eye(n, dtype=complex)]
+        if m < 5:
+            return None
+        lead = [np.diag(_ramp(n)).astype(complex)]
+        t = np.linalg.solve(lead[0], t)
+    beta = np.exp(np.linalg.slogdet(t)[1] / (2 * n)) * _ramp(n)
+    best, best_norm = None, np.inf
+    for _ in range(CONSTRUCTION_CANDIDATES):
+        try:
+            factors, norm = _balanced(lead + _sourour_wu(t, beta, rng))
+        except np.linalg.LinAlgError:
+            continue
+        if norm < best_norm:  # false for a non-finite candidate
+            best, best_norm = factors, norm
+    return best
+
+
+def _construct(x: Element, m: int, seed: int) -> tuple[Element, ...] | None:
+    """m positive factors of a member x in closed form (m >= 4), padded
+    with the identity, or None where the construction does not apply."""
+    per_block = []
+    for i, (t, n) in enumerate(zip(x.blocks, x.algebra.block_sizes)):
+        factors = _construct_block(t, m, np.random.default_rng((seed, i)))
+        if factors is None:
+            return None
+        per_block.append(factors + [np.eye(n, dtype=complex)] * (m - len(factors)))
+    return tuple(Element(x.algebra, tuple(b[j] for b in per_block)) for j in range(m))
+
 
 def factor_positive_products(
     x: Element, m: int = 5, opt: OptimizerConfig | None = None
 ) -> PositiveFactorization:
     """Factor an invertible member of the closure of P(A) into m positive
-    factors by multi-start quasi-Newton descent.
+    factors.
 
-    Restart 0 is a deterministic continuation from the positive part of
-    x; later restarts are seeded Gaussian perturbations.  Success is a
-    residual within opt.target_residual * op_norm(x); otherwise
+    A positive x is its own first factor.  For m >= 4 the factors are
+    constructed in closed form (Sourour, then Wu; see above) and returned
+    when they pass PositiveFactorization's checks and reach the target,
+    with restarts_used 0.  Otherwise a multi-start quasi-Newton search
+    runs: restart 0 is a deterministic continuation from the positive
+    part of x; later restarts are seeded Gaussian perturbations.  Success
+    is a residual within opt.target_residual * op_norm(x); otherwise
     NoConvergence carries the best run found, or best=None and
     best_residual=inf when no restart gave finite positive factors.
     """
@@ -556,9 +696,18 @@ def factor_positive_products(
         )
     if is_positive(x):
         factors = (x,) + tuple(x.algebra.identity() for _ in range(m - 1))
-        return PositiveFactorization(factors, x)
-    obj = _Objective(x, m)
+        return PositiveFactorization(factors, x, route="positive")
     target = opt.target_residual * op_norm(x)
+    if m >= 4:
+        try:
+            factors = _construct(x, m, opt.seed)
+            if factors is not None:
+                result = PositiveFactorization(factors, x, route="construction")
+                if result.residual <= target:
+                    return result
+        except (np.linalg.LinAlgError, NotPositive):
+            pass  # the search below decides
+    obj = _Objective(x, m)
     residual, theta, index = _search(obj, opt, polish=False, stop_at=target)
     if residual == np.inf:
         raise NoConvergence(

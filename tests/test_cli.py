@@ -130,6 +130,22 @@ def test_factor_positive_element(tmp_path, capsys):
     fac = report["results"]["factorization"]
     assert fac["residual"] == 0.0
     assert len(fac["factors"]) == 3
+    assert report["provenance"]["factorization"]["route"] == "positive"
+
+
+@pytest.mark.parametrize("factors, route", [("3", "search"), ("5", "construction")])
+def test_factor_reports_route_and_largest_factor_norm(tmp_path, capsys, factors, route):
+    f = element_file(tmp_path, "member.json", random_member(M2, rng_from(17)))
+    code, report = run(capsys, "factor", f, "--factors", factors, "--restarts", "2")
+    assert code == EXIT_OK
+    got = report["provenance"]["factorization"]
+    assert got["route"] == route
+    norms = [
+        max(np.linalg.norm(np.array(b)[..., 0] + 1j * np.array(b)[..., 1], 2) for b in p["blocks"])
+        for p in report["results"]["factorization"]["factors"]
+    ]
+    assert got["max_factor_norm"] == pytest.approx(max(norms), rel=1e-12)
+    assert "route" not in report["results"]["factorization"]
 
 
 def test_factor_obstructed_element_exits_4_with_probe(tmp_path, capsys):
@@ -148,6 +164,8 @@ def test_factor_starved_optimizer_exits_5(tmp_path, capsys):
         capsys,
         "factor",
         f,
+        "--factors",
+        "3",
         "--restarts",
         "1",
         "--max-iterations",
@@ -309,6 +327,19 @@ def test_rerun_results_are_byte_identical(tmp_path, capsys):
         return json.dumps(report["results"], sort_keys=True).encode()
 
     assert results_bytes() == results_bytes()
+
+
+def test_constructed_results_do_not_depend_on_threads(tmp_path, capsys, monkeypatch):
+    f = element_file(tmp_path, "member.json", random_member(M23, rng_from(19)))
+
+    def results_bytes(threads):
+        monkeypatch.setenv("APFP_THREADS", threads)
+        code, report = run(capsys, "factor", f, "--factors", "5")
+        assert code == EXIT_OK
+        assert report["provenance"]["factorization"]["route"] == "construction"
+        return json.dumps(report["results"], sort_keys=True).encode()
+
+    assert results_bytes("1") == results_bytes("4") == results_bytes("1")
 
 
 def test_global_flags_accepted_before_subcommand(tmp_path, capsys):

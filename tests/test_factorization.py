@@ -229,10 +229,11 @@ def test_factor_rejects_non_member():
 
 
 def test_factor_member_of_m2():
+    # m = 3: below four factors the search is the only route
     rng = rng_from(17)
     x = random_member(M2, rng)
     opt = OptimizerConfig(restarts=8, seed=0)
-    got = factor_positive_products(x, m=5, opt=opt)
+    got = factor_positive_products(x, m=3, opt=opt)
     scale = op_norm(x)
     assert got.residual <= 1e-6 * scale
     # soundness: factors positive, residual recomputed from the factors
@@ -242,6 +243,7 @@ def test_factor_member_of_m2():
         prod = mul(prod, f)
     assert op_norm(prod - x) == got.residual
     assert 1 <= got.restarts_used <= 8
+    assert got.route == "search"
 
 
 def test_factor_rotation_times_diagonal():
@@ -259,7 +261,7 @@ def test_factor_no_convergence_carries_best():
     x = random_member(M2, rng)
     opt = OptimizerConfig(restarts=1, max_iterations=4, target_residual=1e-13)
     with pytest.raises(NoConvergence) as err:
-        factor_positive_products(x, m=5, opt=opt)
+        factor_positive_products(x, m=3, opt=opt)
     assert err.value.best_residual is not None
     assert err.value.best is not None
     assert err.value.best.residual == err.value.best_residual
@@ -304,7 +306,7 @@ def test_threaded_search_stops_after_the_wave_that_converges(monkeypatch):
     monkeypatch.setattr(factorization, "_run_restart", counted)
     monkeypatch.setenv("APFP_THREADS", "2")
     x = random_member(M2, rng_from(17))
-    got = factor_positive_products(x, m=5, opt=OptimizerConfig(restarts=8))
+    got = factor_positive_products(x, m=3, opt=OptimizerConfig(restarts=8))
     assert got.restarts_used == 1
     assert sorted(calls) == [0, 1]
 
@@ -314,12 +316,117 @@ def test_factor_deterministic_across_thread_counts(monkeypatch):
     x = random_member(M2, rng)
     opt = OptimizerConfig(restarts=3, seed=5)
     monkeypatch.delenv("APFP_THREADS", raising=False)
-    serial = factor_positive_products(x, m=4, opt=opt)
+    serial = factor_positive_products(x, m=3, opt=opt)
     monkeypatch.setenv("APFP_THREADS", "4")
-    threaded = factor_positive_products(x, m=4, opt=opt)
+    threaded = factor_positive_products(x, m=3, opt=opt)
     assert serial.residual == threaded.residual
     for a, b in zip(serial.factors, threaded.factors):
         assert op_norm(a - b) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the closed-form construction at m >= 4
+
+
+def no_search(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(factorization, "_search", fail)
+
+
+def assert_positive_factorization(x, factors, target):
+    """Checked with numpy alone: every block of every factor exactly
+    hermitian with eigvalsh above -1e-10, and the product of the blocks
+    within target of x in the operator norm."""
+    misses = []
+    for i, xb in enumerate(x.blocks):
+        prod = np.eye(len(xb), dtype=complex)
+        for f in factors:
+            b = f.blocks[i]
+            assert np.array_equal(b, b.conj().T)
+            assert np.linalg.eigvalsh(b)[0] > -1e-10
+            prod = prod @ b
+        misses.append(np.linalg.norm(prod - xb, 2))
+    assert max(misses) <= target
+
+
+def test_factor_member_by_construction(monkeypatch):
+    no_search(monkeypatch)
+    x = random_member(M2, rng_from(17))
+    got = factor_positive_products(x, m=5, opt=OptimizerConfig(restarts=8))
+    assert got.route == "construction"
+    assert got.restarts_used == 0
+    assert got.residual <= 1e-6 * op_norm(x)
+    assert got.max_factor_norm == max(op_norm(f) for f in got.factors)
+
+
+M4 = AlgebraDescriptor((4,))
+# the positive scalar sits beside a member block: alone it would be positive
+SCALARS = (
+    elem(M2, -np.eye(2)),
+    elem(M3, np.exp(2j * np.pi / 3) * np.eye(3)),
+    elem(M23, 2 * np.eye(2), random_member(M3, rng_from(67)).blocks[0]),
+)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_construction_gives_positive_factors(monkeypatch, m):
+    no_search(monkeypatch)
+    members = [random_member(a, rng_from((61, k))) for a in (M2, M3, M23, M4) for k in range(5)]
+    for x in members + [SCALARS[2]] + ([] if m == 4 else list(SCALARS[:2])):
+        got = factor_positive_products(x, m=m)
+        assert len(got.factors) == m
+        assert got.route == "construction"
+        assert_positive_factorization(x, got.factors, 1e-6 * op_norm(x))
+
+
+def test_construction_leaves_non_positive_scalars_to_the_search_at_m4(monkeypatch):
+    # a non-positive scalar is no product of four positives: its fifth
+    # factor does not fit, so the search takes over
+    searched = []
+    search = factorization._search
+
+    def spy(obj, opt, polish, stop_at=None):
+        searched.append(obj.x)
+        return search(obj, opt, polish, stop_at)
+
+    monkeypatch.setattr(factorization, "_search", spy)
+    opt = OptimizerConfig(restarts=1, max_iterations=50)
+    for x in SCALARS[:2]:
+        assert factorization._construct(x, 4, 0) is None
+        try:
+            got = factor_positive_products(x, m=4, opt=opt)
+            assert got.route == "search"
+        except NoConvergence:
+            pass
+        assert searched[-1] is x
+    assert len(searched) == 2
+
+
+@pytest.mark.parametrize(
+    "alg, seed",
+    [(M23, (3, 1, 0, 15)), (M3, (11, 1, 4, 6))],
+)
+def test_members_that_defeat_the_search_are_constructed(monkeypatch, alg, seed):
+    # the search ended both in NoConvergence, after 61 s and 36 s of CPU
+    no_search(monkeypatch)
+    x = random_member(alg, rng_from(seed))
+    got = factor_positive_products(x, m=5)
+    assert got.route == "construction"
+    assert_positive_factorization(x, got.factors, 1e-6 * op_norm(x))
+
+
+def test_construction_pads_with_identities_and_mixes_routes(monkeypatch):
+    # -1 takes five factors, the member four and the positive scalar one
+    no_search(monkeypatch)
+    alg = AlgebraDescriptor((2, 3, 1))
+    x = Element(alg, (-np.eye(2, dtype=complex), random_member(M3, rng_from(5)).blocks[0], np.array([[3.0 + 0j]])))
+    got = factor_positive_products(x, m=7)
+    assert_positive_factorization(x, got.factors, 1e-6 * op_norm(x))
+    assert [np.array_equal(f.blocks[0], np.eye(2)) for f in got.factors] == [False] * 5 + [True] * 2
+    assert [np.array_equal(f.blocks[1], np.eye(3)) for f in got.factors] == [False] * 4 + [True] * 3
+    assert [f.blocks[2][0, 0] for f in got.factors] == [3.0] + [1.0] * 6
 
 
 # ---------------------------------------------------------------------------
