@@ -78,12 +78,14 @@ from .errors import (
     SingularValueOnPath,
 )
 from .factorization import (
+    DistanceBracket,
     ExponentialSplitting,
     MembershipResult,
     OptimizerConfig,
     PositiveFactorization,
     best_approx_distance,
     commutator_factor_su,
+    distance_bracket,
     factor_positive_products,
     membership_test,
     polar_path,

@@ -47,6 +47,7 @@ from .factorization import (
     OptimizerConfig,
     best_approx_distance,
     commutator_factor_su,
+    distance_bracket,
     factor_positive_products,
     membership_test,
     polar_path,
@@ -213,9 +214,13 @@ def _cmd_factor(args, config: RunConfig):
         "factors_requested": args.factors,
     }
     if not member:
-        probe = best_approx_distance(x, args.factors, config.optimizer)
-        results["distance_probe"] = probe
-        return results, EXIT_NOT_IN_CLOSURE
+        results["distance_probe"] = best_approx_distance(x, args.factors, config.optimizer)
+        bracket = distance_bracket(x)
+        results["distance_bracket"] = [bracket.lower, bracket.upper]
+        # how the distance was reached goes to provenance: results stay the answer
+        route = "bracket" if bracket.closes(args.factors) else "search"
+        gap = bracket.upper - bracket.lower
+        return results, EXIT_NOT_IN_CLOSURE, {"distance": {"route": route, "gap": gap}}
     try:
         fac = factor_positive_products(x, args.factors, config.optimizer)
     except NoConvergence as exc:

@@ -11,7 +11,7 @@ exponential splitting with trace-zero log sums, explicit commutator
 factorizations of determinant-one unitaries), exact factorizations of
 members into m >= 4 positive factors in closed form, an optimizer that
 produces factorizations for every m, and a distance probe for elements
-outside the closure.
+outside the closure, bracketed in closed form.
 """
 
 from __future__ import annotations
@@ -694,7 +694,7 @@ def factor_positive_products(
             + ", ".join(f"{p:+.3e}" for p in membership.det_phases),
             diagnostics=membership,
         )
-    if is_positive(x):
+    if is_positive(x, FACTOR_POSITIVITY_TOL):  # the tolerance PositiveFactorization checks
         factors = (x,) + tuple(x.algebra.identity() for _ in range(m - 1))
         return PositiveFactorization(factors, x, route="positive")
     target = opt.target_residual * op_norm(x)
@@ -728,21 +728,107 @@ def factor_positive_products(
     return result
 
 
+# ---------------------------------------------------------------------------
+# the distance to the closure, bracketed in closed form
+#
+# For block x_i = U diag(s) V* (s_n the smallest singular value) let phi_i
+# be the distance from arg det x_i to 2 pi Z, 0 when det x_i = 0.  Lower
+# bound, for every m: a y_i with ||y_i - x_i|| = d < s_n is x_i (1 + z)
+# with ||z|| <= d / s_n < 1; the eigenvalues of 1 + z lie within ||z|| of
+# 1, so arg det y_i is within n arcsin(d / s_n) of arg det x_i, and the
+# closure has det y_i >= 0: d >= s_n sin(min(phi_i / n, pi/2)).  Witness:
+# turn the k last singular values (the smallest, near-ties ordered by
+# _singular_split) by -arg det x_i / k each and project them onto that
+# ray; y_i - x_i is diagonal in the singular basis, so ||y_i - x_i|| =
+# max(s_{n-k+1}, ..., s_n) sin(min(phi_i / k, pi/2)), and the best k is
+# taken.  det y_i >= 0 puts y in the closure for m >= 4 (Sourour and Wu,
+# as above; scalar blocks are limits of non-scalar ones).
+
+# the bracket closes when upper - lower is within this fraction of upper
+BRACKET_RTOL = 1e-12
+
+
+class DistanceBracket(NamedTuple):
+    """lower <= the distance from x to the closure of P(A) <= upper =
+    ||witness - x||, with det witness_i real and >= 0 in every block."""
+
+    lower: float
+    upper: float
+    witness: Element
+
+    def closes(self, m: int) -> bool:
+        """upper is the distance to products of m positives: the ends meet
+        within BRACKET_RTOL and the witness is in their closure, for
+        m >= 4 always, otherwise when it is positive."""
+        return self.upper - self.lower <= BRACKET_RTOL * self.upper and (
+            m >= 4 or is_positive(self.witness)
+        )
+
+
+def _singular_split(b):
+    """b = (u * s) @ vh with s descending up to near-ties.  A hermitian
+    block is split through its eigenvalues, a negative one placed after
+    any positive one whose |lambda| is within BRACKET_RTOL of its own, so
+    a witness that turns the last singular values drops the negative
+    eigenvalue where the two tie; LAPACK's SVD leaves ties in any order."""
+    if not np.array_equal(b, b.conj().T):
+        return np.linalg.svd(b)
+    lam, q = np.linalg.eigh(b)
+    order = np.argsort(-abs(lam) * np.where(lam < 0, 1 - BRACKET_RTOL, 1.0), kind="stable")
+    lam, q = lam[order], q[:, order]
+    return q * np.where(lam < 0, -1.0, 1.0), abs(lam), q.conj().T
+
+
+def distance_bracket(x: Element) -> DistanceBracket:
+    """Closed-form bracket on the distance from x to the closure of P(A),
+    from one SVD (eigh for a hermitian block) and one slogdet per block
+    (see above)."""
+    lower = upper = 0.0
+    ys = []
+    for b in x.blocks:
+        u, s, vh = _singular_split(b)
+        theta = float(np.angle(np.linalg.slogdet(b)[0]))  # sign 0 when det = 0
+        k = np.arange(1, len(s) + 1)
+        angle = np.minimum(abs(theta) / k, np.pi / 2)
+        cost = np.maximum.accumulate(s[::-1]) * np.sin(angle)  # ||y_i - x_i|| by k
+        j = int(np.argmin(cost))
+        lower = max(lower, float(s.min() * np.sin(angle[-1])))
+        upper = max(upper, float(cost[j]))
+        d = s.astype(complex)
+        d[len(s) - k[j] :] *= max(np.cos(theta / k[j]), 0.0) * np.exp(-1j * theta / k[j])
+        ys.append((u * d) @ vh)
+    return DistanceBracket(lower, upper, Element(x.algebra, tuple(ys)))
+
+
 def best_approx_distance(x: Element, m: int = 5, opt: OptimizerConfig | None = None) -> float:
-    """Best found operator-norm distance from x to products of m positive
-    factors: an upper bound on the distance to the closure of P(A).
-    Never raises; positive x returns 0."""
+    """Operator-norm distance from x to products of m positive factors,
+    from above: an upper bound on the distance to the closure of P(A),
+    never below distance_bracket(x).lower.  Positive x returns 0.  Where
+    the bracket closes (see DistanceBracket.closes) the answer is its
+    upper end, exact and with no search.  Otherwise the multi-start
+    search runs with the op-norm polish; for m >= 4 the answer is the
+    smaller of the search's and the witness's, and a LinAlgError in the
+    search leaves the witness's."""
     opt = opt or OptimizerConfig()
     if is_positive(x):
         return 0.0
-    obj = _Objective(x, m)
-    residual, _, _ = _search(obj, opt, polish=True, stop_at=None)
-    return float(residual)
+    bracket = distance_bracket(x)
+    if bracket.closes(m):
+        return bracket.upper
+    try:
+        residual = _search(_Objective(x, m), opt, polish=True, stop_at=None)[0]
+    except np.linalg.LinAlgError:
+        if m < 4:
+            raise
+        residual = np.inf
+    return float(min(bracket.upper, residual) if m >= 4 else residual)
 
 
 def residual_curve(x: Element, ms, opt: OptimizerConfig | None = None):
     """Residuals over a sweep of factor counts; members go through the
-    factorizer, everything else through the distance probe."""
+    factorizer, everything else through best_approx_distance, which is
+    exact wherever the distance bracket closes (every m for -1 in M1 and
+    diag(1, -1) in M2) and bracketed below otherwise."""
     opt = opt or OptimizerConfig()
     out = []
     for m in ms:

@@ -24,6 +24,7 @@ from apfp import (
     check_abstract,
     check_conditions,
     commutator_factor_su,
+    distance_bracket,
     factor_positive_products,
     is_positive,
     lattice_distance,
@@ -151,8 +152,10 @@ def test_obstruction_distances():
     u = Element(M2, (np.diag([1.0, -1.0]).astype(complex),))
     minus_one = Element(M1, (np.array([[-1.0 + 0j]]),))
     opt = OptimizerConfig(restarts=32, seed=0)
+    lower = distance_bracket(u).lower
     for m in (3, 5, 8):
         d2 = best_approx_distance(u, m=m, opt=opt)
+        assert lower <= d2
         assert d2 >= 0.1
         # regression constant from the first derivation of this suite
         assert abs(d2 - 1.0) <= 1e-2

@@ -20,7 +20,7 @@ from apfp.cli import (
     main,
 )
 from apfp.errors import NoConvergence
-from apfp.sampling import random_member, random_self_adjoint, rng_from
+from apfp.sampling import random_element, random_member, random_self_adjoint, rng_from
 from apfp.serialize import element_to_obj, path_to_obj
 
 M2 = AlgebraDescriptor((2,))
@@ -155,6 +155,27 @@ def test_factor_obstructed_element_exits_4_with_probe(tmp_path, capsys):
     assert code == EXIT_NOT_IN_CLOSURE
     assert report["results"]["member"] is False
     assert report["results"]["distance_probe"] >= 0.1
+
+
+def test_factor_reports_a_closed_distance_bracket(tmp_path, capsys):
+    x = Element(M2, (np.diag([1.0, -1.0]).astype(complex),))
+    f = element_file(tmp_path, "bad.json", x)
+    code, report = run(capsys, "factor", f, "--factors", "3")
+    assert code == EXIT_NOT_IN_CLOSURE
+    assert report["results"]["distance_bracket"] == [1.0, 1.0]
+    assert report["results"]["distance_probe"] == 1.0
+    assert report["provenance"]["distance"] == {"route": "bracket", "gap": 0.0}
+
+
+def test_factor_reports_an_open_distance_bracket(tmp_path, capsys):
+    f = element_file(tmp_path, "bad.json", random_element(M2, rng_from((77, 1))))
+    code, report = run(capsys, "factor", f, "--factors", "5", "--restarts", "1")
+    assert code == EXIT_NOT_IN_CLOSURE
+    lower, upper = report["results"]["distance_bracket"]
+    assert lower <= report["results"]["distance_probe"] <= upper
+    got = report["provenance"]["distance"]
+    assert got["route"] == "search"
+    assert got["gap"] == upper - lower > 0.1
 
 
 def test_factor_starved_optimizer_exits_5(tmp_path, capsys):

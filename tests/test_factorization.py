@@ -4,6 +4,7 @@ optimizer."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import power_iteration_norm
 
 import apfp.factorization as factorization
 from apfp import (
@@ -14,6 +15,7 @@ from apfp import (
     adjoint,
     best_approx_distance,
     commutator_factor_su,
+    distance_bracket,
     exp_element,
     factor_positive_products,
     is_positive,
@@ -33,10 +35,12 @@ from apfp.errors import (
     SingularInput,
 )
 from apfp.sampling import (
+    random_element,
     random_member,
     random_positive,
     random_self_adjoint,
     random_special_unitary,
+    random_unitary,
     rng_from,
 )
 
@@ -211,6 +215,19 @@ def test_positive_input_factors_trivially():
     assert got.residual == 0.0
     assert op_norm(got.factors[0] - a) == 0.0
     assert all(op_norm(f - M23.identity()) == 0.0 for f in got.factors[1:])
+
+
+@pytest.mark.parametrize("m, route", [(5, "construction"), (3, "search")])
+def test_large_nearly_positive_member_is_factored(m, route):
+    # positive within the relative default 1e-12 * ||x|| (the asymmetric
+    # entry is 0.1 at norm 1.9e12) but not within the 1e-10 that
+    # PositiveFactorization checks factors with, so it is no shortcut
+    b = 1e12 * random_positive(M2, rng_from(1)).blocks[0]
+    b[0, 1] += 0.1
+    x = Element(M2, (b,))
+    got = factor_positive_products(x, m=m)
+    assert got.route == route
+    assert got.residual <= 1e-12 * op_norm(x)
 
 
 def test_factor_requires_at_least_one():
@@ -449,6 +466,100 @@ def test_distance_probe_handles_singular_input():
     x = elem(M2, [[0.0, 1.0], [0.0, 0.0]])  # nilpotent, not positive
     d = best_approx_distance(x, m=3, opt=OptimizerConfig(restarts=2))
     assert 0.0 <= d <= 1.0 + 1e-9
+
+
+NILPOTENT = elem(M2, [[0.0, 1.0], [0.0, 0.0]])
+DIAG_ONE_MINUS_ONE = elem(M2, [[1.0, 0.0], [0.0, -1.0]])
+
+
+def seeded_non_members(algebras, count=4):
+    xs = [random_element(alg, rng_from((77, k))) for alg in algebras for k in range(count)]
+    assert not any(membership_test(x) for x in xs)
+    return xs
+
+
+def test_distance_witness_checked_independently():
+    for x in seeded_non_members((M1, M2, M3, M23)) + [NILPOTENT]:
+        got = distance_bracket(x)
+        scale = op_norm(x)
+        assert 0.0 <= got.lower <= got.upper
+        for y, n in zip(got.witness.blocks, x.algebra.block_sizes):
+            det = np.linalg.det(y)
+            assert abs(det.imag) <= 1e-12 * scale**n
+            assert det.real >= -1e-12 * scale**n
+        dist = max(power_iteration_norm(y - b) for y, b in zip(got.witness.blocks, x.blocks))
+        assert dist == pytest.approx(got.upper, rel=1e-9, abs=1e-12 * scale)
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_distance_lower_bound_below_the_search(m):
+    opt = OptimizerConfig(restarts=1, max_iterations=300)
+    for x in seeded_non_members((M2, M3, M23), count=2):
+        residual, _, _ = factorization._search(factorization._Objective(x, m), opt, polish=False)
+        assert np.isfinite(residual)
+        assert distance_bracket(x).lower <= residual * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_distance_of_scalars_in_closed_form(monkeypatch, m):
+    no_search(monkeypatch)
+    for x in seeded_non_members((M1,), count=8):
+        z = x.blocks[0][0, 0]
+        exact = abs(z.imag) if z.real >= 0 else abs(z)  # dist(z, [0, inf))
+        assert abs(best_approx_distance(x, m=m) - exact) <= 1e-15 * abs(z)
+
+
+def hermitian_conjugate(x, rng):
+    u = random_unitary(x.algebra, rng).blocks[0]
+    a = u @ x.blocks[0] @ u.conj().T
+    return Element(x.algebra, ((a + a.conj().T) / 2,))  # exactly hermitian
+
+
+# the two singular values of diag(1, -1) tie, so which one the witness
+# drops must not depend on how the input is oriented
+SIGN_FLIPS = [DIAG_ONE_MINUS_ONE, elem(M2, [[-1.0, 0.0], [0.0, 1.0]])] + [
+    hermitian_conjugate(DIAG_ONE_MINUS_ONE, rng_from((78, k))) for k in range(8)
+]
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_closed_bracket_answers_without_search(monkeypatch, m):
+    no_search(monkeypatch)
+    for x in SIGN_FLIPS:
+        assert best_approx_distance(x, m=m) == pytest.approx(1.0, rel=1e-14)
+        assert is_positive(distance_bracket(x).witness)
+    assert best_approx_distance(DIAG_ONE_MINUS_ONE, m=m) == 1.0
+    assert best_approx_distance(NILPOTENT, m=5) == 0.0
+
+
+def test_closed_bracket_needs_a_positive_witness_below_m4():
+    # a member, so the bracket is [0, 0] with the witness x itself, which
+    # is not positive: at m = 1 the distance is that to the positives, the
+    # norm 1/2 of the skew-hermitian part, whose hermitian part is positive
+    x = elem(M2, [[1.0, 1.0], [0.0, 1.0]])
+    assert distance_bracket(x).upper == 0.0
+    assert best_approx_distance(x, m=1, opt=OptimizerConfig(restarts=1)) == pytest.approx(0.5, abs=1e-9)
+
+
+def test_open_bracket_caps_the_search_with_the_witness_from_m4(monkeypatch):
+    x = random_element(M2, rng_from((77, 1)))
+    got = distance_bracket(x)
+    assert got.upper - got.lower > 0.1
+    monkeypatch.setattr(factorization, "_search", lambda *args, **kwargs: (got.upper + 1.0, None, 0))
+    # m >= 4: the witness caps the search; m < 4: the search alone
+    assert best_approx_distance(x, m=5) == got.upper
+    assert best_approx_distance(x, m=3) == got.upper + 1.0
+
+
+def test_failed_search_leaves_the_witness_from_m4(monkeypatch):
+    def search(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(factorization, "_search", search)
+    x = random_element(M2, rng_from((77, 1)))
+    assert best_approx_distance(x, m=4) == distance_bracket(x).upper
+    with pytest.raises(np.linalg.LinAlgError):
+        best_approx_distance(x, m=3)
 
 
 def test_residual_curve_is_monotone_enough():
