@@ -66,6 +66,7 @@ from .errors import (
     DeterminantNotOne,
     InconsistentFlags,
     NoConvergence,
+    NonFiniteValue,
     NotALoop,
     NotInClosure,
     NotPositive,

@@ -192,6 +192,14 @@ def op_norm(x: Element) -> float:
     return max(float(np.linalg.svd(b, compute_uv=False)[0]) for b in x.blocks)
 
 
+def _unitarity_error(x: Element) -> float:
+    """||x*x - 1|| = max |s^2 - 1| over the singular values s of the
+    blocks, without forming x*x, which may overflow."""
+    return max(
+        float(np.abs(np.linalg.svd(b, compute_uv=False) ** 2 - 1).max()) for b in x.blocks
+    )
+
+
 def _herm(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
@@ -199,10 +207,13 @@ def _herm(m: np.ndarray) -> np.ndarray:
 def is_positive(x: Element, tol: float | None = None) -> bool:
     """Self-adjoint up to tol with spectrum bounded below by -tol.
 
-    tol=None uses the relative default 1e-12 * op_norm(x).
+    tol=None uses the relative default 1e-12 * op_norm(x), and an x whose
+    op_norm overflows is not positive.
     """
     if tol is None:
         tol = POSITIVITY_RTOL * op_norm(x)
+        if not np.isfinite(tol):
+            return False
     for b in x.blocks:
         if np.linalg.norm(b - b.conj().T, 2) > tol:
             return False

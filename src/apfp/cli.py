@@ -10,6 +10,7 @@ are JSON (or flattened CSV) with a deterministic "results" section and a
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -21,6 +22,7 @@ from . import serialize
 from .algebra import (
     AlgebraDescriptor,
     Element,
+    _unitarity_error,
     is_positive,
     op_norm,
     quotient_norm,
@@ -40,14 +42,15 @@ from .errors import (
     DescriptorMismatch,
     InconsistentFlags,
     NoConvergence,
+    NonFiniteValue,
     NotInClosure,
     RankTooHighForDensity,
 )
 from .factorization import (
     OptimizerConfig,
-    best_approx_distance,
+    _distance_probe,
+    best_approx_distance,  # noqa: F401  (the tracer in perfbench/ wraps it here)
     commutator_factor_su,
-    distance_bracket,
     factor_positive_products,
     membership_test,
     polar_path,
@@ -79,7 +82,10 @@ class _DemoFailure(Exception):
     pass
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser():
+    # built once per process: parse_args returns a fresh namespace on each
+    # call, so no flag carries over from one call to the next.
     # global flags live on a parent parser so they parse in either
     # position: `apfp --seed 1 factor f.json` or `apfp factor f.json --seed 1`;
     # SUPPRESS keeps a later subparser from clobbering an earlier value
@@ -170,7 +176,7 @@ def _cmd_det_path(args, config: RunConfig):
     obj = _read_json(args.path_file)
     try:
         path = serialize.path_from_obj(obj)
-    except (KeyError, TypeError, ValueError, DescriptorMismatch) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, DescriptorMismatch) as exc:
         raise _ParseError(f"bad path file: {exc}") from exc
     det = path_determinant(path)
     reduced = lattice_reduce(det)
@@ -182,10 +188,7 @@ def _cmd_det_path(args, config: RunConfig):
     endpoints_identity = all(
         op_norm(v - ident) <= endpoint_tol for v in (vals[0], vals[-1])
     )
-    unitary = all(
-        max(np.linalg.norm(b.conj().T @ b - np.eye(len(b)), 2) for b in v.blocks) <= 1e-8
-        for v in vals
-    )
+    unitary = all(_unitarity_error(v) <= 1e-8 for v in vals)
     positive = all(is_positive(v, 1e-8 * max(1.0, op_norm(v))) for v in vals)
     results = {
         "determinant": serialize.trace_value_to_obj(det),
@@ -214,8 +217,10 @@ def _cmd_factor(args, config: RunConfig):
         "factors_requested": args.factors,
     }
     if not member:
-        results["distance_probe"] = best_approx_distance(x, args.factors, config.optimizer)
-        bracket = distance_bracket(x)
+        distance, bracket = _distance_probe(x, args.factors, config.optimizer)
+        if bracket is None:
+            raise NonFiniteValue("the distance bracket overflows")
+        results["distance_probe"] = distance
         results["distance_bracket"] = [bracket.lower, bracket.upper]
         # how the distance was reached goes to provenance: results stay the answer
         route = "bracket" if bracket.closes(args.factors) else "search"
@@ -239,7 +244,7 @@ def _load_element(path) -> Element:
     obj = _read_json(path)
     try:
         return serialize.element_from_obj(obj)
-    except (KeyError, TypeError, ValueError, DescriptorMismatch) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, DescriptorMismatch) as exc:
         raise _ParseError(f"bad element file: {exc}") from exc
 
 

@@ -32,11 +32,14 @@ from .algebra import (
     TraceValue,
     _herm,
     _is_herm,
+    _unitarity_error,
     op_norm,
     SINGULARITY_RTOL,
 )
 from .checker import AffFunction
 from .errors import (
+    DescriptorMismatch,
+    NonFiniteValue,
     NotALoop,
     NotUnitaryPath,
     OutOfDomain,
@@ -78,9 +81,12 @@ def _check_domain(path, t):
 
 
 def evaluate(path: InvertiblePath, t: float) -> Element:
-    """Evaluate the path, checking the domain and invertibility."""
-    _check_domain(path, t)
-    val = evaluate_unchecked(path, t)
+    """Evaluate the path, checking the domain, finiteness and
+    invertibility."""
+    try:
+        val = evaluate_unchecked(path, t)
+    except ValueError as exc:  # a non-finite entry, or LinAlgError on one
+        raise NonFiniteValue(f"path value at t={t}: {exc}") from exc
     thresh = SINGULARITY_RTOL * op_norm(val)
     for b in val.blocks:
         if np.linalg.svd(b, compute_uv=False)[-1] <= thresh:
@@ -146,6 +152,8 @@ class ProductPolar(InvertiblePath):
     domain: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
+        if self.c.algebra != self.d.algebra:
+            raise DescriptorMismatch("ProductPolar needs c and d in one algebra")
         for b in (*self.c.blocks, *self.d.blocks):
             if not _is_herm(b, rtol=1e-10):
                 raise ValueError("ProductPolar needs self-adjoint c and d")
@@ -227,21 +235,23 @@ class Sampled(InvertiblePath):
         return (self.samples[0][0], self.samples[-1][0])
 
     @cached_property
+    def _steps(self):
+        """a_j^{-1} a_{j+1} per segment and block."""
+        return [
+            tuple(np.linalg.solve(ab, bb) for ab, bb in zip(a.blocks, b.blocks))
+            for (_, a), (_, b) in zip(self.samples, self.samples[1:])
+        ]
+
+    @cached_property
     def _seg_logs(self):
-        logs = []
-        for (_, a), (_, b) in zip(self.samples, self.samples[1:]):
-            logs.append(
-                tuple(
-                    sla.logm(np.linalg.solve(ab, bb))
-                    for ab, bb in zip(a.blocks, b.blocks)
-                )
-            )
-        return logs
+        return [tuple(sla.logm(g) for g in steps) for steps in self._steps]
 
     def _value(self, t):
         ts = [tt for tt, _ in self.samples]
-        j = int(np.searchsorted(ts, t, side="right")) - 1
-        j = max(0, min(j, len(ts) - 2))
+        j = int(np.searchsorted(ts, t))
+        if j < len(ts) and ts[j] == t:
+            return self.samples[j][1]
+        j = max(0, min(j - 1, len(ts) - 2))
         (t0, a), (t1, _) = self.samples[j], self.samples[j + 1]
         s = (t - t0) / (t1 - t0)
         return Element(
@@ -250,7 +260,13 @@ class Sampled(InvertiblePath):
         )
 
     def _det(self):
-        return sum(_traces(logs) for logs in self._seg_logs)
+        # T(L_j) = sum_k log lambda_k(a_j^{-1} a_{j+1}): the eigenvalues of
+        # logm(g) are the principal logs of those of g, none of which lies
+        # on (-inf, 0] since |lambda - 1| <= ||g - 1|| < 1/2
+        return sum(
+            np.array([np.log(np.linalg.eigvals(g)).sum() for g in steps], dtype=complex)
+            for steps in self._steps
+        )
 
 
 @dataclass(frozen=True)
@@ -340,8 +356,11 @@ class Reversal(InvertiblePath):
 
 def path_determinant(path: InvertiblePath) -> TraceValue:
     """The integral of T(a'(t) a(t)^{-1}) dt along the path, in the
-    closed form of its kind."""
-    return TraceValue(path.algebra, tuple(path._det()))
+    closed form of its kind.  NonFiniteValue when it overflows."""
+    det = path._det()
+    if not np.isfinite(det).all():
+        raise NonFiniteValue("path determinant is not finite")
+    return TraceValue(path.algebra, tuple(det))
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +431,7 @@ def delta_1_0(loop: InvertiblePath, endpoint_tol: float = 1e-8) -> AffFunction:
         if op_norm(loop._value(t) - ident) > endpoint_tol:
             raise NotALoop(f"endpoint at t={t} is not the identity")
     for t in np.linspace(t1, t2, 17):
-        v = loop._value(float(t))
-        err = max(
-            np.linalg.norm(b.conj().T @ b - np.eye(len(b)), 2) for b in v.blocks
-        )
+        err = _unitarity_error(loop._value(float(t)))
         if err > 1e-8:
             raise NotUnitaryPath(f"value at t={t} is not unitary ({err:.3e})")
     h = [complex(c) / (2j * np.pi) for c in loop._det()]

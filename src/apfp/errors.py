@@ -38,6 +38,10 @@ class SingularValueOnPath(APFPError):
     singular) at some parameter."""
 
 
+class NonFiniteValue(APFPError):
+    """A computed value overflowed to inf or nan."""
+
+
 class NoConvergence(APFPError):
     """Iterative refinement hit its cap before reaching tolerance.
 

@@ -24,14 +24,15 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+import scipy  # scipy.optimize loads on the first search, not at import
 import scipy.linalg as sla
-import scipy.optimize
 
 from .algebra import (
     AlgebraDescriptor,
     Element,
     TraceValue,
     _herm,
+    _unitarity_error,
     adjoint,
     exp_element,
     is_positive,
@@ -98,9 +99,7 @@ class ExponentialSplitting:
 
 
 def _assert_unitary(v: Element, t, tol=1e-8):
-    err = max(
-        np.linalg.norm(b.conj().T @ b - np.eye(len(b)), 2) for b in v.blocks
-    )
+    err = _unitarity_error(v)
     if err > tol:
         raise NotUnitaryPath(f"path value at t={t} is not unitary ({err:.3e})")
 
@@ -808,20 +807,31 @@ def best_approx_distance(x: Element, m: int = 5, opt: OptimizerConfig | None = N
     upper end, exact and with no search.  Otherwise the multi-start
     search runs with the op-norm polish; for m >= 4 the answer is the
     smaller of the search's and the witness's, and a LinAlgError in the
-    search leaves the witness's."""
-    opt = opt or OptimizerConfig()
+    search leaves the witness's.  An x whose bracket overflows returns
+    inf."""
+    return _distance_probe(x, m, opt or OptimizerConfig())[0]
+
+
+def _distance_probe(x: Element, m: int, opt: OptimizerConfig):
+    """best_approx_distance(x, m, opt) and distance_bracket(x), None
+    where the bracket overflows."""
+    try:
+        bracket = distance_bracket(x)
+    except ValueError:  # a non-finite witness (or SVD)
+        bracket = None
     if is_positive(x):
-        return 0.0
-    bracket = distance_bracket(x)
+        return 0.0, bracket
+    if bracket is None:  # inf is the one upper bound left
+        return np.inf, None
     if bracket.closes(m):
-        return bracket.upper
+        return bracket.upper, bracket
     try:
         residual = _search(_Objective(x, m), opt, polish=True, stop_at=None)[0]
     except np.linalg.LinAlgError:
         if m < 4:
             raise
         residual = np.inf
-    return float(min(bracket.upper, residual) if m >= 4 else residual)
+    return float(min(bracket.upper, residual) if m >= 4 else residual), bracket
 
 
 def residual_curve(x: Element, ms, opt: OptimizerConfig | None = None):

@@ -113,27 +113,48 @@ def path_to_obj(path: InvertiblePath):
     raise ValueError(f"unknown path kind {type(path).__name__}")
 
 
+def _parameter(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(float(v)):
+        raise ValueError(f"path parameter must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _domain(obj) -> tuple[float, float]:
+    dom = obj.get("domain", (0.0, 1.0))
+    if not isinstance(dom, (list, tuple)) or len(dom) != 2:
+        raise ValueError(f"domain must be two numbers, got {dom!r}")
+    return (_parameter(dom[0]), _parameter(dom[1]))
+
+
+# the path kinds a path object may name, each with its reader of (obj, domain)
+PATH_KINDS = {
+    "ExpLine": lambda obj, domain: ExpLine(element_from_obj(obj["c"]), domain),
+    "ProductPolar": lambda obj, domain: ProductPolar(
+        element_from_obj(obj["c"]), element_from_obj(obj["d"]), domain
+    ),
+    "Sampled": lambda obj, _: Sampled(
+        tuple((_parameter(t), element_from_obj(v)) for t, v in obj["samples"])
+    ),
+    "PointwiseProduct": lambda obj, _: PointwiseProduct(
+        path_from_obj(obj["first"]), path_from_obj(obj["second"])
+    ),
+    "Concatenation": lambda obj, _: Concatenation(
+        path_from_obj(obj["first"]), path_from_obj(obj["second"])
+    ),
+    "Reversal": lambda obj, _: Reversal(path_from_obj(obj["inner"])),
+}
+
+
 def path_from_obj(obj) -> InvertiblePath:
+    """The path an object describes; ValueError (or KeyError, TypeError,
+    OverflowError) on anything else.  The domain, when given, is two finite numbers; the
+    composite kinds and Sampled take theirs from their parts."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a path is a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
-    if kind == "ExpLine":
-        return ExpLine(element_from_obj(obj["c"]), tuple(obj.get("domain", (0.0, 1.0))))
-    if kind == "ProductPolar":
-        return ProductPolar(
-            element_from_obj(obj["c"]),
-            element_from_obj(obj["d"]),
-            tuple(obj.get("domain", (0.0, 1.0))),
-        )
-    if kind == "Sampled":
-        return Sampled(
-            tuple((float(t), element_from_obj(v)) for t, v in obj["samples"])
-        )
-    if kind == "PointwiseProduct":
-        return PointwiseProduct(path_from_obj(obj["first"]), path_from_obj(obj["second"]))
-    if kind == "Concatenation":
-        return Concatenation(path_from_obj(obj["first"]), path_from_obj(obj["second"]))
-    if kind == "Reversal":
-        return Reversal(path_from_obj(obj["inner"]))
-    raise ValueError(f"unknown path kind {kind!r}")
+    if not isinstance(kind, str) or kind not in PATH_KINDS:
+        raise ValueError(f"unknown path kind {kind!r}")
+    return PATH_KINDS[kind](obj, _domain(obj))
 
 
 def path_to_json(path: InvertiblePath) -> str:

@@ -1,13 +1,33 @@
 """The command line: exit codes, report shape, and rerun determinism."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
+import apfp
 import apfp.cli
 import apfp.determinant
-from apfp import AlgebraDescriptor, Element, ExpLine, exp_element, path_determinant, polar_path
+import apfp.factorization
+from apfp import (
+    AlgebraDescriptor,
+    Element,
+    ExpLine,
+    Sampled,
+    distance_bracket,
+    evaluate,
+    exp_element,
+    path_determinant,
+    polar_path,
+)
 from apfp.cli import (
     EXIT_DEMO_FAILURE,
     EXIT_NOT_IN_CLOSURE,
@@ -118,6 +138,133 @@ def test_det_path_rejects_bad_file(tmp_path, capsys):
     assert main(["det-path", f]) == EXIT_PARSE
 
 
+ONE = {"blocks": [[[[1.0, 0.0]]]]}
+
+
+@pytest.mark.parametrize(
+    "obj,expected",
+    [
+        ([{"kind": "ExpLine", "c": ONE}], EXIT_PARSE),
+        ({"kind": "ExpLine", "c": ONE, "domain": [0.0]}, EXIT_PARSE),
+        ({"kind": "ExpLine", "c": ONE, "domain": ["0", "1"]}, EXIT_PARSE),
+        ({"kind": "ExpLine", "c": ONE, "domain": [0.0, float("nan")]}, EXIT_PARSE),
+        ({"kind": "ExpLine", "c": {"blocks": [[[[1e300, 0.0]]]]}}, EXIT_NUMERIC),
+        # unit-modulus values, but the trace 2e308 i overflows
+        ({"kind": "ExpLine", "c": {"blocks": [[[[0.0, 1e308], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1e308]]]]}}, EXIT_NUMERIC),
+    ],
+    ids=["list", "one-entry-domain", "string-domain", "nan-domain", "overflowing-value", "overflowing-determinant"],
+)
+def test_det_path_bad_input_exits_with_error_line(tmp_path, capsys, obj, expected):
+    f = write_json(tmp_path, "path.json", obj)
+    assert main(["det-path", f]) == expected
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+
+
+# every JSON path or element object, well-formed or not, gives exit 0 with
+# a report, or exit 2 or 3 with an error line; nothing escapes main
+NUMBERS = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.sampled_from([0.0, 1.0, -1.0, 1e-300, 1e154, -1e154, 1e300, 1e308, -1e308, 10**400]),
+    st.floats(),
+    st.integers(-5, 5),
+)
+JUNK = st.recursive(
+    st.none() | st.booleans() | NUMBERS | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+PAIRS = st.tuples(NUMBERS, NUMBERS).map(list)
+
+
+@st.composite
+def element_objs(draw):
+    """Mostly well-formed, sometimes hermitian, sometimes with junk entries."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    entry = st.one_of(PAIRS, JUNK) if draw(st.integers(0, 3)) == 0 else PAIRS
+    hermitian = entry is PAIRS and draw(st.booleans())
+    blocks = []
+    for n in sizes:
+        b = [[draw(entry) for _ in range(n)] for _ in range(n)]
+        if hermitian:
+            for i in range(n):
+                b[i][i] = [b[i][i][0], 0.0]
+                for j in range(i):
+                    b[i][j] = [b[j][i][0], -b[j][i][1]]
+        blocks.append(b)
+    return {"blocks": blocks}
+
+
+def scaled(x, factor):
+    def entry(e):
+        if isinstance(e, list) and all(type(v) is float for v in e):
+            return [v * factor for v in e]
+        return e
+
+    return {"blocks": [[[entry(e) for e in row] for row in b] for b in x["blocks"]]}
+
+
+@st.composite
+def sampled_objs(draw):
+    # samples (1 + j/10) x: the steps are within 1/2 of 1 whenever x is invertible
+    x = draw(element_objs())
+    times = sorted(set(draw(st.lists(NUMBERS, min_size=1, max_size=4))))
+    return {"kind": "Sampled", "samples": [[t, scaled(x, 1 + j / 10)] for j, t in enumerate(times)]}
+
+
+def path_objs():
+    domain = st.one_of(PAIRS, PAIRS, JUNK)
+    leaves = st.one_of(
+        st.fixed_dictionaries({"kind": st.just("ExpLine"), "c": element_objs()}, optional={"domain": domain}),
+        st.fixed_dictionaries(
+            {"kind": st.just("ProductPolar"), "c": element_objs(), "d": element_objs()}, optional={"domain": domain}
+        ),
+        sampled_objs(),
+        JUNK,
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.fixed_dictionaries(
+                {"kind": st.sampled_from(["PointwiseProduct", "Concatenation"]), "first": inner, "second": inner}
+            ),
+            st.fixed_dictionaries({"kind": st.just("Reversal"), "inner": inner}),
+        ),
+        max_leaves=3,
+    )
+
+
+def not_strict_json(constant):
+    raise AssertionError(f"{constant} in a report")
+
+
+def run_contract(command, obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "in.json")
+        with open(src, "w") as fh:
+            json.dump(obj, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, src])
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_NUMERIC)
+    if code == EXIT_OK:
+        assert json.loads(out.getvalue(), parse_constant=not_strict_json)["results"]
+    else:
+        assert out.getvalue() == "" and err.getvalue().startswith("error:")
+
+
+@settings(max_examples=150)
+@given(path_objs())
+def test_det_path_contract_on_any_path_object(obj):
+    run_contract("det-path", obj)
+
+
+@settings(max_examples=150)
+@given(st.one_of(element_objs(), JUNK))
+def test_membership_contract_on_any_element_object(obj):
+    run_contract("membership", obj)
+
+
 # ---------------------------------------------------------------------------
 # factor and membership
 
@@ -176,6 +323,22 @@ def test_factor_reports_an_open_distance_bracket(tmp_path, capsys):
     got = report["provenance"]["distance"]
     assert got["route"] == "search"
     assert got["gap"] == upper - lower > 0.1
+
+
+def test_factor_computes_one_bracket_per_non_member(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return distance_bracket(x)
+
+    monkeypatch.setattr(apfp.factorization, "distance_bracket", counted)
+    monkeypatch.setattr(apfp.cli, "distance_bracket", counted, raising=False)
+    f = element_file(tmp_path, "bad.json", random_element(M2, rng_from((77, 1))))
+    code, report = run(capsys, "factor", f, "--factors", "5", "--restarts", "1")
+    assert code == EXIT_NOT_IN_CLOSURE
+    assert len(calls) == 1
+    assert report["results"]["distance_bracket"][1] >= report["results"]["distance_probe"]
 
 
 def test_factor_starved_optimizer_exits_5(tmp_path, capsys):
@@ -368,3 +531,61 @@ def test_global_flags_accepted_before_subcommand(tmp_path, capsys):
     code = main(["--seed", "3", "check", f])
     assert code == EXIT_OK
     capsys.readouterr()
+
+
+def test_flags_do_not_carry_over_between_calls(tmp_path, capsys):
+    f = write_json(tmp_path, "alg.json", {"block_sizes": [1]})
+    code, first = run(capsys, "check", f, "--seed", "3", "--tol", "loop_endpoint=1e-6")
+    assert code == EXIT_OK
+    assert first["provenance"]["seed"] == 3
+    assert first["provenance"]["tolerances"] == {"loop_endpoint": 1e-6}
+    code, second = run(capsys, "check", f)
+    assert code == EXIT_OK
+    assert second["provenance"]["seed"] == 0
+    assert second["provenance"]["tolerances"] == {}
+
+
+def test_det_path_on_sample_times_takes_no_logarithm(tmp_path, capsys, monkeypatch):
+    # the 9 check points of det-path are the 9 sample times, where the path's
+    # value is its sample; sla.logm runs only strictly inside a segment
+    rng = rng_from(23)
+    c = random_self_adjoint(M23, rng, norm=1.0)
+    d = random_self_adjoint(M23, rng, norm=1.0)
+    samples = tuple(
+        (float(t), exp_element(float(t) * c) @ exp_element(float(t) * d)) for t in np.linspace(0.0, 1.0, 9)
+    )
+    logm_calls = []
+    logm = sla.logm
+
+    def counted(a, *rest, **kw):
+        logm_calls.append(a)
+        return logm(a, *rest, **kw)
+
+    monkeypatch.setattr(apfp.determinant.sla, "logm", counted)
+    f = write_json(tmp_path, "sampled.json", path_to_obj(Sampled(samples)))
+    code, report = run(capsys, "det-path", f)
+    assert code == EXIT_OK
+    assert report["results"]["is_loop"] is False
+    assert logm_calls == []
+
+    path = Sampled(samples)
+    for t, v in samples:
+        got = evaluate(path, t)
+        assert all(np.array_equal(a, b) for a, b in zip(got.blocks, v.blocks))
+    assert logm_calls == []
+    evaluate(path, 0.0625)
+    assert logm_calls  # the counter sees the logarithms when they do run
+
+
+def test_member_factored_without_loading_the_optimizer(tmp_path):
+    f = element_file(tmp_path, "member.json", random_member(M2, rng_from(29)))
+    script = (
+        "import sys, apfp.cli\n"
+        f"code = apfp.cli.main(['factor', {f!r}, '--factors', '5', '--out', {str(tmp_path / 'r.json')!r}])\n"
+        "print(code, 'scipy.optimize' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(apfp.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == [str(EXIT_OK), "False"]
+    assert json.loads((tmp_path / "r.json").read_text())["provenance"]["factorization"]["route"] == "construction"

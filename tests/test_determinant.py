@@ -34,7 +34,7 @@ from apfp.errors import (
     SingularValueOnPath,
 )
 from apfp.factorization import polar_path
-from apfp.sampling import random_element, random_self_adjoint, rng_from
+from apfp.sampling import random_element, random_self_adjoint, random_unitary, rng_from
 
 from oracles import logdet_along_path
 
@@ -201,6 +201,41 @@ def test_sampled_against_logdet_oracle():
     oracle = logdet_along_path(fine)
     got = path_determinant(path).coords[0]
     assert abs(got - oracle) <= 1e-6
+
+
+def logm_traces(path):
+    """sum_j T(logm(a_j^{-1} a_{j+1})), the defining form."""
+    samples = [v for _, v in path.samples]
+    return sum(
+        np.array([np.trace(sla.logm(np.linalg.solve(a, b))) for a, b in zip(x.blocks, y.blocks)])
+        for x, y in zip(samples, samples[1:])
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sampled_determinant_from_eigenvalues_matches_logm(seed):
+    rng = rng_from((83, seed))
+    c, d = (0.5 / op_norm(v) * v for v in (random_element(M23, rng), random_element(M23, rng)))
+    samples = [
+        (float(t), Element(M23, tuple(sla.expm(t * cb) @ sla.expm(t * db) for cb, db in zip(c.blocks, d.blocks))))
+        for t in np.linspace(0.0, 1.0, 9)
+    ]
+    path = Sampled(tuple(samples))
+    got = np.array(path_determinant(path).coords)
+    assert np.max(np.abs(got - logm_traces(path))) <= 1e-12
+
+
+def test_sampled_determinant_does_not_wrap():
+    # one step g = q diag(e^{0.45i}) q* in M7: its determinant is 7 * 0.45i
+    # = 3.15i, past pi, where the phase of det g wraps to 3.15 - 2 pi
+    M7 = AlgebraDescriptor((7,))
+    q = random_unitary(M7, rng_from(89)).blocks[0]
+    g = (q * np.exp(0.45j)) @ q.conj().T
+    path = Sampled(((0.0, M7.identity()), (1.0, Element(M7, (g,)))))
+    got = path_determinant(path).coords[0]
+    assert abs(got - 3.15j) <= 1e-12
+    assert abs(got - logm_traces(path)[0]) <= 1e-12
+    assert np.angle(np.linalg.det(g)) == pytest.approx(3.15 - TWO_PI, abs=1e-12)
 
 
 def test_sampled_validation():

@@ -468,6 +468,16 @@ def test_distance_probe_handles_singular_input():
     assert 0.0 <= d <= 1.0 + 1e-9
 
 
+def test_distance_when_the_norm_overflows():
+    # op_norm(x) is inf, so the relative default tolerance of is_positive is
+    # too: x is not positive, its witness is not finite, and inf is the
+    # upper bound left
+    x = elem(M2, [[1e308, -1e308], [1e308, 1e308j]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not is_positive(x)
+        assert best_approx_distance(x) == np.inf
+
+
 NILPOTENT = elem(M2, [[0.0, 1.0], [0.0, 0.0]])
 DIAG_ONE_MINUS_ONE = elem(M2, [[1.0, 0.0], [0.0, -1.0]])
 

@@ -1,7 +1,9 @@
 """Exact JSON round-trips for elements, paths, and report payloads."""
 
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from apfp import (
     Sampled,
     op_norm,
 )
+from apfp import serialize
 from apfp.sampling import random_element, random_self_adjoint, rng_from
 from apfp.serialize import (
     abstract_descriptor_from_obj,
@@ -121,6 +124,17 @@ def test_composite_path_round_trip():
 def test_path_json_rejects_unknown_kind():
     with pytest.raises(ValueError):
         path_from_json(json.dumps({"kind": "spline", "data": {}}))
+
+
+def test_readme_path_kinds_are_the_serializer_kinds():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    span = re.search(r'- path: `\{"kind": (.*?), \.\.\.\}`', readme, re.S).group(1)
+    kinds = re.findall(r'"(\w+)"', span)
+    assert kinds == ["ExpLine", "ProductPolar", "Sampled", "PointwiseProduct", "Concatenation", "Reversal"]
+    assert set(kinds) == set(serialize.PATH_KINDS)
+    for kind in kinds:
+        with pytest.raises(KeyError):  # the kind is known, its fields are missing
+            serialize.path_from_obj({"kind": kind})
 
 
 # ---------------------------------------------------------------------------
