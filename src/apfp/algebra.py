@@ -5,8 +5,8 @@ complex matrices.  This module supplies the arithmetic, the C*-norm,
 positivity and polar decomposition, exp/log, the universal trace into
 A/[A,A]-closure and the quotient norm on that space.
 
-All operations are pure; Element arrays are frozen on construction so
-values can be shared freely between threads.
+All operations are pure; Element arrays are frozen on construction, so
+an element is immutable and can be shared between computations.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Command line interface.
 
-Subcommands: det-path, factor, membership, check, demo, bench.  Reports
+Subcommands: det-path, factor, membership, check, demo.  Reports
 are JSON (or flattened CSV) with a deterministic "results" section and a
 "provenance" section carrying seed, config echo and timings.  Exit codes:
 0 success, 2 parse/input error, 3 numeric failure, 4 not in closure,
@@ -26,7 +26,6 @@ from .algebra import (
     is_positive,
     op_norm,
     quotient_norm,
-    universal_trace,
 )
 from .checker import check_abstract, check_conditions, pairing_consistency
 from .determinant import (
@@ -56,7 +55,7 @@ from .factorization import (
     polar_path,
     split_into_exponentials,
 )
-from .sampling import random_member, random_self_adjoint, random_special_unitary, rng_from
+from .sampling import random_self_adjoint, random_special_unitary, rng_from
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -66,6 +65,10 @@ EXIT_NO_CONVERGENCE = 5
 EXIT_RANK_TOO_HIGH = 6
 EXIT_DEMO_FAILURE = 7
 
+# the names --tol accepts, with their defaults: loop_endpoint is read by
+# det-path, membership by membership
+TOLERANCES = {"loop_endpoint": 1e-8, "membership": 1e-8}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -74,8 +77,8 @@ class RunConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     output_format: str = "json"
 
-    def tol(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
+    def tol(self, name: str) -> float:
+        return float(self.tolerances.get(name, TOLERANCES[name]))
 
 
 class _DemoFailure(Exception):
@@ -121,15 +124,12 @@ def _build_parser():
 
     m = sub.add_parser("membership", parents=[common], help="decide membership in the closure of P(A)")
     m.add_argument("element_file")
-    m.add_argument("--membership-tol", type=float, default=1e-8)
 
     c = sub.add_parser("check", parents=[common], help="evaluate the four characterization conditions")
     c.add_argument("descriptor_file")
 
     dm = sub.add_parser("demo", parents=[common], help="run a bundled end-to-end scenario")
     dm.add_argument("--name", required=True, choices=sorted(DEMOS))
-
-    sub.add_parser("bench", parents=[common], help="time the core operations on seeded inputs")
     return p
 
 
@@ -140,7 +140,11 @@ def _config_from_args(args) -> RunConfig:
         if "=" not in entry:
             raise ValueError(f"bad --tol {entry!r}, expected NAME=VALUE")
         name, val = entry.split("=", 1)
-        tols[name.strip()] = float(val)
+        name = name.strip()
+        if name not in TOLERANCES:
+            known = ", ".join(TOLERANCES)
+            raise ValueError(f"unknown --tol name {name!r}, expected one of {known}")
+        tols[name] = float(val)
     seed = get("seed", 0)
     return RunConfig(
         seed=seed,
@@ -184,7 +188,7 @@ def _cmd_det_path(args, config: RunConfig):
     # the first and last of the 9 points are exactly t1 and t2
     vals = [evaluate(path, float(t)) for t in np.linspace(t1, t2, 9)]
     ident = path.algebra.identity()
-    endpoint_tol = config.tol("loop_endpoint", 1e-8)
+    endpoint_tol = config.tol("loop_endpoint")
     endpoints_identity = all(
         op_norm(v - ident) <= endpoint_tol for v in (vals[0], vals[-1])
     )
@@ -210,7 +214,8 @@ def _cmd_det_path(args, config: RunConfig):
 
 def _cmd_factor(args, config: RunConfig):
     x = _load_element(args.element_file)
-    member = membership_test(x, config.tol("membership", 1e-8))
+    # the default tolerance: the one factor_positive_products enforces
+    member = membership_test(x)
     results = {
         "member": member.member,
         "det_phases": list(member.det_phases),
@@ -250,7 +255,7 @@ def _load_element(path) -> Element:
 
 def _cmd_membership(args, config: RunConfig):
     x = _load_element(args.element_file)
-    member = membership_test(x, args.membership_tol)
+    member = membership_test(x, config.tol("membership"))
     results = {
         "member": member.member,
         "det_phases": list(member.det_phases),
@@ -373,41 +378,6 @@ def _cmd_demo(args, config: RunConfig):
     return {"demo": args.name, "passed": True, **results}, EXIT_OK
 
 
-def _cmd_bench(args, config: RunConfig):
-    alg = AlgebraDescriptor((2, 3))
-    rng = rng_from((config.seed, 404))
-    timings = {}
-    c = random_self_adjoint(alg, rng, norm=1.2)
-    d = random_self_adjoint(alg, rng, norm=1.0)
-
-    t0 = time.perf_counter()
-    det = path_determinant(polar_path(c, d))
-    timings["polar_path_determinant"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    split = split_into_exponentials(polar_path(c, d))
-    timings["exponential_splitting"] = time.perf_counter() - t0
-
-    x = random_member(AlgebraDescriptor((2,)), rng)
-    opt = OptimizerConfig(
-        restarts=1,
-        max_iterations=config.optimizer.max_iterations,
-        gradient_tolerance=config.optimizer.gradient_tolerance,
-        target_residual=config.optimizer.target_residual,
-        seed=config.seed,
-    )
-    t0 = time.perf_counter()
-    fac = factor_positive_products(x, 3, opt)
-    timings["factor_m3_single_restart"] = time.perf_counter() - t0
-
-    results = {
-        "polar_path_det_max_coord": max(abs(v) for v in det.coords),
-        "splitting_segments": len(split.logs),
-        "factor_residual": fac.residual,
-    }
-    return results, EXIT_OK, {"timings": timings}
-
-
 # ---------------------------------------------------------------------------
 # driver
 
@@ -444,7 +414,6 @@ def main(argv=None) -> int:
         "membership": _cmd_membership,
         "check": _cmd_check,
         "demo": _cmd_demo,
-        "bench": _cmd_bench,
     }
     try:
         results, code, *extra = handlers[args.command](args, config)

@@ -87,10 +87,11 @@ def evaluate(path: InvertiblePath, t: float) -> Element:
         val = evaluate_unchecked(path, t)
     except ValueError as exc:  # a non-finite entry, or LinAlgError on one
         raise NonFiniteValue(f"path value at t={t}: {exc}") from exc
-    thresh = SINGULARITY_RTOL * op_norm(val)
-    for b in val.blocks:
-        if np.linalg.svd(b, compute_uv=False)[-1] <= thresh:
-            raise SingularValueOnPath(f"singular value at t={t}")
+    # one SVD per block gives op_norm(val) and the smallest singular values
+    svals = [np.linalg.svd(b, compute_uv=False) for b in val.blocks]
+    thresh = SINGULARITY_RTOL * max(float(s[0]) for s in svals)
+    if any(s[-1] <= thresh for s in svals):
+        raise SingularValueOnPath(f"singular value at t={t}")
     return val
 
 
@@ -411,6 +412,10 @@ def log_det(x: Element) -> TraceValue:
         if s[-1] <= thresh:
             raise SingularInput(f"smallest singular value {s[-1]:.3e} <= {thresh:.3e}")
         sign, logabs = np.linalg.slogdet(b)
+        if not (np.isfinite(sign) and np.isfinite(logabs)):
+            # the LU overflowed: b / s_1 has entries of modulus at most 1
+            sign, logabs = np.linalg.slogdet(b / s[0])
+            logabs += len(b) * np.log(s[0])
         coords.append(complex(logabs, np.angle(sign)))
     return TraceValue(x.algebra, tuple(coords))
 

@@ -16,10 +16,7 @@ outside the closure, bracketed in closed form.
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -462,14 +459,13 @@ def _gaussian_start(obj: _Objective, opt: OptimizerConfig, index: int):
 
 
 def _run_restart(obj, opt, index, polish):
+    theta = None
     if index == 0:
         try:
             theta = _continuation_start(obj, opt)
         except APFPError:
-            # no polar data (singular or non-positive routes); plain start
-            theta = _gaussian_start(obj, opt, index)
-            theta = _lbfgs(obj.value_and_grad, theta, opt.max_iterations, opt.gradient_tolerance).x
-    else:
+            pass  # no polar data (singular or non-positive routes); plain start
+    if theta is None:
         theta = _gaussian_start(obj, opt, index)
         theta = _lbfgs(obj.value_and_grad, theta, opt.max_iterations, opt.gradient_tolerance).x
     best = obj.op_residual(theta)
@@ -481,36 +477,18 @@ def _run_restart(obj, opt, index, polish):
     return best, theta
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("APFP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _search(obj, opt, polish, stop_at=None):
-    """Run restarts; return (residual, theta, index).  Restarts run in
-    waves of one per worker, in index order, and no wave starts after one
-    in which a restart reached stop_at.  Selection is the first restart
-    (by index) reaching stop_at if any, else the global minimum with
-    index tie-break, so serial and threaded runs agree."""
-    workers = _worker_count()
-    results = []
-    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        for start in range(0, opt.restarts, workers):
-            wave = range(start, min(start + workers, opt.restarts))
-            results += (pool.map if pool else map)(
-                lambda i: _run_restart(obj, opt, i, polish), wave
-            )
-            if stop_at is not None and any(r <= stop_at for r, _ in results[start:]):
-                break
-    if stop_at is not None:
-        for i, (r, th) in enumerate(results):
-            if r <= stop_at:
-                return r, th, i
-    best_i = min(range(len(results)), key=lambda i: (results[i][0], i))
-    return results[best_i][0], results[best_i][1], best_i
+    """Run restarts in index order; return (residual, theta, index) of the
+    first restart reaching stop_at, else of the global minimum with index
+    tie-break."""
+    best = None
+    for i in range(opt.restarts):
+        r, theta = _run_restart(obj, opt, i, polish)
+        if stop_at is not None and r <= stop_at:
+            return r, theta, i
+        if best is None or r < best[0]:
+            best = (r, theta, i)
+    return best
 
 
 @dataclass(frozen=True)

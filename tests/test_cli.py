@@ -1,12 +1,15 @@
 """The command line: exit codes, report shape, and rerun determinism."""
 
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +40,8 @@ from apfp.cli import (
     EXIT_PARSE,
     EXIT_RANK_TOO_HIGH,
     DEMOS,
+    TOLERANCES,
+    _build_parser,
     main,
 )
 from apfp.errors import NoConvergence
@@ -401,6 +406,64 @@ def test_membership_reports_phases(tmp_path, capsys):
     assert report["results"]["det_phases"][0] == pytest.approx(np.pi)
 
 
+def test_membership_of_an_element_whose_determinant_overflows(tmp_path, capsys):
+    # det = -3e924: slogdet's LU overflows, the phase is still pi
+    b = 1e308 * np.array([[1, 1, -1], [1, 0, 1], [-1, 1, 0]], dtype=complex)
+    f = element_file(tmp_path, "huge.json", Element(AlgebraDescriptor((3,)), (b,)))
+    code = main(["membership", f])
+    report = json.loads(capsys.readouterr().out, parse_constant=not_strict_json)
+    assert code == EXIT_OK
+    assert report["results"]["member"] is False
+    assert report["results"]["det_phases"] == [pytest.approx(np.pi)]
+
+
+def near_member_file(tmp_path):
+    # det phase 1e-5: a member at tolerance 1e-3, not at the default 1e-8
+    x = Element(M2, (np.diag([2.0, np.exp(1e-5j)]),))
+    return element_file(tmp_path, "near.json", x)
+
+
+def test_membership_reads_the_named_tolerance(tmp_path, capsys):
+    f = near_member_file(tmp_path)
+    code, report = run(capsys, "membership", f, "--tol", "membership=1e-3")
+    assert code == EXIT_OK
+    assert report["results"]["member"] is True
+    assert report["results"]["tol"] == 1e-3
+    code, report = run(capsys, "membership", f)
+    assert code == EXIT_OK
+    assert report["results"]["member"] is False
+
+
+def test_factor_decides_membership_at_the_default_tolerance(tmp_path, capsys):
+    # the factorizer enforces 1e-8, so a looser --tol membership cannot let
+    # a non-member through to a bare error line
+    f = near_member_file(tmp_path)
+    argv = ["factor", f, "--tol", "membership=1e-3", "--restarts", "1", "--max-iterations", "50"]
+    code, report = run(capsys, *argv)
+    assert code == EXIT_NOT_IN_CLOSURE
+    assert report["results"]["member"] is False
+    lower, upper = report["results"]["distance_bracket"]
+    assert 0 < lower <= upper
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["membership", "--membership-tol", "1e-3"],
+        ["membership", "--tol", "loop_endpoit=1e-3"],
+        ["det-path", "--tol", "membership"],
+        ["det-path", "--tol", "loop_endpoint=tight"],
+    ],
+    ids=["removed-flag", "unknown-name", "no-value", "bad-value"],
+)
+def test_bad_tolerance_flags_exit_2(tmp_path, capsys, argv):
+    f = near_member_file(tmp_path)
+    assert main(argv[:1] + [f] + argv[1:]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -478,12 +541,6 @@ def test_unknown_demo_rejected(capsys):
     assert main(["demo", "--name", "nonsense"]) == EXIT_PARSE
 
 
-def test_bench_reports_timings(capsys):
-    code, report = run(capsys, "bench", "--restarts", "2")
-    assert code == EXIT_OK
-    assert report["provenance"]["timings"]
-
-
 # ---------------------------------------------------------------------------
 # output plumbing and determinism
 
@@ -513,17 +570,17 @@ def test_rerun_results_are_byte_identical(tmp_path, capsys):
     assert results_bytes() == results_bytes()
 
 
-def test_constructed_results_do_not_depend_on_threads(tmp_path, capsys, monkeypatch):
+def test_constructed_results_do_not_depend_on_threads(tmp_path, capsys):
+    # the construction runs serially; a rerun gives the same bytes
     f = element_file(tmp_path, "member.json", random_member(M23, rng_from(19)))
 
-    def results_bytes(threads):
-        monkeypatch.setenv("APFP_THREADS", threads)
+    def results_bytes():
         code, report = run(capsys, "factor", f, "--factors", "5")
         assert code == EXIT_OK
         assert report["provenance"]["factorization"]["route"] == "construction"
         return json.dumps(report["results"], sort_keys=True).encode()
 
-    assert results_bytes("1") == results_bytes("4") == results_bytes("1")
+    assert results_bytes() == results_bytes()
 
 
 def test_global_flags_accepted_before_subcommand(tmp_path, capsys):
@@ -589,3 +646,19 @@ def test_member_factored_without_loading_the_optimizer(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == [str(EXIT_OK), "False"]
     assert json.loads((tmp_path / "r.json").read_text())["provenance"]["factorization"]["route"] == "construction"
+
+
+def test_readme_command_line_is_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [line.split()[1] for line in block.splitlines()]
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert commands == list(sub.choices)
+    sentence = re.search(r"Global flags on every subcommand:(.*?)\.\s", section, re.S).group(1)
+    flags = re.findall(r"`(--[\w-]+)", sentence)
+    common = [f for a in parser._actions for f in a.option_strings if f not in ("-h", "--help")]
+    assert flags == common
+    names = re.findall(r"^- `(\w+)`, default ([\de.-]+)", section, re.M)
+    assert {n: float(v) for n, v in names} == TOLERANCES

@@ -104,6 +104,25 @@ def test_evaluate_checks_domain():
     assert op_norm(v) > 0
 
 
+def test_evaluate_takes_one_svd_per_block(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    evaluate(ExpLine(random_element(M23, rng_from(5))), 0.5)
+    assert calls == [False, False]
+    # the threshold is relative to the largest block: 1e-13 is singular
+    # next to 1, not on its own
+    tiny = np.log(1e-13) * np.eye(3)
+    evaluate(ExpLine(elem(M23, np.log(1e-13) * np.eye(2), tiny)), 1.0)
+    with pytest.raises(SingularValueOnPath):
+        evaluate(ExpLine(elem(M23, np.zeros((2, 2)), tiny)), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # winding loops and lattice reduction
 
@@ -384,20 +403,6 @@ def test_closed_form_matches_logdet_oracle(kind):
     path = KINDS[kind]()
     got = np.array(path_determinant(path).coords)
     assert np.max(np.abs(got - logdet_oracle(path))) <= 1e-9
-
-
-# ---------------------------------------------------------------------------
-# determinism
-
-
-def test_thread_count_does_not_change_bits(monkeypatch):
-    a, b = two_lines(67)
-    path = Concatenation(PointwiseProduct(a, b), Reversal(a))
-    monkeypatch.delenv("APFP_THREADS", raising=False)
-    serial = path_determinant(path)
-    monkeypatch.setenv("APFP_THREADS", "4")
-    threaded = path_determinant(path)
-    assert serial.coords == threaded.coords  # bitwise identical
 
 
 # ---------------------------------------------------------------------------
