@@ -55,6 +55,7 @@ from .determinant import (
     delta_1_0,
     determinant_mod_lattice,
     evaluate,
+    evaluate_many,
     lattice_distance,
     lattice_reduce,
     path_determinant,

@@ -11,6 +11,7 @@ an element is immutable and can be shared between computations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -192,12 +193,32 @@ def op_norm(x: Element) -> float:
     return max(float(np.linalg.svd(b, compute_uv=False)[0]) for b in x.blocks)
 
 
-def _unitarity_error(x: Element) -> float:
-    """||x*x - 1|| = max |s^2 - 1| over the singular values s of the
-    blocks, without forming x*x, which may overflow."""
-    return max(
-        float(np.abs(np.linalg.svd(b, compute_uv=False) ** 2 - 1).max()) for b in x.blocks
+# Stacks: k values at once, one (k, n, n) array per block; their
+# singular values are one descending (k, n) array per block.
+
+
+def _op_norms(svals) -> np.ndarray:
+    """op_norm at each point of a stack, from its singular values."""
+    return functools.reduce(np.maximum, [s[:, 0] for s in svals])
+
+
+def _identity_distances(blocks) -> np.ndarray:
+    """op_norm(v - 1) at each point v of a stack: one SVD per block."""
+    return _op_norms(
+        [np.linalg.svd(b - np.eye(b.shape[-1]), compute_uv=False) for b in blocks]
     )
+
+
+def _unitarity_errors(svals) -> np.ndarray:
+    """||v*v - 1|| = max |s^2 - 1| at each point of a stack, from its
+    singular values, without forming v*v, which may overflow."""
+    return functools.reduce(np.maximum, [np.abs(s**2 - 1).max(axis=-1) for s in svals])
+
+
+def _unitarity_error(x: Element) -> float:
+    """_unitarity_errors of one element: its blocks' singular values are
+    one (n,) array each."""
+    return float(_unitarity_errors([np.linalg.svd(b, compute_uv=False) for b in x.blocks]))
 
 
 def _herm(m: np.ndarray) -> np.ndarray:
@@ -214,13 +235,20 @@ def is_positive(x: Element, tol: float | None = None) -> bool:
         tol = POSITIVITY_RTOL * op_norm(x)
         if not np.isfinite(tol):
             return False
-    for b in x.blocks:
-        if np.linalg.norm(b - b.conj().T, 2) > tol:
-            return False
-        w = np.linalg.eigvalsh(_herm(b))
-        if w.size and w[0] < -tol:
-            return False
-    return True
+    return bool(_positive_at(tuple(b[None] for b in x.blocks), np.array([tol]))[0])
+
+
+def _positive_at(blocks, tols) -> np.ndarray:
+    """is_positive(v, tol) at each point v of a stack, tol from tols: the
+    norm of v - v* (its largest singular value) and the lowest eigenvalue
+    of (v + v*)/2, one batched call each per block."""
+    ok = np.ones(len(tols), dtype=bool)
+    for b in blocks:
+        bh = b.conj().swapaxes(-1, -2)
+        defect = np.linalg.svd(b - bh, compute_uv=False)[:, 0]
+        lowest = np.linalg.eigvalsh(0.5 * (b + bh))[:, 0]
+        ok &= ~(defect > tols) & ~(lowest < -tols)
+    return ok
 
 
 def polar(x: Element) -> tuple[Element, Element]:

@@ -22,8 +22,10 @@ from . import serialize
 from .algebra import (
     AlgebraDescriptor,
     Element,
-    _unitarity_error,
-    is_positive,
+    _identity_distances,
+    _op_norms,
+    _positive_at,
+    _unitarity_errors,
     op_norm,
     quotient_norm,
 )
@@ -31,7 +33,8 @@ from .checker import check_abstract, check_conditions, pairing_consistency
 from .determinant import (
     ExpLine,
     delta_1_0,
-    evaluate,
+    evaluate,  # noqa: F401  (the tracer in perfbench/ wraps it here)
+    evaluate_many,
     lattice_distance,
     lattice_reduce,
     path_determinant,
@@ -145,6 +148,9 @@ def _config_from_args(args) -> RunConfig:
             known = ", ".join(TOLERANCES)
             raise ValueError(f"unknown --tol name {name!r}, expected one of {known}")
         tols[name] = float(val)
+    for count in ("factors", "restarts"):
+        if get(count, 1) < 1:
+            raise ValueError(f"--{count} must be at least 1, got {get(count, 1)}")
     seed = get("seed", 0)
     return RunConfig(
         seed=seed,
@@ -185,15 +191,14 @@ def _cmd_det_path(args, config: RunConfig):
     det = path_determinant(path)
     reduced = lattice_reduce(det)
     t1, t2 = path.domain
-    # the first and last of the 9 points are exactly t1 and t2
-    vals = [evaluate(path, float(t)) for t in np.linspace(t1, t2, 9)]
-    ident = path.algebra.identity()
+    # one stack of the 9 values and their singular values decides the
+    # three flags; the first and last points are exactly t1 and t2
+    grid = evaluate_many(path, np.linspace(t1, t2, 9))
     endpoint_tol = config.tol("loop_endpoint")
-    endpoints_identity = all(
-        op_norm(v - ident) <= endpoint_tol for v in (vals[0], vals[-1])
-    )
-    unitary = all(_unitarity_error(v) <= 1e-8 for v in vals)
-    positive = all(is_positive(v, 1e-8 * max(1.0, op_norm(v))) for v in vals)
+    endpoints = _identity_distances([b[[0, -1]] for b in grid.blocks])
+    endpoints_identity = (endpoints <= endpoint_tol).all()
+    unitary = (_unitarity_errors(grid.svals) <= 1e-8).all()
+    positive = _positive_at(grid.blocks, 1e-8 * np.maximum(1.0, _op_norms(grid.svals))).all()
     results = {
         "determinant": serialize.trace_value_to_obj(det),
         "canonical_representative": serialize.trace_value_to_obj(reduced.representative),
@@ -204,7 +209,8 @@ def _cmd_det_path(args, config: RunConfig):
         "is_positive": bool(positive),
     }
     if endpoints_identity and unitary:
-        f = delta_1_0(path, endpoint_tol=endpoint_tol)
+        # the loop's 9 values are reused: only its 8 midpoints are evaluated
+        f = delta_1_0(path, endpoint_tol=endpoint_tol, grid=grid)
         results["delta_1_0"] = {
             "values": [float(v) for v in f.values],
             "imag_residual": max(abs(c.real) / (2 * np.pi) for c in det.coords),

@@ -31,9 +31,10 @@ from .algebra import (
     Element,
     TraceValue,
     _herm,
+    _identity_distances,
     _is_herm,
-    _unitarity_error,
-    op_norm,
+    _op_norms,
+    _unitarity_errors,
     SINGULARITY_RTOL,
 )
 from .checker import AffFunction
@@ -53,7 +54,9 @@ TWO_PI = 2.0 * np.pi
 # ---------------------------------------------------------------------------
 # path kinds
 #
-# Internal protocol: _value(t) evaluates the path; _det() returns its
+# Internal protocol: _values(ts) evaluates the path at a 1-d array of
+# parameters, one (len(ts), n, n) stack per block, and is the one route
+# to a path's values; _value(t) is its k = 1 case.  _det() returns the
 # determinant as a complex vector with one coordinate per block.
 
 
@@ -63,8 +66,11 @@ class InvertiblePath:
     algebra: AlgebraDescriptor
     domain: tuple[float, float]
 
-    def _value(self, t: float) -> Element:
+    def _values(self, ts: np.ndarray) -> tuple[np.ndarray, ...]:
         raise NotImplementedError
+
+    def _value(self, t: float) -> Element:
+        return Element(self.algebra, tuple(b[0] for b in self._values(np.array([float(t)]))))
 
     def _det(self) -> np.ndarray:
         raise NotImplementedError
@@ -74,30 +80,81 @@ def _traces(blocks) -> np.ndarray:
     return np.array([np.trace(b) for b in blocks], dtype=complex)
 
 
-def _check_domain(path, t):
+def _empty(algebra, k):
+    return tuple(np.empty((k, n, n), dtype=complex) for n in algebra.block_sizes)
+
+
+def _exp_stack(q, z):
+    """q diag(e^{z_j}) q* for each row z_j of z, one (k, n, n) stack."""
+    return (q * np.exp(z)[:, None, :]) @ q.conj().T
+
+
+@dataclass(frozen=True)
+class PathValues:
+    """A path's values at the parameters ts, one (k, n, n) stack per
+    block, and their singular values, one descending (k, n) stack per
+    block."""
+
+    ts: np.ndarray
+    blocks: tuple[np.ndarray, ...]
+    svals: tuple[np.ndarray, ...]
+
+
+def _values_or_failures(path, ts):
+    """The path's values at ts, one stack per block, and for each t None
+    or why its value failed: the ValueError evaluating it raised, or a
+    non-finite entry.  A failed value reads as zero in the stack.  The
+    stack runs past the first failing t, so overflow there is reported
+    as a failure, not warned about."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            blocks = path._values(ts)
+            failed = [None] * len(ts)
+        except ValueError:  # a non-finite input, or LinAlgError, at some t
+            blocks, failed = _empty(path.algebra, len(ts)), []
+            for i in range(len(ts)):
+                try:
+                    for b, v in zip(blocks, path._values(ts[i : i + 1])):
+                        b[i] = v[0]
+                    failed.append(None)
+                except ValueError as exc:
+                    failed.append(str(exc))
+    finite = np.all([np.isfinite(b).all(axis=(1, 2)) for b in blocks], axis=0)
+    if not finite.all():
+        failed = [f or (None if ok else "non-finite entry in element") for f, ok in zip(failed, finite)]
+        blocks = tuple(np.where(finite[:, None, None], b, 0) for b in blocks)
+    return blocks, failed
+
+
+def _raise_failed(ts, failed, i):
+    if failed[i]:
+        raise NonFiniteValue(f"path value at t={float(ts[i])}: {failed[i]}")
+
+
+def evaluate_many(path: InvertiblePath, ts) -> PathValues:
+    """Evaluate the path at the parameters ts, one stack per block,
+    checking the domain, then finiteness and invertibility at each t in
+    order, so an error names the first t that fails."""
+    ts = np.asarray(ts, dtype=float).reshape(-1)
     t1, t2 = path.domain
-    if not (min(t1, t2) - 1e-12 <= t <= max(t1, t2) + 1e-12):
-        raise OutOfDomain(f"t={t} outside [{t1}, {t2}]")
+    outside = ~((min(t1, t2) - 1e-12 <= ts) & (ts <= max(t1, t2) + 1e-12))
+    if outside.any():
+        raise OutOfDomain(f"t={float(ts[outside.argmax()])} outside [{t1}, {t2}]")
+    blocks, failed = _values_or_failures(path, ts)
+    # one SVD per block stack gives op_norm and the smallest singular values
+    svals = tuple(np.linalg.svd(b, compute_uv=False) for b in blocks)
+    singular = np.any([s[:, -1] <= SINGULARITY_RTOL * _op_norms(svals) for s in svals], axis=0)
+    if singular.any() or any(failed):
+        i = next(i for i, f in enumerate(failed) if f or singular[i])
+        _raise_failed(ts, failed, i)
+        raise SingularValueOnPath(f"singular value at t={float(ts[i])}")
+    return PathValues(ts, blocks, svals)
 
 
 def evaluate(path: InvertiblePath, t: float) -> Element:
-    """Evaluate the path, checking the domain, finiteness and
-    invertibility."""
-    try:
-        val = evaluate_unchecked(path, t)
-    except ValueError as exc:  # a non-finite entry, or LinAlgError on one
-        raise NonFiniteValue(f"path value at t={t}: {exc}") from exc
-    # one SVD per block gives op_norm(val) and the smallest singular values
-    svals = [np.linalg.svd(b, compute_uv=False) for b in val.blocks]
-    thresh = SINGULARITY_RTOL * max(float(s[0]) for s in svals)
-    if any(s[-1] <= thresh for s in svals):
-        raise SingularValueOnPath(f"singular value at t={t}")
-    return val
-
-
-def evaluate_unchecked(path: InvertiblePath, t: float) -> Element:
-    _check_domain(path, t)
-    return path._value(t)
+    """Evaluate the path at one t, checking the domain, finiteness and
+    invertibility: evaluate_many at [t]."""
+    return Element(path.algebra, tuple(b[0] for b in evaluate_many(path, [t]).blocks))
 
 
 @dataclass(frozen=True)
@@ -127,16 +184,16 @@ class ExpLine(InvertiblePath):
                 modes.append(("g", None, None))
         return modes
 
-    def _value(self, t):
+    def _values(self, ts):
         out = []
         for b, (kind, w, q) in zip(self.c.blocks, self._modes):
             if kind == "h":
-                out.append((q * np.exp(t * w)) @ q.conj().T)
+                out.append(_exp_stack(q, ts[:, None] * w))
             elif kind == "s":
-                out.append((q * np.exp(1j * t * w)) @ q.conj().T)
+                out.append(_exp_stack(q, 1j * ts[:, None] * w))
             else:
-                out.append(sla.expm(t * b))
-        return Element(self.algebra, tuple(out))
+                out.append(sla.expm(ts[:, None, None] * b))
+        return tuple(out)
 
     def _det(self):
         # a'(t) a(t)^{-1} = c for every t
@@ -170,24 +227,30 @@ class ProductPolar(InvertiblePath):
             pairs.append((np.linalg.eigh(_herm(cb)), np.linalg.eigh(_herm(db))))
         return pairs
 
-    def _product(self, t, i):
-        (wc, qc), (wd, qd) = self._eigs[i]
-        ec = (qc * np.exp(t * wc)) @ qc.conj().T
-        ed = (qd * np.exp(t * wd)) @ qd.conj().T
-        return ec @ ed
-
-    def _value(self, t):
+    def _values(self, ts):
         # the polar factor of g = V S W* is V W*, from the SVD of g itself:
         # forming (g*g)^{-1/2} would square the condition number of g
         out = []
-        for i in range(self.algebra.rank):
-            v, _, wh = np.linalg.svd(self._product(t, i))
+        for (wc, qc), (wd, qd) in self._eigs:
+            g = _exp_stack(qc, ts[:, None] * wc) @ _exp_stack(qd, ts[:, None] * wd)
+            v, _, wh = np.linalg.svd(g)
             out.append(v @ wh)
-        return Element(self.algebra, tuple(out))
+        return tuple(out)
 
     def _det(self):
         # det u = det g / |det g| = 1, since det g = e^{t T(c + d)} > 0
         return np.zeros(self.algebra.rank, dtype=complex)
+
+
+def _step_norms(stacks):
+    """||a_{j+1} a_j^{-1} - 1|| for each pair of consecutive samples,
+    one row per block."""
+    return np.array(
+        [
+            np.linalg.norm(s[1:] @ np.linalg.inv(s[:-1]) - np.eye(s.shape[-1]), 2, axis=(-2, -1))
+            for s in stacks
+        ]
+    )
 
 
 @dataclass(frozen=True)
@@ -211,21 +274,25 @@ class Sampled(InvertiblePath):
         for _, v in samples:
             if v.algebra != alg:
                 raise ValueError("samples share one algebra")
-        for (_, a), (_, b) in zip(samples, samples[1:]):
-            step = max(
-                np.linalg.norm(bb @ np.linalg.inv(ab) - np.eye(len(ab)), 2)
-                for ab, bb in zip(a.blocks, b.blocks)
-            )
+        object.__setattr__(self, "samples", samples)
+        stacks = self._stacks
+        try:
+            norms = _step_norms(stacks)
+        except np.linalg.LinAlgError:  # a singular sample: pair by pair, in order
+            norms = None
+        for j in range(len(samples) - 1):
+            if norms is None:
+                step = max(_step_norms([s[j : j + 2] for s in stacks])[:, 0])
+            else:
+                step = max(norms[:, j])
             if step >= 0.5:
                 raise ValueError(
                     f"consecutive samples too far apart (step {step:.3f} >= 1/2)"
                 )
-        for t, v in samples:
-            cut = SINGULARITY_RTOL * op_norm(v)
-            for b in v.blocks:
-                if np.linalg.svd(b, compute_uv=False)[-1] <= cut:
-                    raise SingularValueOnPath(f"singular sample at t={t}")
-        object.__setattr__(self, "samples", samples)
+        svals = [np.linalg.svd(s, compute_uv=False) for s in stacks]
+        singular = np.any([s[:, -1] <= SINGULARITY_RTOL * _op_norms(svals) for s in svals], axis=0)
+        if singular.any():
+            raise SingularValueOnPath(f"singular sample at t={ts[singular.argmax()]}")
 
     @property
     def algebra(self):
@@ -236,38 +303,47 @@ class Sampled(InvertiblePath):
         return (self.samples[0][0], self.samples[-1][0])
 
     @cached_property
+    def _times(self):
+        return np.array([t for t, _ in self.samples])
+
+    @cached_property
+    def _stacks(self):
+        """The samples, one (N, n, n) stack per block."""
+        return tuple(np.array(bs) for bs in zip(*(v.blocks for _, v in self.samples)))
+
+    @cached_property
     def _steps(self):
-        """a_j^{-1} a_{j+1} per segment and block."""
-        return [
-            tuple(np.linalg.solve(ab, bb) for ab, bb in zip(a.blocks, b.blocks))
-            for (_, a), (_, b) in zip(self.samples, self.samples[1:])
-        ]
+        """a_j^{-1} a_{j+1}, one (N - 1, n, n) stack per block."""
+        return tuple(np.linalg.solve(s[:-1], s[1:]) for s in self._stacks)
 
     @cached_property
     def _seg_logs(self):
-        return [tuple(sla.logm(g) for g in steps) for steps in self._steps]
+        return tuple(np.array([sla.logm(g) for g in steps]) for steps in self._steps)
 
-    def _value(self, t):
-        ts = [tt for tt, _ in self.samples]
-        j = int(np.searchsorted(ts, t))
-        if j < len(ts) and ts[j] == t:
-            return self.samples[j][1]
-        j = max(0, min(j - 1, len(ts) - 2))
-        (t0, a), (t1, _) = self.samples[j], self.samples[j + 1]
-        s = (t - t0) / (t1 - t0)
-        return Element(
-            self.algebra,
-            tuple(ab @ sla.expm(s * lb) for ab, lb in zip(a.blocks, self._seg_logs[j])),
-        )
+    def _values(self, ts):
+        times = self._times
+        j = np.searchsorted(times, ts)
+        at = np.minimum(j, len(times) - 1)
+        # a sample time gives its sample: no logarithm runs for it
+        hit = times[at] == ts
+        seg = np.where(hit, -1, np.clip(j - 1, 0, len(times) - 2))
+        out = _empty(self.algebra, len(ts))
+        for o, s in zip(out, self._stacks):
+            o[hit] = s[at[hit]]
+        for k in np.unique(seg[~hit]):
+            mask = seg == k
+            s = (ts[mask] - times[k]) / (times[k + 1] - times[k])
+            for o, a, logs in zip(out, self._stacks, self._seg_logs):
+                o[mask] = a[k] @ sla.expm(s[:, None, None] * logs[k])
+        return out
 
     def _det(self):
         # T(L_j) = sum_k log lambda_k(a_j^{-1} a_{j+1}): the eigenvalues of
         # logm(g) are the principal logs of those of g, none of which lies
-        # on (-inf, 0] since |lambda - 1| <= ||g - 1|| < 1/2
-        return sum(
-            np.array([np.log(np.linalg.eigvals(g)).sum() for g in steps], dtype=complex)
-            for steps in self._steps
-        )
+        # on (-inf, 0] since |lambda - 1| <= ||g - 1|| < 1/2; summed over
+        # the segments in order
+        per_block = [np.log(np.linalg.eigvals(g)).sum(axis=-1) for g in self._steps]
+        return sum(np.stack(per_block, axis=1))
 
 
 @dataclass(frozen=True)
@@ -291,10 +367,8 @@ class PointwiseProduct(InvertiblePath):
     def domain(self):
         return self.first.domain
 
-    def _value(self, t):
-        a = self.first._value(t)
-        b = self.second._value(t)
-        return Element(self.algebra, tuple(x @ y for x, y in zip(a.blocks, b.blocks)))
+    def _values(self, ts):
+        return tuple(a @ b for a, b in zip(self.first._values(ts), self.second._values(ts)))
 
     def _det(self):
         # T((ab)'(ab)^{-1}) = T(a'a^{-1}) + T(a (b'b^{-1}) a^{-1}) = T(a'a^{-1}) + T(b'b^{-1})
@@ -323,11 +397,20 @@ class Concatenation(InvertiblePath):
         c, d = self.second.domain
         return (a, b + (d - c))
 
-    def _value(self, t):
+    def _values(self, ts):
         joint = self.first.domain[1]
-        if t < joint:
-            return self.first._value(t)
-        return self.second._value(self.second.domain[0] + (t - joint))
+        before = ts < joint
+        after = ~before
+        out = _empty(self.algebra, len(ts))
+        pieces = (
+            (before, self.first, ts[before]),
+            (after, self.second, self.second.domain[0] + (ts[after] - joint)),
+        )
+        for mask, part, at in pieces:
+            if mask.any():
+                for o, v in zip(out, part._values(at)):
+                    o[mask] = v
+        return out
 
     def _det(self):
         return self.first._det() + self.second._det()
@@ -347,9 +430,9 @@ class Reversal(InvertiblePath):
     def domain(self):
         return self.inner.domain
 
-    def _value(self, t):
+    def _values(self, ts):
         t1, t2 = self.inner.domain
-        return self.inner._value(t1 + t2 - t)
+        return self.inner._values(t1 + t2 - ts)
 
     def _det(self):
         return -self.inner._det()
@@ -425,19 +508,38 @@ def determinant_mod_lattice(x: Element) -> LatticeQuotientValue:
     return lattice_reduce(log_det(x))
 
 
-def delta_1_0(loop: InvertiblePath, endpoint_tol: float = 1e-8) -> AffFunction:
+def delta_1_0(
+    loop: InvertiblePath, endpoint_tol: float = 1e-8, grid: PathValues | None = None
+) -> AffFunction:
     """The loop invariant: h = Delta/(2 pi i) read as an affine function
     on the trace simplex, value h_i / n_i at the i-th extreme trace.
 
-    The loop is checked first (identity endpoints, unitary at 17 points)."""
+    The loop is checked first: identity endpoints, then a unitary value
+    at each of 17 equally spaced points, in order.  grid may hold the
+    loop's values at linspace(t1, t2, 9), as evaluate_many gives them;
+    linspace(t1, t2, 17)[::2] is that grid bitwise, so only the 8
+    midpoints are evaluated then."""
     t1, t2 = loop.domain
-    ident = loop.algebra.identity()
-    for t in (t1, t2):
-        if op_norm(loop._value(t) - ident) > endpoint_tol:
+    ts = np.linspace(t1, t2, 17)
+    errs = np.empty(len(ts))
+    if grid is not None and np.array_equal(grid.ts, ts[::2]):
+        mid, mid_failed = _values_or_failures(loop, ts[1::2])
+        blocks = grid.blocks  # its first and last values are the endpoints
+        errs[::2] = _unitarity_errors(grid.svals)
+        errs[1::2] = _unitarity_errors([np.linalg.svd(m, compute_uv=False) for m in mid])
+        failed = [None] * len(ts)
+        failed[1::2] = mid_failed
+    else:
+        blocks, failed = _values_or_failures(loop, ts)
+        errs[:] = _unitarity_errors([np.linalg.svd(b, compute_uv=False) for b in blocks])
+    ends = _identity_distances([b[[0, -1]] for b in blocks])
+    for i, t, dist in ((0, t1, ends[0]), (-1, t2, ends[1])):
+        _raise_failed(ts, failed, i)
+        if dist > endpoint_tol:
             raise NotALoop(f"endpoint at t={t} is not the identity")
-    for t in np.linspace(t1, t2, 17):
-        err = _unitarity_error(loop._value(float(t)))
+    for i, err in enumerate(errs):
+        _raise_failed(ts, failed, i)
         if err > 1e-8:
-            raise NotUnitaryPath(f"value at t={t} is not unitary ({err:.3e})")
+            raise NotUnitaryPath(f"value at t={ts[i]} is not unitary ({err:.3e})")
     h = [complex(c) / (2j * np.pi) for c in loop._det()]
     return AffFunction(tuple(c.real / n for c, n in zip(h, loop.algebra.block_sizes)))

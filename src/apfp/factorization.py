@@ -60,6 +60,10 @@ class OptimizerConfig:
     target_residual: float = 1e-6  # relative to op_norm of the target
     seed: int = 0
 
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError(f"need at least one restart, got {self.restarts}")
+
 
 # ---------------------------------------------------------------------------
 # polar paths and exponential splitting
@@ -793,6 +797,8 @@ def best_approx_distance(x: Element, m: int = 5, opt: OptimizerConfig | None = N
 def _distance_probe(x: Element, m: int, opt: OptimizerConfig):
     """best_approx_distance(x, m, opt) and distance_bracket(x), None
     where the bracket overflows."""
+    if m < 1:
+        raise ValueError("need at least one factor")
     try:
         bracket = distance_bracket(x)
     except ValueError:  # a non-finite witness (or SVD)

@@ -129,3 +129,55 @@ def nearest_lattice_point(values, generators, radius: int = 6):
             best = dist
             best_coeffs = coeffs
     return best, best_coeffs
+
+
+def pointwise_value(path, t: float):
+    """A path's value at one t, one matrix per block, by the per-point
+    formula of its kind: one exponential, SVD or logarithm per block and
+    point.  The package evaluates whole stacks of points with batched
+    calls; those must give these values bit for bit."""
+    import scipy.linalg as sla
+
+    from apfp.algebra import _herm, _is_herm
+
+    kind = type(path).__name__
+    if kind == "ExpLine":
+        out = []
+        for b in path.c.blocks:
+            if _is_herm(b):
+                w, q = np.linalg.eigh(_herm(b))
+                out.append((q * np.exp(t * w)) @ q.conj().T)
+            elif _is_herm(-1j * b):
+                w, q = np.linalg.eigh(_herm(-1j * b))
+                out.append((q * np.exp(1j * t * w)) @ q.conj().T)
+            else:
+                out.append(sla.expm(t * b))
+        return out
+    if kind == "ProductPolar":
+        out = []
+        for cb, db in zip(path.c.blocks, path.d.blocks):
+            (wc, qc), (wd, qd) = np.linalg.eigh(_herm(cb)), np.linalg.eigh(_herm(db))
+            g = ((qc * np.exp(t * wc)) @ qc.conj().T) @ ((qd * np.exp(t * wd)) @ qd.conj().T)
+            v, _, wh = np.linalg.svd(g)
+            out.append(v @ wh)
+        return out
+    if kind == "Sampled":
+        times = [s for s, _ in path.samples]
+        j = int(np.searchsorted(times, t))
+        if j < len(times) and times[j] == t:
+            return list(path.samples[j][1].blocks)
+        j = max(0, min(j - 1, len(times) - 2))
+        (t0, a), (t1, b) = path.samples[j], path.samples[j + 1]
+        s = (t - t0) / (t1 - t0)
+        return [ab @ sla.expm(s * sla.logm(np.linalg.solve(ab, bb))) for ab, bb in zip(a.blocks, b.blocks)]
+    if kind == "PointwiseProduct":
+        return [a @ b for a, b in zip(pointwise_value(path.first, t), pointwise_value(path.second, t))]
+    if kind == "Concatenation":
+        joint = path.first.domain[1]
+        if t < joint:
+            return pointwise_value(path.first, t)
+        return pointwise_value(path.second, path.second.domain[0] + (t - joint))
+    if kind == "Reversal":
+        t1, t2 = path.inner.domain
+        return pointwise_value(path.inner, t1 + t2 - t)
+    raise ValueError(f"unknown path kind {kind}")

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -85,33 +86,72 @@ def test_det_path_exp_line(tmp_path, capsys):
     assert report["provenance"]["command"] == "det-path"
 
 
+def counted_values(monkeypatch, kind):
+    """The parameters at which paths of this kind are evaluated, in order."""
+    seen = []
+    values = kind._values
+
+    def counted(path, ts):
+        seen.extend(ts.tolist())
+        return values(path, ts)
+
+    monkeypatch.setattr(kind, "_values", counted)
+    return seen
+
+
+def counted_svds(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *rest, **kw):
+        calls.append(a.shape)
+        return svd(a, *rest, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
 def test_det_path_winding_loop_reports_delta(tmp_path, capsys, monkeypatch):
     calls = []
-    evaluated = []
 
     def counted(path, *rest):
         calls.append(path)
         return path_determinant(path, *rest)
 
-    def counted_evaluate(path, t):
-        evaluated.append(t)
-        return apfp.determinant.evaluate(path, t)
-
-    # one path_determinant call per top-level path, and the endpoints are
-    # read from the 9 points of the unitarity check
+    # one path_determinant call per top-level path
     monkeypatch.setattr(apfp.cli, "path_determinant", counted)
     monkeypatch.setattr(apfp.determinant, "path_determinant", counted)
-    monkeypatch.setattr(apfp.cli, "evaluate", counted_evaluate)
+    seen = counted_values(monkeypatch, ExpLine)
+    svds = counted_svds(monkeypatch)
     c = Element(M2, (np.array([[2j * np.pi, 0], [0, 0]]),))
     f = write_json(tmp_path, "loop.json", path_to_obj(ExpLine(c)))
     code, report = run(capsys, "det-path", f)
     assert code == EXIT_OK
     assert len(calls) == 1
-    assert len(evaluated) == 9
+    # each of the 17 points of delta_1_0's check is evaluated once: the 9
+    # of det-path's own check, then the 8 midpoints
+    assert seen == np.linspace(0.0, 1.0, 9).tolist() + np.linspace(0.0, 1.0, 17)[1::2].tolist()
+    # one SVD of each stack: the 9 values, the two endpoints minus 1, the
+    # hermitian defects of the 9; in delta_1_0 the 8 midpoints and the two
+    # endpoints minus 1 again
+    assert svds == [(9, 2, 2), (2, 2, 2), (9, 2, 2), (8, 2, 2), (2, 2, 2)]
     res = report["results"]
     assert res["is_loop"] and res["is_unitary"]
     assert res["lattice_distance"] <= 1e-9
     assert res["delta_1_0"]["values"][0] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_det_path_evaluates_a_path_that_is_no_loop_at_9_points(tmp_path, capsys, monkeypatch):
+    seen = counted_values(monkeypatch, ExpLine)
+    svds = counted_svds(monkeypatch)
+    c = random_element(M23, rng_from(8))
+    f = write_json(tmp_path, "line.json", path_to_obj(ExpLine(c)))
+    code, report = run(capsys, "det-path", f)
+    assert code == EXIT_OK
+    assert report["results"]["is_loop"] is False
+    assert seen == np.linspace(0.0, 1.0, 9).tolist()
+    # per block: the 9 values, the two endpoints minus 1, the hermitian defects
+    assert svds == [(9, 2, 2), (9, 3, 3), (2, 2, 2), (2, 3, 3), (9, 2, 2), (9, 3, 3)]
 
 
 def test_det_path_loop_tolerance_reaches_delta(tmp_path, capsys):
@@ -123,6 +163,29 @@ def test_det_path_loop_tolerance_reaches_delta(tmp_path, capsys):
     res = report["results"]
     assert res["is_loop"]
     assert res["delta_1_0"]["values"][0] == pytest.approx(0.5, abs=1e-7)
+
+
+def test_det_path_names_the_first_singular_point(tmp_path, capsys):
+    # e^{t diag(800, -800)} is singular from t = 1/8 on and overflows at
+    # t = 1: the error names t = 0.125, the first of the 9 points to fail
+    c = Element(M2, (np.diag([800.0, -800.0]).astype(complex),))
+    f = write_json(tmp_path, "line.json", path_to_obj(ExpLine(c)))
+    code = main(["det-path", f])
+    out, err = capsys.readouterr()
+    assert code == EXIT_NUMERIC and out == ""
+    assert err == "error: SingularValueOnPath: singular value at t=0.125\n"
+
+
+def test_det_path_loop_not_unitary_between_the_9_points_exits_3(tmp_path, capsys):
+    # e^{tc} with c = s diag(8 pi i, -8 pi i) s^{-1}: unitary at the 9
+    # points t = k/8, not at the midpoints delta_1_0 adds
+    s = np.array([[1.0, 0.5], [0.0, 1.0]])
+    c = Element(M2, (s @ np.diag([8j * np.pi, -8j * np.pi]) @ np.linalg.inv(s),))
+    f = write_json(tmp_path, "line.json", path_to_obj(ExpLine(c)))
+    code = main(["det-path", f])
+    out, err = capsys.readouterr()
+    assert code == EXIT_NUMERIC and out == ""
+    assert err.startswith("error: NotUnitaryPath: value at t=0.0625 is not unitary")
 
 
 def test_det_path_ill_conditioned_polar_path_is_unitary(tmp_path, capsys):
@@ -464,6 +527,28 @@ def test_bad_tolerance_flags_exit_2(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--factors", "0"],
+        ["--factors", "-1"],
+        ["--restarts", "0"],
+        ["--factors", "3", "--restarts", "0"],
+        ["--restarts", "-2", "--factors", "5"],
+    ],
+)
+@pytest.mark.parametrize("member", [True, False])
+def test_factor_counts_below_one_exit_2(tmp_path, capsys, flags, member):
+    # a member reaches the factorizer, a non-member the distance probe;
+    # both are refused before either runs
+    x = random_member(M2, rng_from(17)) if member else random_element(M2, rng_from((77, 1)))
+    f = element_file(tmp_path, "x.json", x)
+    code = main(["factor", f, *flags])
+    out, err = capsys.readouterr()
+    assert code == EXIT_PARSE
+    assert out == "" and err.startswith("error:") and "at least 1" in err
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -662,3 +747,30 @@ def test_readme_command_line_is_the_parser():
     assert flags == common
     names = re.findall(r"^- `(\w+)`, default ([\de.-]+)", section, re.M)
     assert {n: float(v) for n, v in names} == TOLERANCES
+
+
+def test_perfbench_tracer_installs_on_the_cli(tmp_path, capsys, monkeypatch):
+    # perfbench/tracing.py wraps functions on apfp.cli by name, among them
+    # evaluate, delta_1_0 and best_approx_distance: a name that leaves
+    # cli.py fails here, not in the benchmark's traced run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    names = ("evaluate", "delta_1_0", "best_approx_distance", "path_determinant", "main")
+    before = {name: getattr(apfp.cli, name) for name in names}
+    loop = ExpLine(Element(M2, (np.array([[2j * np.pi, 0], [0, 0]]),)))
+    path_file = write_json(tmp_path, "loop.json", path_to_obj(loop))
+    member_file = element_file(tmp_path, "member.json", random_member(M2, rng_from(29)))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert apfp.cli.main(["det-path", path_file]) == EXIT_OK
+        assert apfp.cli.main(["factor", member_file, "--factors", "5"]) == EXIT_OK
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert {name: getattr(apfp.cli, name) for name in names} == before
+    metrics = tracer.layer_metrics(1)
+    assert metrics["cli.main.calls"][0] == 2
+    assert metrics["determinant.path_determinant.ExpLine.calls"][0] == 1
+    assert metrics["determinant.delta_1_0.busy_s"][0] > 0
+    assert metrics["factorization.factor_positive_products.busy_s"][0] > 0

@@ -26,7 +26,9 @@ from apfp import (
     path_determinant,
     universal_trace,
 )
+from apfp.determinant import evaluate_many
 from apfp.errors import (
+    NonFiniteValue,
     NotALoop,
     NotUnitaryPath,
     OutOfDomain,
@@ -36,7 +38,7 @@ from apfp.errors import (
 from apfp.factorization import polar_path
 from apfp.sampling import random_element, random_self_adjoint, random_unitary, rng_from
 
-from oracles import logdet_along_path
+from oracles import logdet_along_path, pointwise_value
 
 M1 = AlgebraDescriptor((1,))
 M2 = AlgebraDescriptor((2,))
@@ -121,6 +123,112 @@ def test_evaluate_takes_one_svd_per_block(monkeypatch):
     evaluate(ExpLine(elem(M23, np.log(1e-13) * np.eye(2), tiny)), 1.0)
     with pytest.raises(SingularValueOnPath):
         evaluate(ExpLine(elem(M23, np.zeros((2, 2)), tiny)), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# stacked evaluation
+
+
+def product_samples(c, d, times):
+    return tuple((float(t), exp_element(float(t) * c) @ exp_element(float(t) * d)) for t in times)
+
+
+def stacking_paths():
+    rng = rng_from(41)
+    c = random_element(M23, rng, scale=0.7)  # general: expm
+    h = random_self_adjoint(M23, rng, norm=1.5)
+    skew = Element(M23, tuple(1j * b for b in h.blocks))
+    d = random_self_adjoint(M23, rng, norm=1.2)
+    small = [0.5 / op_norm(v) * v for v in (c, d)]
+    sampled = Sampled(product_samples(*small, np.linspace(0.0, 1.0, 9)))
+    return {
+        "ExpLine general": ExpLine(c),
+        "ExpLine hermitian": ExpLine(h, (-0.5, 1.25)),
+        "ExpLine skew": ExpLine(skew),
+        "ProductPolar": ProductPolar(h, d),
+        "Sampled": sampled,
+        "PointwiseProduct": PointwiseProduct(ExpLine(c), ProductPolar(h, d)),
+        "Concatenation": Concatenation(ExpLine(c), ExpLine(h, (0.25, 0.75))),
+        "Concatenation of composites": Concatenation(
+            Concatenation(sampled, ExpLine(c)), Reversal(ProductPolar(h, d))
+        ),
+        "Reversal of a Concatenation": Reversal(Concatenation(ExpLine(c), sampled)),
+        "Reversal of a PointwiseProduct": Reversal(PointwiseProduct(ExpLine(h), ExpLine(skew))),
+    }
+
+
+@pytest.mark.parametrize("name", list(stacking_paths()))
+def test_stacked_values_equal_pointwise_values_bitwise(name):
+    path = stacking_paths()[name]
+    t1, t2 = path.domain
+    # the grids of det-path and delta_1_0, random points, and every joint
+    # of a concatenation, so the stack straddles it
+    ts = [*np.linspace(t1, t2, 17), *rng_from(42).uniform(t1, t2, 5), 1.0, 2.0]
+    ts = np.array([t for t in ts if t1 <= t <= t2])
+    stack = evaluate_many(path, ts)
+    for i, t in enumerate(ts):
+        want = pointwise_value(path, float(t))
+        one = evaluate(path, float(t)).blocks
+        for block, b, w in zip(stack.blocks, one, want):
+            assert np.array_equal(block[i], w) and np.array_equal(b, w)
+
+
+def test_sampled_stack_at_sample_times_is_the_samples(monkeypatch):
+    path = stacking_paths()["Sampled"]
+    logm_calls = []
+    logm = sla.logm
+
+    def counted(a, *rest, **kw):
+        logm_calls.append(a)
+        return logm(a, *rest, **kw)
+
+    monkeypatch.setattr(sla, "logm", counted)
+    times = np.array([t for t, _ in path.samples])
+    stack = evaluate_many(path, times)
+    assert logm_calls == []
+    for i, (_, v) in enumerate(path.samples):
+        assert all(np.array_equal(s[i], b) for s, b in zip(stack.blocks, v.blocks))
+    # inside the segments the geodesic runs: one logarithm per segment and
+    # block, once
+    inside = 0.5 * (times[1:] + times[:-1])
+    evaluate_many(path, inside)
+    assert len(logm_calls) == (len(times) - 1) * M23.rank
+    evaluate_many(path, inside)
+    assert len(logm_calls) == (len(times) - 1) * M23.rank
+
+
+def failing_paths():
+    big = random_self_adjoint(M2, rng_from(4), norm=900.0)
+    polar = ProductPolar(big, random_self_adjoint(M2, rng_from(5), norm=900.0))
+    cat = Concatenation(ExpLine(M2.identity()), ProductPolar(big, big))
+    return [
+        # singular from t = 1/8 on, overflowing at t = 1
+        (ExpLine(elem(M2, np.diag([800.0, -800.0]))), SingularValueOnPath, 0.125),
+        # the product e^{tc} e^{td} overflows from t = 1/2 on
+        (polar, NonFiniteValue, 0.5),
+        (cat, NonFiniteValue, 1.5),
+        (Reversal(cat), NonFiniteValue, 0.0),
+        # singular at t = 3/4 only: e^{-40 t} < 1e-12 e^{0} from t = 0.69
+        (ExpLine(elem(M2, np.diag([0.0, -40.0]))), SingularValueOnPath, 0.75),
+    ]
+
+
+@pytest.mark.parametrize("path, error, first", failing_paths())
+def test_stack_error_names_the_first_failing_point(path, error, first):
+    t1, t2 = path.domain
+    ts = np.linspace(t1, t2, 9)
+    with pytest.raises(error) as raised:
+        evaluate_many(path, ts)
+    assert f"at t={first}" in str(raised.value)
+    # point by point, the same t is the first to fail
+    for t in ts:
+        try:
+            evaluate(path, float(t))
+        except error as exc:
+            assert float(t) == first and str(exc) == str(raised.value)
+            break
+    else:
+        pytest.fail("no point failed on its own")
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +627,27 @@ def test_delta_rejects_non_loop():
     c = elem(M2, [[1.0, 0], [0, 1.0]])
     with pytest.raises(NotALoop):
         delta_1_0(ExpLine(c))
+
+
+def unitary_on_the_grid_only():
+    """e^{tc}, c = s diag(8 pi i, -8 pi i) s^{-1} with s not unitary: the
+    value is +-1 at t = k/8, and s diag(i, -i) s^{-1}, not unitary, at
+    the midpoints between."""
+    s = np.array([[1.0, 0.5], [0.0, 1.0]])
+    return ExpLine(elem(M2, s @ np.diag([8j * np.pi, -8j * np.pi]) @ np.linalg.inv(s)))
+
+
+def test_delta_reuses_a_grid_and_checks_its_midpoints():
+    grid_of = lambda path: evaluate_many(path, np.linspace(*path.domain, 9))
+    loop = Concatenation(winding_loop(M23, 1, 2), winding_loop(M23, 0, -1))
+    want = delta_1_0(loop).values
+    assert delta_1_0(loop, grid=grid_of(loop)).values == want
+    # a grid at other points is not used
+    assert delta_1_0(loop, grid=evaluate_many(loop, [0.0, 1.0])).values == want
+    path = unitary_on_the_grid_only()
+    for grid in (None, grid_of(path)):
+        with pytest.raises(NotUnitaryPath, match="at t=0.0625 "):
+            delta_1_0(path, grid=grid)
 
 
 def test_delta_rejects_non_unitary_loop():

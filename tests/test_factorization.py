@@ -460,6 +460,19 @@ def test_distance_for_scalar_minus_one():
         assert d == pytest.approx(1.0, abs=1e-6)
 
 
+def test_counts_below_one_are_rejected():
+    # as factor_positive_products rejects m < 1
+    for restarts in (0, -1):
+        with pytest.raises(ValueError, match="restart"):
+            OptimizerConfig(restarts=restarts)
+    x = elem(M2, [[1.0, 0.0], [0.0, -1.0]])
+    for m in (0, -2):
+        with pytest.raises(ValueError, match="factor"):
+            best_approx_distance(x, m)
+        with pytest.raises(ValueError, match="factor"):
+            factor_positive_products(random_member(M2, rng_from(3)), m)
+
+
 def test_distance_probe_handles_singular_input():
     x = elem(M2, [[0.0, 1.0], [0.0, 0.0]])  # nilpotent, not positive
     d = best_approx_distance(x, m=3, opt=OptimizerConfig(restarts=2))
