@@ -241,13 +241,19 @@ def is_positive(x: Element, tol: float | None = None) -> bool:
 def _positive_at(blocks, tols) -> np.ndarray:
     """is_positive(v, tol) at each point v of a stack, tol from tols: the
     norm of v - v* (its largest singular value) and the lowest eigenvalue
-    of (v + v*)/2, one batched call each per block."""
+    of (v + v*)/2, one batched call each per block, until no point is
+    left positive.  Both are formed from v/2 and v*/2, which cannot
+    overflow: the defect is compared at half scale."""
     ok = np.ones(len(tols), dtype=bool)
+    half_tols = 0.5 * tols
     for b in blocks:
-        bh = b.conj().swapaxes(-1, -2)
-        defect = np.linalg.svd(b - bh, compute_uv=False)[:, 0]
-        lowest = np.linalg.eigvalsh(0.5 * (b + bh))[:, 0]
-        ok &= ~(defect > tols) & ~(lowest < -tols)
+        half = 0.5 * b
+        half_h = half.conj().swapaxes(-1, -2)
+        half_defect = np.linalg.svd(half - half_h, compute_uv=False)[:, 0]
+        lowest = np.linalg.eigvalsh(half + half_h)[:, 0]
+        ok &= ~(half_defect > half_tols) & ~(lowest < -tols)
+        if not np.count_nonzero(ok):
+            break
     return ok
 
 

@@ -148,9 +148,8 @@ def _config_from_args(args) -> RunConfig:
             known = ", ".join(TOLERANCES)
             raise ValueError(f"unknown --tol name {name!r}, expected one of {known}")
         tols[name] = float(val)
-    for count in ("factors", "restarts"):
-        if get(count, 1) < 1:
-            raise ValueError(f"--{count} must be at least 1, got {get(count, 1)}")
+    if get("factors", 1) < 1:
+        raise ValueError(f"--factors must be at least 1, got {get('factors', 1)}")
     seed = get("seed", 0)
     return RunConfig(
         seed=seed,
@@ -209,8 +208,7 @@ def _cmd_det_path(args, config: RunConfig):
         "is_positive": bool(positive),
     }
     if endpoints_identity and unitary:
-        # the loop's 9 values are reused: only its 8 midpoints are evaluated
-        f = delta_1_0(path, endpoint_tol=endpoint_tol, grid=grid)
+        f = delta_1_0(path, endpoint_tol=endpoint_tol)
         results["delta_1_0"] = {
             "values": [float(v) for v in f.values],
             "imag_residual": max(abs(c.real) / (2 * np.pi) for c in det.coords),

@@ -91,11 +91,10 @@ def _exp_stack(q, z):
 
 @dataclass(frozen=True)
 class PathValues:
-    """A path's values at the parameters ts, one (k, n, n) stack per
+    """A path's values at some parameters, one (k, n, n) stack per
     block, and their singular values, one descending (k, n) stack per
     block."""
 
-    ts: np.ndarray
     blocks: tuple[np.ndarray, ...]
     svals: tuple[np.ndarray, ...]
 
@@ -148,7 +147,7 @@ def evaluate_many(path: InvertiblePath, ts) -> PathValues:
         i = next(i for i, f in enumerate(failed) if f or singular[i])
         _raise_failed(ts, failed, i)
         raise SingularValueOnPath(f"singular value at t={float(ts[i])}")
-    return PathValues(ts, blocks, svals)
+    return PathValues(blocks, svals)
 
 
 def evaluate(path: InvertiblePath, t: float) -> Element:
@@ -242,17 +241,6 @@ class ProductPolar(InvertiblePath):
         return np.zeros(self.algebra.rank, dtype=complex)
 
 
-def _step_norms(stacks):
-    """||a_{j+1} a_j^{-1} - 1|| for each pair of consecutive samples,
-    one row per block."""
-    return np.array(
-        [
-            np.linalg.norm(s[1:] @ np.linalg.inv(s[:-1]) - np.eye(s.shape[-1]), 2, axis=(-2, -1))
-            for s in stacks
-        ]
-    )
-
-
 @dataclass(frozen=True)
 class Sampled(InvertiblePath):
     """Samples (t_j, a_j), interpolated geodesically:
@@ -274,22 +262,17 @@ class Sampled(InvertiblePath):
         for _, v in samples:
             if v.algebra != alg:
                 raise ValueError("samples share one algebra")
-        object.__setattr__(self, "samples", samples)
-        stacks = self._stacks
-        try:
-            norms = _step_norms(stacks)
-        except np.linalg.LinAlgError:  # a singular sample: pair by pair, in order
-            norms = None
-        for j in range(len(samples) - 1):
-            if norms is None:
-                step = max(_step_norms([s[j : j + 2] for s in stacks])[:, 0])
-            else:
-                step = max(norms[:, j])
+        for (_, a), (_, b) in zip(samples, samples[1:]):
+            step = max(
+                np.linalg.norm(bb @ np.linalg.inv(ab) - np.eye(len(ab)), 2)
+                for ab, bb in zip(a.blocks, b.blocks)
+            )
             if step >= 0.5:
                 raise ValueError(
                     f"consecutive samples too far apart (step {step:.3f} >= 1/2)"
                 )
-        svals = [np.linalg.svd(s, compute_uv=False) for s in stacks]
+        object.__setattr__(self, "samples", samples)
+        svals = [np.linalg.svd(s, compute_uv=False) for s in self._stacks]
         singular = np.any([s[:, -1] <= SINGULARITY_RTOL * _op_norms(svals) for s in svals], axis=0)
         if singular.any():
             raise SingularValueOnPath(f"singular sample at t={ts[singular.argmax()]}")
@@ -508,30 +491,17 @@ def determinant_mod_lattice(x: Element) -> LatticeQuotientValue:
     return lattice_reduce(log_det(x))
 
 
-def delta_1_0(
-    loop: InvertiblePath, endpoint_tol: float = 1e-8, grid: PathValues | None = None
-) -> AffFunction:
+def delta_1_0(loop: InvertiblePath, endpoint_tol: float = 1e-8) -> AffFunction:
     """The loop invariant: h = Delta/(2 pi i) read as an affine function
     on the trace simplex, value h_i / n_i at the i-th extreme trace.
 
-    The loop is checked first: identity endpoints, then a unitary value
-    at each of 17 equally spaced points, in order.  grid may hold the
-    loop's values at linspace(t1, t2, 9), as evaluate_many gives them;
-    linspace(t1, t2, 17)[::2] is that grid bitwise, so only the 8
-    midpoints are evaluated then."""
+    The loop is checked first, on one stack of its values at 17 equally
+    spaced points: identity endpoints, then a unitary value at each
+    point, in order."""
     t1, t2 = loop.domain
     ts = np.linspace(t1, t2, 17)
-    errs = np.empty(len(ts))
-    if grid is not None and np.array_equal(grid.ts, ts[::2]):
-        mid, mid_failed = _values_or_failures(loop, ts[1::2])
-        blocks = grid.blocks  # its first and last values are the endpoints
-        errs[::2] = _unitarity_errors(grid.svals)
-        errs[1::2] = _unitarity_errors([np.linalg.svd(m, compute_uv=False) for m in mid])
-        failed = [None] * len(ts)
-        failed[1::2] = mid_failed
-    else:
-        blocks, failed = _values_or_failures(loop, ts)
-        errs[:] = _unitarity_errors([np.linalg.svd(b, compute_uv=False) for b in blocks])
+    blocks, failed = _values_or_failures(loop, ts)
+    errs = _unitarity_errors([np.linalg.svd(b, compute_uv=False) for b in blocks])
     ends = _identity_distances([b[[0, -1]] for b in blocks])
     for i, t, dist in ((0, t1, ends[0]), (-1, t2, ends[1])):
         _raise_failed(ts, failed, i)

@@ -62,7 +62,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.restarts < 1:
-            raise ValueError(f"need at least one restart, got {self.restarts}")
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
 
 
 # ---------------------------------------------------------------------------

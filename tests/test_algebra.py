@@ -154,6 +154,16 @@ def test_is_positive_rejects_non_selfadjoint():
     assert not is_positive(elem(M2, [[1, 1], [0, 1]]))
 
 
+def test_is_positive_near_overflow():
+    big = 1.5e308
+    # x - x* overflows in the second block: not positive
+    x = elem(M23, np.eye(2), [[0, big, 0], [-big, 0, 0], [0, 0, 1]])
+    assert not is_positive(x)
+    # x + x* would overflow; the hermitian part x/2 + x*/2 does not
+    assert is_positive(elem(M2, [[big, 0], [0, big]]))
+    assert not is_positive(elem(M2, [[big, 0], [0, -big]]))
+
+
 def test_polar_of_positive_is_trivial():
     rng = rng_from(29)
     a = random_positive(M23, rng)

@@ -128,13 +128,13 @@ def test_det_path_winding_loop_reports_delta(tmp_path, capsys, monkeypatch):
     code, report = run(capsys, "det-path", f)
     assert code == EXIT_OK
     assert len(calls) == 1
-    # each of the 17 points of delta_1_0's check is evaluated once: the 9
-    # of det-path's own check, then the 8 midpoints
-    assert seen == np.linspace(0.0, 1.0, 9).tolist() + np.linspace(0.0, 1.0, 17)[1::2].tolist()
+    # two stacked evaluations: the 9 points of det-path's own check, then
+    # the 17 of delta_1_0's
+    assert seen == np.linspace(0.0, 1.0, 9).tolist() + np.linspace(0.0, 1.0, 17).tolist()
     # one SVD of each stack: the 9 values, the two endpoints minus 1, the
-    # hermitian defects of the 9; in delta_1_0 the 8 midpoints and the two
+    # hermitian defects of the 9; in delta_1_0 the 17 values and the two
     # endpoints minus 1 again
-    assert svds == [(9, 2, 2), (2, 2, 2), (9, 2, 2), (8, 2, 2), (2, 2, 2)]
+    assert svds == [(9, 2, 2), (2, 2, 2), (9, 2, 2), (17, 2, 2), (2, 2, 2)]
     res = report["results"]
     assert res["is_loop"] and res["is_unitary"]
     assert res["lattice_distance"] <= 1e-9
@@ -152,6 +152,16 @@ def test_det_path_evaluates_a_path_that_is_no_loop_at_9_points(tmp_path, capsys,
     assert seen == np.linspace(0.0, 1.0, 9).tolist()
     # per block: the 9 values, the two endpoints minus 1, the hermitian defects
     assert svds == [(9, 2, 2), (9, 3, 3), (2, 2, 2), (2, 3, 3), (9, 2, 2), (9, 3, 3)]
+
+
+def test_det_path_positivity_survives_an_overflowing_defect(tmp_path, capsys):
+    # e^{tc} is finite on [0, 1], but at t = 1 its off-diagonal entries
+    # are about +-1.35e308 and v - v* would overflow; the path is not positive
+    c = Element(M2, (np.array([[709.5, np.pi / 2], [-np.pi / 2, 709.5]], dtype=complex),))
+    f = write_json(tmp_path, "line.json", path_to_obj(ExpLine(c)))
+    code, report = run(capsys, "det-path", f)
+    assert code == EXIT_OK
+    assert report["results"]["is_positive"] is False
 
 
 def test_det_path_loop_tolerance_reaches_delta(tmp_path, capsys):
