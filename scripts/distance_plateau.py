@@ -4,8 +4,8 @@ record their distance to products of m positives.
 
 The interesting observation: the distance does not decay with m.  For
 diag(1,-1) in M2 it plateaus at 1, the same value that is analytically
-forced for -1 in M1; for both the closed-form distance bracket closes at
-[1, 1], so every value is exact.
+forced for -1 in M1; for both the closed-form distance to the closure
+is 1 with a positive witness, so every value is exact and no search runs.
 """
 
 import argparse

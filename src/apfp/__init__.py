@@ -80,14 +80,14 @@ from .errors import (
     SingularValueOnPath,
 )
 from .factorization import (
-    DistanceBracket,
+    ClosureDistance,
     ExponentialSplitting,
     MembershipResult,
     OptimizerConfig,
     PositiveFactorization,
     best_approx_distance,
     commutator_factor_su,
-    distance_bracket,
+    distance_to_closure,
     factor_positive_products,
     membership_test,
     polar_path,

@@ -48,10 +48,6 @@ class AlgebraDescriptor:
     def rank(self) -> int:
         return len(self.block_sizes)
 
-    @property
-    def total_dimension(self) -> int:
-        return sum(n * n for n in self.block_sizes)
-
     def identity(self) -> "Element":
         return Element(self, tuple(np.eye(n, dtype=complex) for n in self.block_sizes))
 

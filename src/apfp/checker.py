@@ -83,10 +83,6 @@ class K0Data:
     generators: Optional[tuple[tuple[Fraction, Fraction], ...]] = None
 
     @classmethod
-    def from_algebra(cls, alg: AlgebraDescriptor) -> "K0Data":
-        return cls(rank=alg.rank, block_sizes=alg.block_sizes)
-
-    @classmethod
     def from_generators(cls, gens) -> "K0Data":
         pairs = tuple((Fraction(a), Fraction(b)) for a, b in gens)
         return cls(rank=1, generators=pairs)

@@ -226,15 +226,13 @@ def _cmd_factor(args, config: RunConfig):
         "factors_requested": args.factors,
     }
     if not member:
-        distance, bracket = _distance_probe(x, args.factors, config.optimizer)
-        if bracket is None:
-            raise NonFiniteValue("the distance bracket overflows")
+        distance, closure, route = _distance_probe(x, args.factors, config.optimizer)
+        if closure is None:
+            raise NonFiniteValue("the distance to the closure overflows")
         results["distance_probe"] = distance
-        results["distance_bracket"] = [bracket.lower, bracket.upper]
+        results["distance_to_closure"] = closure.distance
         # how the distance was reached goes to provenance: results stay the answer
-        route = "bracket" if bracket.closes(args.factors) else "search"
-        gap = bracket.upper - bracket.lower
-        return results, EXIT_NOT_IN_CLOSURE, {"distance": {"route": route, "gap": gap}}
+        return results, EXIT_NOT_IN_CLOSURE, {"distance": {"route": route}}
     try:
         fac = factor_positive_products(x, args.factors, config.optimizer)
     except NoConvergence as exc:

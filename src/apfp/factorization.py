@@ -10,13 +10,15 @@ the positive side (the unitary polar path of e^{tc} e^{td}, its
 exponential splitting with trace-zero log sums, explicit commutator
 factorizations of determinant-one unitaries), exact factorizations of
 members into m >= 4 positive factors in closed form, an optimizer that
-produces factorizations for every m, and a distance probe for elements
-outside the closure, bracketed in closed form.
+produces factorizations for every m, and the distance from elements
+outside the closure to it, in closed form, with a search only for
+products of fewer than four positives.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -710,119 +712,117 @@ def factor_positive_products(
 
 
 # ---------------------------------------------------------------------------
-# the distance to the closure, bracketed in closed form
+# the distance to the closure, in closed form
 #
-# For block x_i = U diag(s) V* (s_n the smallest singular value) let phi_i
-# be the distance from arg det x_i to 2 pi Z, 0 when det x_i = 0.  Lower
-# bound, for every m: a y_i with ||y_i - x_i|| = d < s_n is x_i (1 + z)
-# with ||z|| <= d / s_n < 1; the eigenvalues of 1 + z lie within ||z|| of
-# 1, so arg det y_i is within n arcsin(d / s_n) of arg det x_i, and the
-# closure has det y_i >= 0: d >= s_n sin(min(phi_i / n, pi/2)).  Witness:
-# turn the k last singular values (the smallest, near-ties ordered by
-# _singular_split) by -arg det x_i / k each and project them onto that
-# ray; y_i - x_i is diagonal in the singular basis, so ||y_i - x_i|| =
-# max(s_{n-k+1}, ..., s_n) sin(min(phi_i / k, pi/2)), and the best k is
-# taken.  det y_i >= 0 puts y in the closure for m >= 4 (Sourour and Wu,
-# as above; scalar blocks are limits of non-scalar ones).
+# For m >= 4 the closure of P(A) is {y : det y_i >= 0 in every block}
+# (Sourour and Wu, as above; scalar blocks are limits of non-scalar ones),
+# and for every m it lies in that set.  For block x_i = U diag(s) V* let
+# phi_i be the distance from arg det x_i to 2 pi Z (0 when det x_i = 0)
+# and r_i the smallest r with sum_j arcsin(min(1, r / s_j)) >= phi_i; the
+# left side increases with r.  Witness: turn each s_j by theta_j =
+# arcsin(min(1, r_i / s_j)) against arg det x_i and project it onto that
+# ray, s_j cos theta_j; y_i - x_i is diagonal in the singular basis, so
+# ||y_i - x_i|| = max_j s_j sin theta_j = r_i, and det y_i >= 0.  When no
+# r < s_n reaches phi_i, zeroing s_n costs s_n instead.  Lower bound: a
+# y_i with ||y_i - x_i|| = r < s_n is x_i (1 + z) with sigma_j(z) <= r /
+# s_{n-j+1}; the eigenvalues mu_j of z are log-majorized by sigma(z) and
+# arcsin(e^t) is convex and increasing, so by Weyl's majorant theorem
+# |arg det(1 + z)| <= sum_j arcsin|mu_j| <= sum_j arcsin(r / s_j), and
+# det y_i >= 0 needs r >= r_i.  So the distance from x to that set is r* =
+# max_i min(s_n, r_i): exact for m >= 4, and a lower bound for every m.
 
-# the bracket closes when upper - lower is within this fraction of upper
-BRACKET_RTOL = 1e-12
 
+class ClosureDistance(NamedTuple):
+    """The operator-norm distance from x to {y : det y_i >= 0 in every
+    block}, the closure of P(A) for m >= 4 factors, and a witness at that
+    distance, with det witness_i real and >= 0 in every block."""
 
-class DistanceBracket(NamedTuple):
-    """lower <= the distance from x to the closure of P(A) <= upper =
-    ||witness - x||, with det witness_i real and >= 0 in every block."""
-
-    lower: float
-    upper: float
+    distance: float
     witness: Element
-
-    def closes(self, m: int) -> bool:
-        """upper is the distance to products of m positives: the ends meet
-        within BRACKET_RTOL and the witness is in their closure, for
-        m >= 4 always, otherwise when it is positive."""
-        return self.upper - self.lower <= BRACKET_RTOL * self.upper and (
-            m >= 4 or is_positive(self.witness)
-        )
 
 
 def _singular_split(b):
     """b = (u * s) @ vh with s descending up to near-ties.  A hermitian
     block is split through its eigenvalues, a negative one placed after
-    any positive one whose |lambda| is within BRACKET_RTOL of its own, so
-    a witness that turns the last singular values drops the negative
+    any positive one whose |lambda| is within 1e-12 of its own, so a
+    witness that zeroes the last singular value drops the negative
     eigenvalue where the two tie; LAPACK's SVD leaves ties in any order."""
     if not np.array_equal(b, b.conj().T):
         return np.linalg.svd(b)
     lam, q = np.linalg.eigh(b)
-    order = np.argsort(-abs(lam) * np.where(lam < 0, 1 - BRACKET_RTOL, 1.0), kind="stable")
+    order = np.argsort(-abs(lam) * np.where(lam < 0, 1 - 1e-12, 1.0), kind="stable")
     lam, q = lam[order], q[:, order]
     return q * np.where(lam < 0, -1.0, 1.0), abs(lam), q.conj().T
 
 
-def distance_bracket(x: Element) -> DistanceBracket:
-    """Closed-form bracket on the distance from x to the closure of P(A),
-    from one SVD (eigh for a hermitian block) and one slogdet per block
-    (see above)."""
-    lower = upper = 0.0
-    ys = []
-    for b in x.blocks:
-        u, s, vh = _singular_split(b)
-        theta = float(np.angle(np.linalg.slogdet(b)[0]))  # sign 0 when det = 0
-        k = np.arange(1, len(s) + 1)
-        angle = np.minimum(abs(theta) / k, np.pi / 2)
-        cost = np.maximum.accumulate(s[::-1]) * np.sin(angle)  # ||y_i - x_i|| by k
-        j = int(np.argmin(cost))
-        lower = max(lower, float(s.min() * np.sin(angle[-1])))
-        upper = max(upper, float(cost[j]))
+def _closure_block(b) -> tuple[float, np.ndarray]:
+    """min(s_n, r_i) and the witness y_i for one block (see above); r_i by
+    bisection in floats, down to adjacent floats."""
+    u, s, vh = _singular_split(b)
+    angle = float(np.angle(np.linalg.slogdet(b)[0]))  # sign 0 when det = 0
+    phi = abs(angle)
+    sv = [float(v) for v in s]
+    turn = lambda r: sum(math.asin(min(1.0, r / v)) for v in sv)
+    if sv[-1] == 0.0 or turn(sv[-1]) <= phi:
         d = s.astype(complex)
-        d[len(s) - k[j] :] *= max(np.cos(theta / k[j]), 0.0) * np.exp(-1j * theta / k[j])
-        ys.append((u * d) @ vh)
-    return DistanceBracket(lower, upper, Element(x.algebra, tuple(ys)))
+        d[-1] = 0.0
+        return sv[-1], (u * d) @ vh
+    lo, hi = 0.0, sv[-1] if phi > 0 else 0.0  # det > 0 needs no turn: r_i = 0
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if turn(mid) >= phi else (mid, hi)
+    theta = np.arcsin(np.minimum(1.0, hi / s))
+    theta[-1] = phi - theta[:-1].sum()  # the largest angle takes the rest: the turn is phi
+    sin = np.sin(theta)
+    d = s * np.sqrt(1.0 - sin * sin) * np.exp(-1j * np.copysign(theta, angle))
+    return float((s * sin).max()), (u * d) @ vh
+
+
+def distance_to_closure(x: Element) -> ClosureDistance:
+    """The distance from x to the closure of P(A) for m >= 4 factors in
+    closed form, from one SVD (eigh for a hermitian block) and one slogdet
+    per block (see above)."""
+    blocks = [_closure_block(b) for b in x.blocks]
+    return ClosureDistance(
+        max(d for d, _ in blocks), Element(x.algebra, tuple(y for _, y in blocks))
+    )
 
 
 def best_approx_distance(x: Element, m: int = 5, opt: OptimizerConfig | None = None) -> float:
     """Operator-norm distance from x to products of m positive factors,
-    from above: an upper bound on the distance to the closure of P(A),
-    never below distance_bracket(x).lower.  Positive x returns 0.  Where
-    the bracket closes (see DistanceBracket.closes) the answer is its
-    upper end, exact and with no search.  Otherwise the multi-start
-    search runs with the op-norm polish; for m >= 4 the answer is the
-    smaller of the search's and the witness's, and a LinAlgError in the
-    search leaves the witness's.  An x whose bracket overflows returns
-    inf."""
+    from above, and never below distance_to_closure(x).distance.
+    Positive x returns 0.  For m >= 4 the answer is
+    distance_to_closure(x).distance, exact and with no search; for m < 4
+    too when that witness is positive.  Otherwise the multi-start search
+    runs with the op-norm polish and its value is the answer; a
+    LinAlgError in the search propagates.  An x whose closed form
+    overflows returns inf."""
     return _distance_probe(x, m, opt or OptimizerConfig())[0]
 
 
 def _distance_probe(x: Element, m: int, opt: OptimizerConfig):
-    """best_approx_distance(x, m, opt) and distance_bracket(x), None
-    where the bracket overflows."""
+    """best_approx_distance(x, m, opt), distance_to_closure(x) (None where
+    it overflows) and the route of the first: "closed_form" or "search"."""
     if m < 1:
         raise ValueError("need at least one factor")
     try:
-        bracket = distance_bracket(x)
+        closure = distance_to_closure(x)
     except ValueError:  # a non-finite witness (or SVD)
-        bracket = None
+        closure = None
     if is_positive(x):
-        return 0.0, bracket
-    if bracket is None:  # inf is the one upper bound left
-        return np.inf, None
-    if bracket.closes(m):
-        return bracket.upper, bracket
-    try:
-        residual = _search(_Objective(x, m), opt, polish=True, stop_at=None)[0]
-    except np.linalg.LinAlgError:
-        if m < 4:
-            raise
-        residual = np.inf
-    return float(min(bracket.upper, residual) if m >= 4 else residual), bracket
+        return 0.0, closure, "closed_form"
+    if closure is None:  # inf is the one upper bound left
+        return np.inf, None, "closed_form"
+    if m >= 4 or is_positive(closure.witness):
+        return closure.distance, closure, "closed_form"
+    return _search(_Objective(x, m), opt, polish=True)[0], closure, "search"
 
 
 def residual_curve(x: Element, ms, opt: OptimizerConfig | None = None):
     """Residuals over a sweep of factor counts; members go through the
     factorizer, everything else through best_approx_distance, which is
-    exact wherever the distance bracket closes (every m for -1 in M1 and
-    diag(1, -1) in M2) and bracketed below otherwise."""
+    exact in closed form for every m >= 4, and for every m where the
+    closed-form witness is positive (-1 in M1 and diag(1, -1) in M2)."""
     opt = opt or OptimizerConfig()
     out = []
     for m in ms:

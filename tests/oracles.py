@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+from scipy.optimize import brentq
 
 
 def power_iteration_norm(mat, iters: int = 500, seed: int = 7) -> float:
@@ -48,6 +49,23 @@ def taylor_expm(mat, terms: int = 24):
     for _ in range(k):
         acc = acc @ acc
     return acc
+
+
+def closure_distance(blocks) -> float:
+    """Operator-norm distance to {y : det y_i >= 0 in every block}, the
+    largest over blocks of the root r of sum_j arcsin(min(1, r / s_j)) =
+    phi (s from a plain SVD, phi the distance from arg det to 2 pi Z, from
+    numpy's det) by brentq, or of s_n when the sum at s_n falls short."""
+    out = 0.0
+    for b in blocks:
+        s = np.linalg.svd(b, compute_uv=False)
+        phi = abs(np.angle(np.linalg.det(b)))
+        turn = lambda r: np.arcsin(np.minimum(1.0, r / s)).sum() - phi
+        if turn(s[-1]) <= 0:
+            out = max(out, s[-1])
+        else:
+            out = max(out, brentq(turn, 0.0, s[-1], xtol=1e-300, rtol=1e-15))
+    return float(out)
 
 
 def logdet_along_path(block_samples) -> complex:

@@ -24,7 +24,7 @@ from apfp import (
     check_abstract,
     check_conditions,
     commutator_factor_su,
-    distance_bracket,
+    distance_to_closure,
     factor_positive_products,
     is_positive,
     lattice_distance,
@@ -152,7 +152,7 @@ def test_obstruction_distances():
     u = Element(M2, (np.diag([1.0, -1.0]).astype(complex),))
     minus_one = Element(M1, (np.array([[-1.0 + 0j]]),))
     opt = OptimizerConfig(restarts=32, seed=0)
-    lower = distance_bracket(u).lower
+    lower = distance_to_closure(u).distance
     for m in (3, 5, 8):
         d2 = best_approx_distance(u, m=m, opt=opt)
         assert lower <= d2

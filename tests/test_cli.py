@@ -26,7 +26,7 @@ from apfp import (
     Element,
     ExpLine,
     Sampled,
-    distance_bracket,
+    distance_to_closure,
     evaluate,
     exp_element,
     path_determinant,
@@ -382,41 +382,45 @@ def test_factor_obstructed_element_exits_4_with_probe(tmp_path, capsys):
     assert report["results"]["distance_probe"] >= 0.1
 
 
-def test_factor_reports_a_closed_distance_bracket(tmp_path, capsys):
+def test_factor_reports_the_closed_form_distance(tmp_path, capsys):
+    # below four factors too, as the witness diag(1, 0) is positive
     x = Element(M2, (np.diag([1.0, -1.0]).astype(complex),))
     f = element_file(tmp_path, "bad.json", x)
     code, report = run(capsys, "factor", f, "--factors", "3")
     assert code == EXIT_NOT_IN_CLOSURE
-    assert report["results"]["distance_bracket"] == [1.0, 1.0]
+    assert report["results"]["distance_to_closure"] == 1.0
     assert report["results"]["distance_probe"] == 1.0
-    assert report["provenance"]["distance"] == {"route": "bracket", "gap": 0.0}
+    assert report["provenance"]["distance"] == {"route": "closed_form"}
 
 
-def test_factor_reports_an_open_distance_bracket(tmp_path, capsys):
+@pytest.mark.parametrize("factors, route", [("3", "search"), ("5", "closed_form")])
+def test_factor_reports_the_distance_route(tmp_path, capsys, factors, route):
     f = element_file(tmp_path, "bad.json", random_element(M2, rng_from((77, 1))))
-    code, report = run(capsys, "factor", f, "--factors", "5", "--restarts", "1")
+    code, report = run(capsys, "factor", f, "--factors", factors, "--restarts", "1")
     assert code == EXIT_NOT_IN_CLOSURE
-    lower, upper = report["results"]["distance_bracket"]
-    assert lower <= report["results"]["distance_probe"] <= upper
-    got = report["provenance"]["distance"]
-    assert got["route"] == "search"
-    assert got["gap"] == upper - lower > 0.1
+    closure = report["results"]["distance_to_closure"]
+    assert closure == distance_to_closure(random_element(M2, rng_from((77, 1)))).distance
+    assert report["provenance"]["distance"] == {"route": route}
+    if route == "search":
+        assert report["results"]["distance_probe"] >= closure
+    else:
+        assert report["results"]["distance_probe"] == closure
 
 
-def test_factor_computes_one_bracket_per_non_member(tmp_path, capsys, monkeypatch):
+def test_factor_computes_one_closure_distance_per_non_member(tmp_path, capsys, monkeypatch):
     calls = []
 
     def counted(x):
         calls.append(x)
-        return distance_bracket(x)
+        return distance_to_closure(x)
 
-    monkeypatch.setattr(apfp.factorization, "distance_bracket", counted)
-    monkeypatch.setattr(apfp.cli, "distance_bracket", counted, raising=False)
+    monkeypatch.setattr(apfp.factorization, "distance_to_closure", counted)
+    monkeypatch.setattr(apfp.cli, "distance_to_closure", counted, raising=False)
     f = element_file(tmp_path, "bad.json", random_element(M2, rng_from((77, 1))))
-    code, report = run(capsys, "factor", f, "--factors", "5", "--restarts", "1")
+    code, report = run(capsys, "factor", f, "--factors", "3", "--restarts", "1")
     assert code == EXIT_NOT_IN_CLOSURE
     assert len(calls) == 1
-    assert report["results"]["distance_bracket"][1] >= report["results"]["distance_probe"]
+    assert report["results"]["distance_to_closure"] <= report["results"]["distance_probe"]
 
 
 def test_factor_starved_optimizer_exits_5(tmp_path, capsys):
@@ -515,8 +519,7 @@ def test_factor_decides_membership_at_the_default_tolerance(tmp_path, capsys):
     code, report = run(capsys, *argv)
     assert code == EXIT_NOT_IN_CLOSURE
     assert report["results"]["member"] is False
-    lower, upper = report["results"]["distance_bracket"]
-    assert 0 < lower <= upper
+    assert report["results"]["distance_to_closure"] > 0
 
 
 @pytest.mark.parametrize(
@@ -729,8 +732,11 @@ def test_det_path_on_sample_times_takes_no_logarithm(tmp_path, capsys, monkeypat
     assert logm_calls  # the counter sees the logarithms when they do run
 
 
-def test_member_factored_without_loading_the_optimizer(tmp_path):
-    f = element_file(tmp_path, "member.json", random_member(M2, rng_from(29)))
+def factor_in_a_fresh_process(tmp_path, x):
+    """apfp factor --factors 5 on x through apfp.cli.main in a new
+    interpreter: the exit code, whether scipy.optimize was loaded, and the
+    report."""
+    f = element_file(tmp_path, "x.json", x)
     script = (
         "import sys, apfp.cli\n"
         f"code = apfp.cli.main(['factor', {f!r}, '--factors', '5', '--out', {str(tmp_path / 'r.json')!r}])\n"
@@ -739,8 +745,21 @@ def test_member_factored_without_loading_the_optimizer(tmp_path):
     src = os.path.dirname(os.path.dirname(apfp.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == [str(EXIT_OK), "False"]
-    assert json.loads((tmp_path / "r.json").read_text())["provenance"]["factorization"]["route"] == "construction"
+    code, loaded = out.stdout.split()
+    return int(code), loaded == "True", json.loads((tmp_path / "r.json").read_text())
+
+
+def test_member_factored_without_loading_the_optimizer(tmp_path):
+    code, loaded, report = factor_in_a_fresh_process(tmp_path, random_member(M2, rng_from(29)))
+    assert (code, loaded) == (EXIT_OK, False)
+    assert report["provenance"]["factorization"]["route"] == "construction"
+
+
+def test_non_member_probed_without_loading_the_optimizer(tmp_path):
+    # no search at m >= 4: the distance is the closed form's
+    code, loaded, report = factor_in_a_fresh_process(tmp_path, random_element(M2, rng_from((77, 1))))
+    assert (code, loaded) == (EXIT_NOT_IN_CLOSURE, False)
+    assert report["provenance"]["distance"] == {"route": "closed_form"}
 
 
 def test_readme_command_line_is_the_parser():

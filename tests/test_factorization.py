@@ -4,7 +4,7 @@ optimizer."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import power_iteration_norm
+from oracles import closure_distance, power_iteration_norm
 
 import apfp.factorization as factorization
 from apfp import (
@@ -15,7 +15,7 @@ from apfp import (
     adjoint,
     best_approx_distance,
     commutator_factor_su,
-    distance_bracket,
+    distance_to_closure,
     exp_element,
     factor_positive_products,
     is_positive,
@@ -501,15 +501,15 @@ def seeded_non_members(algebras, count=4):
 
 def test_distance_witness_checked_independently():
     for x in seeded_non_members((M1, M2, M3, M23)) + [NILPOTENT]:
-        got = distance_bracket(x)
+        got = distance_to_closure(x)
         scale = op_norm(x)
-        assert 0.0 <= got.lower <= got.upper
+        assert got.distance >= 0.0
         for y, n in zip(got.witness.blocks, x.algebra.block_sizes):
             det = np.linalg.det(y)
             assert abs(det.imag) <= 1e-12 * scale**n
             assert det.real >= -1e-12 * scale**n
         dist = max(power_iteration_norm(y - b) for y, b in zip(got.witness.blocks, x.blocks))
-        assert dist == pytest.approx(got.upper, rel=1e-9, abs=1e-12 * scale)
+        assert dist == pytest.approx(got.distance, rel=1e-9, abs=1e-12 * scale)
 
 
 @pytest.mark.parametrize("m", [3, 5])
@@ -518,7 +518,7 @@ def test_distance_lower_bound_below_the_search(m):
     for x in seeded_non_members((M2, M3, M23), count=2):
         residual, _, _ = factorization._search(factorization._Objective(x, m), opt, polish=False)
         assert np.isfinite(residual)
-        assert distance_bracket(x).lower <= residual * (1 + 1e-12)
+        assert distance_to_closure(x).distance <= residual * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("m", [1, 3, 5])
@@ -548,37 +548,48 @@ def test_closed_bracket_answers_without_search(monkeypatch, m):
     no_search(monkeypatch)
     for x in SIGN_FLIPS:
         assert best_approx_distance(x, m=m) == pytest.approx(1.0, rel=1e-14)
-        assert is_positive(distance_bracket(x).witness)
+        assert is_positive(distance_to_closure(x).witness)
     assert best_approx_distance(DIAG_ONE_MINUS_ONE, m=m) == 1.0
     assert best_approx_distance(NILPOTENT, m=5) == 0.0
 
 
 def test_closed_bracket_needs_a_positive_witness_below_m4():
-    # a member, so the bracket is [0, 0] with the witness x itself, which
+    # a member, so the closed form is 0 with the witness x itself, which
     # is not positive: at m = 1 the distance is that to the positives, the
     # norm 1/2 of the skew-hermitian part, whose hermitian part is positive
     x = elem(M2, [[1.0, 1.0], [0.0, 1.0]])
-    assert distance_bracket(x).upper == 0.0
+    assert distance_to_closure(x).distance == 0.0
     assert best_approx_distance(x, m=1, opt=OptimizerConfig(restarts=1)) == pytest.approx(0.5, abs=1e-9)
 
 
-def test_open_bracket_caps_the_search_with_the_witness_from_m4(monkeypatch):
+def test_distance_to_closure_against_the_oracle():
+    for x in seeded_non_members((M2, M3, M23, M4), count=8):
+        assert distance_to_closure(x).distance == pytest.approx(closure_distance(x.blocks), rel=1e-14)
+
+
+def test_distance_to_closure_spreads_the_turn_over_unequal_angles():
+    # splitting the turn equally over the best k singular values reaches
+    # the closure only at 0.93875
+    x = random_element(M4, rng_from((77, 5)))
+    assert distance_to_closure(x).distance == pytest.approx(0.60378, abs=5e-6)
+
+
+def test_no_search_from_m4(monkeypatch):
+    no_search(monkeypatch)
+    for x in seeded_non_members((M2, M3, M23, M4), count=8) + [NILPOTENT]:
+        want = distance_to_closure(x).distance
+        for m in (4, 5, 8):
+            assert best_approx_distance(x, m=m) == want
+    # below four factors the search answers, and a LinAlgError in it
+    # propagates (the polish can overflow exp)
     x = random_element(M2, rng_from((77, 1)))
-    got = distance_bracket(x)
-    assert got.upper - got.lower > 0.1
-    monkeypatch.setattr(factorization, "_search", lambda *args, **kwargs: (got.upper + 1.0, None, 0))
-    # m >= 4: the witness caps the search; m < 4: the search alone
-    assert best_approx_distance(x, m=5) == got.upper
-    assert best_approx_distance(x, m=3) == got.upper + 1.0
+    monkeypatch.setattr(factorization, "_search", lambda *args, **kwargs: (2.0, None, 0))
+    assert best_approx_distance(x, m=3) == 2.0
 
-
-def test_failed_search_leaves_the_witness_from_m4(monkeypatch):
     def search(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(factorization, "_search", search)
-    x = random_element(M2, rng_from((77, 1)))
-    assert best_approx_distance(x, m=4) == distance_bracket(x).upper
     with pytest.raises(np.linalg.LinAlgError):
         best_approx_distance(x, m=3)
 
