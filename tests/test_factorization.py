@@ -580,16 +580,28 @@ def test_no_search_from_m4(monkeypatch):
         want = distance_to_closure(x).distance
         for m in (4, 5, 8):
             assert best_approx_distance(x, m=m) == want
-    # below four factors the search answers, and a LinAlgError in it
-    # propagates (the polish can overflow exp)
-    x = random_element(M2, rng_from((77, 1)))
-    monkeypatch.setattr(factorization, "_search", lambda *args, **kwargs: (2.0, None, 0))
-    assert best_approx_distance(x, m=3) == 2.0
 
+
+def test_open_bracket_caps_the_search_with_the_witness_from_m4(monkeypatch):
+    # x has no positive witness, so below four factors the search answers
+    # alone; from four on the witness answers and no search result moves it
+    x = random_element(M2, rng_from((77, 1)))
+    got = distance_to_closure(x)
+    assert not is_positive(got.witness)
+    monkeypatch.setattr(factorization, "_search", lambda *args, **kwargs: (got.distance + 1.0, None, 0))
+    assert best_approx_distance(x, m=5) == got.distance
+    assert best_approx_distance(x, m=3) == got.distance + 1.0
+
+
+def test_failed_search_leaves_the_witness_from_m4(monkeypatch):
+    # a LinAlgError in the search (the polish can overflow exp) propagates
+    # below four factors and cannot reach the closed form from four on
     def search(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(factorization, "_search", search)
+    x = random_element(M2, rng_from((77, 1)))
+    assert best_approx_distance(x, m=4) == distance_to_closure(x).distance
     with pytest.raises(np.linalg.LinAlgError):
         best_approx_distance(x, m=3)
 
