@@ -211,12 +211,6 @@ def _unitarity_errors(svals) -> np.ndarray:
     return functools.reduce(np.maximum, [np.abs(s**2 - 1).max(axis=-1) for s in svals])
 
 
-def _unitarity_error(x: Element) -> float:
-    """_unitarity_errors of one element: its blocks' singular values are
-    one (n,) array each."""
-    return float(_unitarity_errors([np.linalg.svd(b, compute_uv=False) for b in x.blocks]))
-
-
 def _herm(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 

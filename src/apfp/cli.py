@@ -148,6 +148,8 @@ def _config_from_args(args) -> RunConfig:
             known = ", ".join(TOLERANCES)
             raise ValueError(f"unknown --tol name {name!r}, expected one of {known}")
         tols[name] = float(val)
+        if not 0 <= tols[name] < np.inf:
+            raise ValueError(f"--tol {name} must be finite and non-negative, got {tols[name]}")
     if get("factors", 1) < 1:
         raise ValueError(f"--factors must be at least 1, got {get('factors', 1)}")
     seed = get("seed", 0)

@@ -56,8 +56,8 @@ TWO_PI = 2.0 * np.pi
 #
 # Internal protocol: _values(ts) evaluates the path at a 1-d array of
 # parameters, one (len(ts), n, n) stack per block, and is the one route
-# to a path's values; _value(t) is its k = 1 case.  _det() returns the
-# determinant as a complex vector with one coordinate per block.
+# to a path's values.  _det() returns the determinant as a complex
+# vector with one coordinate per block.
 
 
 class InvertiblePath:
@@ -68,9 +68,6 @@ class InvertiblePath:
 
     def _values(self, ts: np.ndarray) -> tuple[np.ndarray, ...]:
         raise NotImplementedError
-
-    def _value(self, t: float) -> Element:
-        return Element(self.algebra, tuple(b[0] for b in self._values(np.array([float(t)]))))
 
     def _det(self) -> np.ndarray:
         raise NotImplementedError
@@ -262,16 +259,12 @@ class Sampled(InvertiblePath):
         for _, v in samples:
             if v.algebra != alg:
                 raise ValueError("samples share one algebra")
-        for (_, a), (_, b) in zip(samples, samples[1:]):
-            step = max(
-                np.linalg.norm(bb @ np.linalg.inv(ab) - np.eye(len(ab)), 2)
-                for ab, bb in zip(a.blocks, b.blocks)
-            )
-            if step >= 0.5:
-                raise ValueError(
-                    f"consecutive samples too far apart (step {step:.3f} >= 1/2)"
-                )
         object.__setattr__(self, "samples", samples)
+        # ||a_{j+1} a_j^{-1} - 1|| for every pair, one stack per block
+        steps = _identity_distances([s[1:] @ np.linalg.inv(s[:-1]) for s in self._stacks])
+        far = steps >= 0.5
+        if far.any():
+            raise ValueError(f"consecutive samples too far apart (step {steps[far.argmax()]:.3f} >= 1/2)")
         svals = [np.linalg.svd(s, compute_uv=False) for s in self._stacks]
         singular = np.any([s[:, -1] <= SINGULARITY_RTOL * _op_norms(svals) for s in svals], axis=0)
         if singular.any():

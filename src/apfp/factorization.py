@@ -31,8 +31,8 @@ from .algebra import (
     Element,
     TraceValue,
     _herm,
-    _unitarity_error,
-    adjoint,
+    _identity_distances,
+    _unitarity_errors,
     exp_element,
     is_positive,
     log_positive,
@@ -42,7 +42,7 @@ from .algebra import (
     polar,
     universal_trace,
 )
-from .determinant import InvertiblePath, ProductPolar, log_det
+from .determinant import InvertiblePath, ProductPolar, evaluate_many, log_det
 from .errors import (
     APFPError,
     DeterminantNotOne,
@@ -65,6 +65,12 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
+        for name in ("gradient_tolerance", "target_residual"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +107,18 @@ class ExponentialSplitting:
         return universal_trace(self.log_sum())
 
 
-def _assert_unitary(v: Element, t, tol=1e-8):
-    err = _unitarity_error(v)
-    if err > tol:
-        raise NotUnitaryPath(f"path value at t={t} is not unitary ({err:.3e})")
-
-
 MAX_SPLIT_SEGMENTS = 2 ** 16
+
+
+def _unitary_values(path: InvertiblePath, ts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """evaluate_many at ts, then unitarity to 1e-8 at each t in order."""
+    got = evaluate_many(path, ts)
+    errs = _unitarity_errors(got.svals)
+    bad = errs > 1e-8
+    if bad.any():
+        i = int(bad.argmax())
+        raise NotUnitaryPath(f"path value at t={float(ts[i])} is not unitary ({errs[i]:.3e})")
+    return got.blocks
 
 
 def split_into_exponentials(
@@ -115,47 +126,42 @@ def split_into_exponentials(
 ) -> ExponentialSplitting:
     """Coarsest dyadic partition with every unitary increment within
     max_step_norm of the identity; only offending sub-intervals are
-    refined."""
+    refined.
+
+    The refinement runs one dyadic level at a time: the steps
+    u(t_{k-1})^* u(t_k) of a level are one stack per block, and the
+    midpoints of all offending steps are evaluated in one evaluate_many
+    call.  Raises ValueError when the path does not start at the
+    identity, NonFiniteValue or SingularValueOnPath (from evaluate_many)
+    and NotUnitaryPath (beyond 1e-8) for a value it reads,
+    PartitionOverflow when the partition would pass MAX_SPLIT_SEGMENTS
+    segments, and BranchCut when a step's logarithm reaches the cut.
+    """
     t1, t2 = path.domain
-    values = {}
-
-    def at(s):  # s in [0,1] normalized
-        got = values.get(s)
-        if got is None:
-            got = values[s] = path._value(t1 + (t2 - t1) * s)
-            _assert_unitary(got, t1 + (t2 - t1) * s)
-        return got
-
-    start = at(0.0)
-    if op_norm(start - path.algebra.identity()) > 1e-8:
+    s = np.array([0.0, 1.0])  # the cuts, normalized to [0, 1]
+    vals = _unitary_values(path, t1 + (t2 - t1) * s)
+    if _identity_distances([v[:1] for v in vals])[0] > 1e-8:
         raise ValueError("split_into_exponentials needs a path starting at the identity")
-
-    pending = [(0.0, 1.0)]
-    accepted = []
-    count = 1
-    while pending:
-        a, b = pending.pop()
-        step = mul(adjoint(at(a)), at(b))
-        gap = op_norm(step - path.algebra.identity())
-        if gap <= max_step_norm:
-            accepted.append((a, b))
-            continue
-        count += 1
-        if count > MAX_SPLIT_SEGMENTS:
+    while True:
+        steps = tuple(v[:-1].conj().swapaxes(-1, -2) @ v[1:] for v in vals)
+        # not "> max_step_norm": a NaN threshold accepts no step
+        over = np.flatnonzero(~(_identity_distances(steps) <= max_step_norm))
+        if not over.size:
+            break
+        if len(s) - 1 + over.size > MAX_SPLIT_SEGMENTS:
             raise PartitionOverflow(
                 f"dyadic refinement would exceed {MAX_SPLIT_SEGMENTS} segments"
             )
-        mid = 0.5 * (a + b)
-        pending.append((mid, b))
-        pending.append((a, mid))
-
-    accepted.sort()
-    logs = []
-    for a, b in accepted:
-        step = mul(adjoint(at(a)), at(b))
-        logs.append(log_unitary_principal(step))
-    partition = tuple(t1 + (t2 - t1) * s for s, _ in accepted) + (t2,)
-    return ExponentialSplitting(partition, tuple(logs), at(1.0))
+        mids = 0.5 * (s[over] + s[over + 1])
+        new = _unitary_values(path, t1 + (t2 - t1) * mids)
+        s = np.insert(s, over + 1, mids)
+        vals = tuple(np.insert(v, over + 1, w, axis=0) for v, w in zip(vals, new))
+    logs = tuple(
+        log_unitary_principal(Element(path.algebra, tuple(st[k] for st in steps)))
+        for k in range(len(s) - 1)
+    )
+    partition = tuple((t1 + (t2 - t1) * s[:-1]).tolist()) + (t2,)
+    return ExponentialSplitting(partition, logs, Element(path.algebra, tuple(v[-1] for v in vals)))
 
 
 # ---------------------------------------------------------------------------

@@ -199,3 +199,48 @@ def pointwise_value(path, t: float):
         t1, t2 = path.inner.domain
         return pointwise_value(path.inner, t1 + t2 - t)
     raise ValueError(f"unknown path kind {kind}")
+
+
+def depth_first_split(path, max_step_norm: float = 0.5, max_segments: int = 2**16):
+    """The dyadic exponential splitting evaluated one point at a time:
+    intervals are refined depth first from a stack, each value comes from
+    pointwise_value and is checked for unitarity when first read, and the
+    logs are taken in a second pass over the accepted intervals.  Returns
+    (partition, logs, endpoint), logs and endpoint as Elements."""
+    from apfp import Element, adjoint, log_unitary_principal, mul, op_norm
+    from apfp.errors import NotUnitaryPath, PartitionOverflow
+
+    t1, t2 = path.domain
+    values = {}
+
+    def at(s):
+        if s not in values:
+            t = t1 + (t2 - t1) * s
+            v = Element(path.algebra, tuple(pointwise_value(path, t)))
+            for b in v.blocks:
+                sv = np.linalg.svd(b, compute_uv=False)
+                if np.abs(sv**2 - 1).max() > 1e-8:
+                    raise NotUnitaryPath(f"path value at t={t} is not unitary")
+            values[s] = v
+        return values[s]
+
+    if op_norm(at(0.0) - path.algebra.identity()) > 1e-8:
+        raise ValueError("the path does not start at the identity")
+    pending = [(0.0, 1.0)]
+    accepted = []
+    count = 1
+    while pending:
+        a, b = pending.pop()
+        if op_norm(mul(adjoint(at(a)), at(b)) - path.algebra.identity()) <= max_step_norm:
+            accepted.append((a, b))
+            continue
+        count += 1
+        if count > max_segments:
+            raise PartitionOverflow(f"dyadic refinement would exceed {max_segments} segments")
+        mid = 0.5 * (a + b)
+        pending.append((mid, b))
+        pending.append((a, mid))
+    accepted.sort()
+    logs = [log_unitary_principal(mul(adjoint(at(a)), at(b))) for a, b in accepted]
+    partition = tuple(t1 + (t2 - t1) * s for s, _ in accepted) + (t2,)
+    return partition, logs, at(1.0)

@@ -25,6 +25,7 @@ from apfp import (
     check_conditions,
     commutator_factor_su,
     distance_to_closure,
+    evaluate,
     factor_positive_products,
     is_positive,
     lattice_distance,
@@ -119,7 +120,7 @@ def test_forward_construction():
         assert max(abs(v) for v in det.coords) <= 1e-7
         split = split_into_exponentials(path)
         assert quotient_norm(split.trace_sum()) <= 1e-7
-        assert op_norm(split.reconstruct() - path._value(1.0)) <= 1e-8
+        assert op_norm(split.reconstruct() - evaluate(path, 1.0)) <= 1e-8
 
 
 @criterion(3, "positive factorization of members")

@@ -529,8 +529,23 @@ def test_factor_decides_membership_at_the_default_tolerance(tmp_path, capsys):
         ["membership", "--tol", "loop_endpoit=1e-3"],
         ["det-path", "--tol", "membership"],
         ["det-path", "--tol", "loop_endpoint=tight"],
+        ["membership", "--tol", "membership=nan"],
+        ["det-path", "--tol", "loop_endpoint=-1e-8"],
+        ["factor", "--target-residual", "nan"],
+        ["factor", "--gradient-tolerance", "nan"],
+        ["factor", "--gradient-tolerance", "-1"],
     ],
-    ids=["removed-flag", "unknown-name", "no-value", "bad-value"],
+    ids=[
+        "removed-flag",
+        "unknown-name",
+        "no-value",
+        "bad-value",
+        "nan-tol",
+        "negative-tol",
+        "nan-target-residual",
+        "nan-gradient-tolerance",
+        "negative-gradient-tolerance",
+    ],
 )
 def test_bad_tolerance_flags_exit_2(tmp_path, capsys, argv):
     f = near_member_file(tmp_path)
@@ -548,6 +563,8 @@ def test_bad_tolerance_flags_exit_2(tmp_path, capsys, argv):
         ["--restarts", "0"],
         ["--factors", "3", "--restarts", "0"],
         ["--restarts", "-2", "--factors", "5"],
+        ["--max-iterations", "0"],
+        ["--max-iterations", "-1"],
     ],
 )
 @pytest.mark.parametrize("member", [True, False])

@@ -91,8 +91,7 @@ def test_expline_matches_trace_for_general_generator(seed):
 def test_expline_against_logdet_oracle():
     c = random_element(M23, rng_from(99))
     path = ExpLine(c)
-    for i in range(M23.rank):
-        samples = [path._value(t).blocks[i] for t in np.linspace(0.0, 1.0, 2001)]
+    for i, samples in enumerate(path._values(np.linspace(0.0, 1.0, 2001))):
         oracle = logdet_along_path(samples)
         got = path_determinant(path).coords[i]
         assert abs(got - oracle) <= 1e-6
@@ -324,8 +323,7 @@ def test_sampled_against_logdet_oracle():
     c = random_self_adjoint(M2, rng, norm=1.2)
     d = random_self_adjoint(M2, rng, norm=0.8)
     path = sampled_product_path(c, d, points=129)
-    fine = [path._value(float(t)).blocks[0] for t in np.linspace(0.0, 1.0, 4001)]
-    oracle = logdet_along_path(fine)
+    oracle = logdet_along_path(path._values(np.linspace(0.0, 1.0, 4001))[0])
     got = path_determinant(path).coords[0]
     assert abs(got - oracle) <= 1e-6
 
@@ -372,8 +370,12 @@ def test_sampled_validation():
     with pytest.raises(ValueError):
         Sampled(((0.0, one), (0.0, one)))
     far = elem(M1, [[4.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"too far apart \(step 3\.000 >= 1/2\)"):
         Sampled(((0.0, one), (1.0, far)))
+    # the message names the first pair at or above 1/2
+    steps = [elem(M1, [[v]]) for v in (1.0, 1.2, 1.2 * 1.6, 1.2 * 1.6 * 3.0)]
+    with pytest.raises(ValueError, match=r"step 0\.600 >= 1/2"):
+        Sampled(tuple(enumerate(steps)))
     # numerically singular samples that still pass the step check
     a = elem(M2, [[1, 0], [0, 1e-14]])
     b = elem(M2, [[1, 0], [0, 1.2e-14]])
@@ -445,7 +447,7 @@ def test_polar_path_values_are_unitary():
     d = random_self_adjoint(M23, rng, norm=1.5)
     path = polar_path(c, d)
     for t in np.linspace(0.0, 1.0, 9):
-        v = path._value(float(t))
+        v = evaluate(path, float(t))
         err = max(
             np.linalg.norm(b.conj().T @ b - np.eye(len(b)), 2) for b in v.blocks
         )
@@ -479,10 +481,7 @@ def logdet_oracle(path, points=401):
     if isinstance(path, Concatenation):
         return logdet_oracle(path.first, points) + logdet_oracle(path.second, points)
     t1, t2 = path.domain
-    values = [path._value(float(t)) for t in np.linspace(t1, t2, points)]
-    return np.array(
-        [logdet_along_path([v.blocks[i] for v in values]) for i in range(path.algebra.rank)]
-    )
+    return np.array([logdet_along_path(b) for b in path._values(np.linspace(t1, t2, points))])
 
 
 def polar_at_norm(seed, norm):

@@ -4,9 +4,10 @@ optimizer."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import closure_distance, power_iteration_norm
+from oracles import closure_distance, depth_first_split, power_iteration_norm
 
 import apfp.factorization as factorization
+from apfp.algebra import _identity_distances
 from apfp import (
     AlgebraDescriptor,
     Element,
@@ -16,6 +17,7 @@ from apfp import (
     best_approx_distance,
     commutator_factor_su,
     distance_to_closure,
+    evaluate,
     exp_element,
     factor_positive_products,
     is_positive,
@@ -30,6 +32,7 @@ from apfp import (
 from apfp.errors import (
     DeterminantNotOne,
     NoConvergence,
+    NonFiniteValue,
     NotInClosure,
     PartitionOverflow,
     SingularInput,
@@ -66,7 +69,7 @@ def test_split_single_small_rotation():
     split = split_into_exponentials(path, max_step_norm=0.9)
     assert len(split.logs) == 1
     assert op_norm(split.logs[0] - h) <= 1e-10
-    assert op_norm(split.reconstruct() - path._value(1.0)) <= 1e-10
+    assert op_norm(split.reconstruct() - evaluate(path, 1.0)) <= 1e-10
 
 
 def test_split_polar_path_sums_to_zero_trace():
@@ -76,7 +79,7 @@ def test_split_polar_path_sums_to_zero_trace():
     path = polar_path(c, d)
     split = split_into_exponentials(path)
     assert quotient_norm(split.trace_sum()) <= 1e-7
-    assert op_norm(split.reconstruct() - path._value(1.0)) <= 1e-8
+    assert op_norm(split.reconstruct() - evaluate(path, 1.0)) <= 1e-8
 
 
 def test_split_ill_conditioned_polar_path():
@@ -88,7 +91,7 @@ def test_split_ill_conditioned_polar_path():
     path = polar_path(c, d)
     split = split_into_exponentials(path)
     assert quotient_norm(split.trace_sum()) <= 1e-7
-    assert op_norm(split.reconstruct() - path._value(1.0)) <= 1e-8
+    assert op_norm(split.reconstruct() - evaluate(path, 1.0)) <= 1e-8
 
 
 def test_split_partition_is_increasing_and_spans_domain():
@@ -122,6 +125,51 @@ def test_split_rejects_non_unitary_path():
     path = ExpLine(elem(M2, [[0.5, 0], [0, -0.5]]))  # positive values
     with pytest.raises(NotUnitaryPath):
         split_into_exponentials(path)
+
+
+def test_split_overflow_boundary():
+    # every step of e^{it} over 2^-k has the same gap, about 2^-k, so a
+    # threshold the 2^16-segment partition meets stops there and one only
+    # the 2^17-segment partition meets overflows
+    path = ExpLine(1j * elem(M1, [[1.0]]))
+
+    def gaps(level):
+        (v,) = path._values(np.arange(2**level + 1) / 2**level)
+        return _identity_distances([v[:-1].conj() * v[1:]])
+
+    split = split_into_exponentials(path, max_step_norm=float(gaps(16).max()))
+    assert len(split.logs) == 2**16 == factorization.MAX_SPLIT_SEGMENTS
+    with pytest.raises(PartitionOverflow):
+        split_into_exponentials(path, max_step_norm=float(gaps(17).max()))
+
+
+def test_split_non_finite_value_raises_non_finite():
+    # e^{800 t} overflows at t = 1, and evaluate_many reports it
+    with pytest.raises(NonFiniteValue):
+        split_into_exponentials(ExpLine(elem(M1, [[800.0]])))
+
+
+def split_reference_paths():
+    rng = rng_from(2024)
+    for _ in range(12):
+        c = random_self_adjoint(M23, rng, norm=float(rng.uniform(1.0, 2.0)))
+        d = random_self_adjoint(M23, rng, norm=float(rng.uniform(1.0, 2.0)))
+        yield polar_path(c, d), 0.5
+    yield polar_path(c, d), 0.1
+    # the ill-conditioned path of test_split_ill_conditioned_polar_path
+    rng = rng_from(1)
+    c = random_self_adjoint(M23, rng, norm=5.0)
+    yield polar_path(c, random_self_adjoint(M23, rng, norm=4.0)), 0.5
+
+
+def test_split_matches_depth_first_reference_bitwise():
+    for path, max_step_norm in split_reference_paths():
+        split = split_into_exponentials(path, max_step_norm)
+        partition, logs, endpoint = depth_first_split(path, max_step_norm)
+        assert split.partition == partition
+        assert len(split.logs) == len(logs)
+        for got, want in zip((*split.logs, split.endpoint), (*logs, endpoint)):
+            assert all(np.array_equal(g, w) for g, w in zip(got.blocks, want.blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +513,14 @@ def test_counts_below_one_are_rejected():
     for restarts in (0, -1):
         with pytest.raises(ValueError, match="restart"):
             OptimizerConfig(restarts=restarts)
+    for max_iterations in (0, -1):
+        with pytest.raises(ValueError, match="max_iterations"):
+            OptimizerConfig(max_iterations=max_iterations)
+    # a NaN target would let every residual pass: residual > nan is false
+    for name in ("gradient_tolerance", "target_residual"):
+        for bad in (float("nan"), -1.0, float("inf")):
+            with pytest.raises(ValueError, match=name):
+                OptimizerConfig(**{name: bad})
     x = elem(M2, [[1.0, 0.0], [0.0, -1.0]])
     for m in (0, -2):
         with pytest.raises(ValueError, match="factor"):
