@@ -373,9 +373,9 @@ def test_sampled_validation():
     with pytest.raises(ValueError, match=r"too far apart \(step 3\.000 >= 1/2\)"):
         Sampled(((0.0, one), (1.0, far)))
     # the message names the first pair at or above 1/2
-    steps = [elem(M1, [[v]]) for v in (1.0, 1.2, 1.2 * 1.6, 1.2 * 1.6 * 3.0)]
+    samples = [elem(M1, [[v]]) for v in (1.0, 1.2, 1.2 * 1.6, 1.2 * 1.6 * 3.0)]
     with pytest.raises(ValueError, match=r"step 0\.600 >= 1/2"):
-        Sampled(tuple(enumerate(steps)))
+        Sampled(tuple(enumerate(samples)))
     # numerically singular samples that still pass the step check
     a = elem(M2, [[1, 0], [0, 1e-14]])
     b = elem(M2, [[1, 0], [0, 1.2e-14]])
