@@ -212,7 +212,8 @@ def _unitarity_errors(svals) -> np.ndarray:
 
 
 def _herm(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
+    """Hermitian part of a matrix, or of each matrix in a stack."""
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def is_positive(x: Element, tol: float | None = None) -> bool:

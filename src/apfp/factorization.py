@@ -32,6 +32,8 @@ from .algebra import (
     TraceValue,
     _herm,
     _identity_distances,
+    _positive_at,
+    _same_algebra,
     _unitarity_errors,
     exp_element,
     is_positive,
@@ -517,16 +519,34 @@ class PositiveFactorization:
     route: str = field(default="search", compare=False)
 
     def __post_init__(self):
-        prod = self.target.algebra.identity()
+        stacks = self._stacks()
+        tols = np.full(len(self.factors), FACTOR_POSITIVITY_TOL)
+        if not _positive_at(stacks, tols).all():
+            raise NotPositive("factorization contains a non-positive factor")
+        prods = []
+        for stack in stacks:
+            prod = np.eye(stack.shape[-1], dtype=complex)
+            for p in stack:
+                prod = prod @ p
+            prods.append(prod)
+        product = Element(self.target.algebra, tuple(prods))
+        object.__setattr__(self, "residual", op_norm(product - self.target))
+
+    def _stacks(self) -> tuple[np.ndarray, ...]:
+        """Block i of every factor as one (m, n_i, n_i) stack per block
+        (shaped so, too, when there are no factors)."""
         for p in self.factors:
-            if not is_positive(p, FACTOR_POSITIVITY_TOL):
-                raise NotPositive("factorization contains a non-positive factor")
-            prod = mul(prod, p)
-        object.__setattr__(self, "residual", op_norm(prod - self.target))
+            _same_algebra(p, self.target)
+        return tuple(
+            np.array([p.blocks[i] for p in self.factors]).reshape(len(self.factors), n, n)
+            for i, n in enumerate(self.target.algebra.block_sizes)
+        )
 
     @property
     def max_factor_norm(self) -> float:
-        return max(op_norm(p) for p in self.factors)
+        return max(
+            float(np.linalg.svd(stack, compute_uv=False)[:, 0].max()) for stack in self._stacks()
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -541,16 +561,21 @@ class PositiveFactorization:
 # that the next LU pivot of X^-1 T X is beta_k gamma_k.  Wu, "Products of
 # positive semidefinite matrices" (Linear Algebra Appl. 111, 1988): V L
 # V^-1 with L > 0 diagonal is the product of the positives V L V* and
-# (V V*)^-1.  So T = P1 P2 P3 P4; a non-positive scalar block takes a
-# fifth factor in front, T = P0 (P0^-1 T).  Conditioning is kept down by
-# geometric spectra (beta increasing, gamma decreasing, every pivot the
-# same), unit eigenvectors, equal norms across the factors of a block,
-# and the best of a few seeded choices of the first vectors.
+# (V V*)^-1.  So T = P1 P2 P3 P4; a non-positive scalar block, and at m
+# >= 5 any block near one, takes a fifth factor in front, T = P0 (P0^-1
+# T).  Conditioning is kept down by geometric spectra (beta increasing,
+# gamma decreasing, every pivot the same), unit eigenvectors, equal norms
+# across the factors of a block, and the best of a few seeded choices of
+# the first vectors, all carried through every step as one stack.
 
 SPECTRUM_RATIO = 3.0
 CONSTRUCTION_CANDIDATES = 4
 # a block within this relative distance of a scalar takes the scalar route
 _SCALAR_RTOL = 1e-12
+# at m >= 5, a block within this relative distance of a scalar off the
+# positive ray takes the lead P0: the direct route fails below about 3e-3,
+# and its factor norm grows like 1.5 / distance (148 at 0.05)
+_NEAR_SCALAR_RTOL = 0.1
 
 
 def _ramp(n: int) -> np.ndarray:
@@ -559,90 +584,123 @@ def _ramp(n: int) -> np.ndarray:
 
 
 def _triangular_eigvecs(t: np.ndarray) -> np.ndarray:
-    """Unit upper-triangular V with t = V diag(t) V^-1, for an
-    upper-triangular t with distinct diagonal."""
-    n = len(t)
-    d = np.diag(t)
-    v = np.eye(n, dtype=complex)
+    """Unit upper-triangular V with t = V diag(t) V^-1, for each
+    upper-triangular t of a stack, with distinct diagonal."""
+    n = t.shape[-1]
+    d = np.diagonal(t, axis1=-2, axis2=-1)
+    v = np.broadcast_to(np.eye(n, dtype=complex), t.shape).copy()
     for i in range(n - 2, -1, -1):
-        v[i, i + 1 :] = (t[i, i + 1 :] @ v[i + 1 :, i + 1 :]) / (d[i + 1 :] - d[i])
+        row = t[:, i, None, i + 1 :] @ v[:, i + 1 :, i + 1 :]
+        v[:, i, i + 1 :] = row[:, 0] / (d[:, i + 1 :] - d[:, i, None])
     return v
 
 
 def _wu_pair(v: np.ndarray, lam: np.ndarray) -> list[np.ndarray]:
     """The positives (V L V*, (V V*)^-1) whose product is V L V^-1, with
-    the columns of V scaled to unit norm."""
-    v = v / np.linalg.norm(v, axis=0)
+    the columns of V scaled to unit norm, for each V of a stack."""
+    v = v / np.linalg.norm(v, axis=-2, keepdims=True)
     vi = np.linalg.inv(v)
-    return [_herm((v * lam) @ v.conj().T), _herm(vi.conj().T @ vi)]
+    return [_herm((v * lam[..., None, :]) @ _ct(v)), _herm(_ct(vi) @ vi)]
 
 
-def _sourour_wu(t: np.ndarray, beta: np.ndarray, rng) -> list[np.ndarray]:
-    """Four positives with product t, a non-scalar block with det t > 0,
-    B's spectrum beta and C's spectrum |det t| / beta in pivot order."""
+def _sourour_wu(t: np.ndarray, beta: np.ndarray, draws: np.ndarray) -> list[np.ndarray]:
+    """Four stacks of positives, each (len(draws), n, n): one
+    factorization of t per candidate, for a non-scalar block with det t >
+    0, B's spectrum beta and C's spectrum |det t| / beta in pivot order.
+    Row c of draws holds candidate c's first vectors, for each step k the
+    real and then the imaginary parts of its n - k entries."""
     n = len(t)
     pivot = np.exp(np.linalg.slogdet(t)[1] / n)
-    x = np.eye(n, dtype=complex)
+    x = np.broadcast_to(np.eye(n, dtype=complex), (len(draws), n, n)).copy()
     s = t
+    at = 0
     for k in range(n - 1):
-        v = rng.normal(size=n - k) + 1j * rng.normal(size=n - k)
-        g = np.stack([v, s @ v], axis=1)
-        w = g @ np.linalg.solve(g.conj().T @ g, [1.0, pivot])
-        q, _ = np.linalg.qr(np.column_stack([w, np.eye(n - k)]))
-        y = np.column_stack([v, q[:, 1:]])  # q[:, 1:] spans w-perp
-        x[:, k:] = x[:, k:] @ y
+        size = n - k
+        v = draws[:, at : at + size] + 1j * draws[:, at + size : at + 2 * size]
+        at += 2 * size
+        g = np.stack([v, (s @ v[..., None])[..., 0]], axis=-1)
+        w = g @ np.linalg.solve(_ct(g) @ g, [1.0, pivot])[..., None]
+        eye = np.broadcast_to(np.eye(size), (len(v), size, size))
+        q = np.linalg.qr(np.concatenate([w, eye], axis=-1))[0]
+        y = np.concatenate([v[..., None], q[..., 1:]], axis=-1)  # q[..., 1:] spans w-perp
+        x[..., k:] = x[..., k:] @ y
         a = np.linalg.solve(y, s @ y)
-        s = a[1:, 1:] - np.outer(a[1:, 0], a[0, 1:]) / a[0, 0]
+        s = a[:, 1:, 1:] - a[:, 1:, :1] * a[:, None, 0, 1:] / a[:, :1, :1]
     # LU of X^-1 t X without pivoting; its pivots are the chosen ones up
     # to rounding, except the last, which is det t / pivot^(n-1)
     u = np.linalg.solve(x, t @ x)
-    lower = np.eye(n, dtype=complex)
+    lower = np.broadcast_to(np.eye(n, dtype=complex), u.shape).copy()
     for k in range(n - 1):
-        lower[k + 1 :, k] = u[k + 1 :, k] / u[k, k]
-        u[k + 1 :] -= np.outer(lower[k + 1 :, k], u[k])
-    d = np.diag(u).copy()
+        lower[:, k + 1 :, k] = u[:, k + 1 :, k] / u[:, k, k, None]
+        u[:, k + 1 :] -= lower[:, k + 1 :, k, None] * u[:, None, k]
+    d = np.diagonal(u, axis1=-2, axis2=-1).copy()
     gamma = np.abs(d) / beta
     b = lower * beta
-    c = gamma[:, None] * (u / d[:, None])
+    c = gamma[..., None] * (u / d[..., None])
     # B's eigenvectors from those of the flipped (upper-triangular) B
-    vb = _triangular_eigvecs(b[::-1, ::-1])[::-1, ::-1]
+    vb = _triangular_eigvecs(b[:, ::-1, ::-1])[:, ::-1, ::-1]
     return _wu_pair(x @ vb, beta) + _wu_pair(x @ _triangular_eigvecs(c), gamma)
 
 
-def _balanced(factors: list[np.ndarray]) -> tuple[list[np.ndarray], float]:
-    """Rescale by positive scalars with product 1 to equal norms; returns
-    the factors and that common norm, their geometric mean."""
-    stack = np.array(factors)
-    norms = np.linalg.norm(stack, 2, axis=(1, 2))
-    mean = float(np.exp(np.mean(np.log(norms))))
-    return list(stack * (mean / norms)[:, None, None]), mean
+def _balanced(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rescale the factors of each candidate in a (C, f, n, n) stack by
+    positive scalars with product 1 to equal norms; returns the stack and
+    each candidate's common norm, the geometric mean of its norms."""
+    norms = np.linalg.norm(stack, 2, axis=(-2, -1))
+    mean = np.exp(np.mean(np.log(norms), axis=-1))
+    return stack * (mean[:, None] / norms)[..., None, None], mean
+
+
+def _lead(t: np.ndarray, m: int) -> tuple[list[np.ndarray], np.ndarray | None] | None:
+    """The route of a block: None for a non-positive scalar when m < 5;
+    otherwise the leading factors and the rest of t that Sourour and Wu
+    factor, or None for the rest when the lead is the whole
+    factorization (a positive scalar).  At m >= 5, a block whose mean
+    eigenvalue mu = tr t / n lies nearer a ray exp(2 pi i k / n) with k !=
+    0 than the positive one, and with ||t - mu 1||_F <= _NEAR_SCALAR_RTOL
+    |mu| n, takes the lead P0 = diag(ramp), which moves the rest away from
+    the scalars."""
+    n = len(t)
+    mu = np.trace(t) / n
+    gap = np.linalg.norm(t - mu * np.eye(n))
+    # det t > 0 puts a scalar's mu on a ray exp(2 pi i k / n); k = 0 is positive
+    positive = round(n * np.angle(mu) / (2 * np.pi)) == 0
+    if gap <= _SCALAR_RTOL * abs(mu) * n:
+        if positive:
+            return [abs(mu) * np.eye(n, dtype=complex)], None
+        if m < 5:
+            return None
+    if m >= 5 and not positive and gap <= _NEAR_SCALAR_RTOL * abs(mu) * n:
+        lead = np.diag(_ramp(n)).astype(complex)
+        return [lead], np.linalg.solve(lead, t)
+    return [], t
 
 
 def _construct_block(t: np.ndarray, m: int, rng) -> list[np.ndarray] | None:
     """At most m positive factors with product t (det t > 0), or None
     when the block is a non-positive scalar and m < 5, or when no
-    candidate gave finite factors."""
+    candidate gave finite factors.  All CONSTRUCTION_CANDIDATES choices
+    of the first vectors run as one stack, and the one with the smallest
+    finite norm wins, ties to the lower index.  A LinAlgError in a
+    stacked step raises for the whole stack, so one failing candidate
+    leaves the element to the search."""
+    route = _lead(t, m)
+    if route is None:
+        return None
+    lead, t = route
+    if t is None:
+        return lead
     n = len(t)
-    mu = np.trace(t) / n
-    lead = []
-    if np.linalg.norm(t - mu * np.eye(n)) <= _SCALAR_RTOL * abs(mu) * n:
-        # det t > 0 puts mu on a ray exp(2 pi i k / n); k = 0 is positive
-        if round(n * np.angle(mu) / (2 * np.pi)) == 0:
-            return [abs(mu) * np.eye(n, dtype=complex)]
-        if m < 5:
-            return None
-        lead = [np.diag(_ramp(n)).astype(complex)]
-        t = np.linalg.solve(lead[0], t)
     beta = np.exp(np.linalg.slogdet(t)[1] / (2 * n)) * _ramp(n)
-    best, best_norm = None, np.inf
-    for _ in range(CONSTRUCTION_CANDIDATES):
-        try:
-            factors, norm = _balanced(lead + _sourour_wu(t, beta, rng))
-        except np.linalg.LinAlgError:
-            continue
-        if norm < best_norm:  # false for a non-finite candidate
-            best, best_norm = factors, norm
-    return best
+    # 2 (n - k) normals at each step k < n - 1, per candidate in turn
+    draws = rng.normal(size=(CONSTRUCTION_CANDIDATES, (n - 1) * (n + 2)))
+    factors = _sourour_wu(t, beta, draws)
+    lead = [np.broadcast_to(p, factors[0].shape) for p in lead]
+    stack, norms = _balanced(np.stack(lead + factors, axis=1))
+    finite = np.isfinite(norms)
+    if not finite.any():
+        return None
+    return list(stack[np.argmin(np.where(finite, norms, np.inf))])
 
 
 def _construct(x: Element, m: int, seed: int) -> tuple[Element, ...] | None:

@@ -244,3 +244,88 @@ def depth_first_split(path, max_step_norm: float = 0.5, max_segments: int = 2**1
     logs = [log_unitary_principal(mul(adjoint(at(a)), at(b))) for a, b in accepted]
     partition = tuple(t1 + (t2 - t1) * s for s, _ in accepted) + (t2,)
     return partition, logs, at(1.0)
+
+
+def per_candidate_construct(x, m: int, seed: int):
+    """The closed-form factors of a member x (m >= 4) with the candidates
+    of each block tried one after another: each draws its first vectors
+    from the block's generator as it runs, one that raises LinAlgError
+    is skipped, and a later one wins only with a strictly smaller finite
+    norm.  The route of each block is the package's own (_lead).  The
+    package runs all candidates as one stack; its factors must equal
+    these bit for bit."""
+    from apfp import Element
+    from apfp.algebra import _herm
+    from apfp.factorization import CONSTRUCTION_CANDIDATES, _lead, _ramp
+
+    def triangular_eigvecs(t):
+        n = len(t)
+        d = np.diag(t)
+        v = np.eye(n, dtype=complex)
+        for i in range(n - 2, -1, -1):
+            v[i, i + 1 :] = (t[i, i + 1 :] @ v[i + 1 :, i + 1 :]) / (d[i + 1 :] - d[i])
+        return v
+
+    def wu_pair(v, lam):
+        v = v / np.linalg.norm(v, axis=0)
+        vi = np.linalg.inv(v)
+        return [_herm((v * lam) @ v.conj().T), _herm(vi.conj().T @ vi)]
+
+    def sourour_wu(t, beta, rng):
+        n = len(t)
+        pivot = np.exp(np.linalg.slogdet(t)[1] / n)
+        x = np.eye(n, dtype=complex)
+        s = t
+        for k in range(n - 1):
+            v = rng.normal(size=n - k) + 1j * rng.normal(size=n - k)
+            g = np.stack([v, s @ v], axis=1)
+            w = g @ np.linalg.solve(g.conj().T @ g, [1.0, pivot])
+            q, _ = np.linalg.qr(np.column_stack([w, np.eye(n - k)]))
+            y = np.column_stack([v, q[:, 1:]])
+            x[:, k:] = x[:, k:] @ y
+            a = np.linalg.solve(y, s @ y)
+            s = a[1:, 1:] - np.outer(a[1:, 0], a[0, 1:]) / a[0, 0]
+        u = np.linalg.solve(x, t @ x)
+        lower = np.eye(n, dtype=complex)
+        for k in range(n - 1):
+            lower[k + 1 :, k] = u[k + 1 :, k] / u[k, k]
+            u[k + 1 :] -= np.outer(lower[k + 1 :, k], u[k])
+        d = np.diag(u).copy()
+        gamma = np.abs(d) / beta
+        b = lower * beta
+        c = gamma[:, None] * (u / d[:, None])
+        vb = triangular_eigvecs(b[::-1, ::-1])[::-1, ::-1]
+        return wu_pair(x @ vb, beta) + wu_pair(x @ triangular_eigvecs(c), gamma)
+
+    def balanced(factors):
+        stack = np.array(factors)
+        norms = np.linalg.norm(stack, 2, axis=(1, 2))
+        mean = float(np.exp(np.mean(np.log(norms))))
+        return list(stack * (mean / norms)[:, None, None]), mean
+
+    def block(t, rng):
+        route = _lead(t, m)
+        if route is None:
+            return None
+        lead, t = route
+        if t is None:
+            return lead
+        n = len(t)
+        beta = np.exp(np.linalg.slogdet(t)[1] / (2 * n)) * _ramp(n)
+        best, best_norm = None, np.inf
+        for _ in range(CONSTRUCTION_CANDIDATES):
+            try:
+                factors, norm = balanced(lead + sourour_wu(t, beta, rng))
+            except np.linalg.LinAlgError:
+                continue
+            if norm < best_norm:
+                best, best_norm = factors, norm
+        return best
+
+    per_block = []
+    for i, (t, n) in enumerate(zip(x.blocks, x.algebra.block_sizes)):
+        factors = block(t, np.random.default_rng((seed, i)))
+        if factors is None:
+            return None
+        per_block.append(factors + [np.eye(n, dtype=complex)] * (m - len(factors)))
+    return tuple(Element(x.algebra, tuple(b[j] for b in per_block)) for j in range(m))

@@ -3,8 +3,14 @@ optimizer."""
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
-from oracles import closure_distance, depth_first_split, power_iteration_norm
+from oracles import (
+    closure_distance,
+    depth_first_split,
+    per_candidate_construct,
+    power_iteration_norm,
+)
 
 import apfp.factorization as factorization
 from apfp.algebra import _identity_distances
@@ -490,6 +496,63 @@ def test_construction_pads_with_identities_and_mixes_routes(monkeypatch):
     assert [np.array_equal(f.blocks[0], np.eye(2)) for f in got.factors] == [False] * 5 + [True] * 2
     assert [np.array_equal(f.blocks[1], np.eye(3)) for f in got.factors] == [False] * 4 + [True] * 3
     assert [f.blocks[2][0, 0] for f in got.factors] == [3.0] + [1.0] * 6
+
+
+def near_non_positive_scalar(alg, eps):
+    """mu expm(eps h) per block, h a seeded traceless complex Gaussian and
+    mu = -1 in M2 and exp(2 pi i / 3) in M3: a member whose blocks lie
+    near a scalar off the positive ray."""
+    roots = {2: -1.0, 3: np.exp(2j * np.pi / 3)}
+    blocks = []
+    for i, n in enumerate(alg.block_sizes):
+        rng = np.random.default_rng((73, i))
+        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = h - np.trace(h) / n * np.eye(n)
+        blocks.append(roots[n] * sla.expm(eps * h))
+    return Element(alg, tuple(blocks))
+
+
+NEAR_SCALAR_EPS = (1e-11, 1e-7, 1e-3, 5e-2)
+
+
+@pytest.mark.parametrize("alg", [M2, M3, M23])
+def test_blocks_near_a_non_positive_scalar_are_constructed_at_m5(monkeypatch, alg):
+    # without the leading factor, every eps up to 1e-3 goes to the search
+    no_search(monkeypatch)
+    for eps in NEAR_SCALAR_EPS:
+        x = near_non_positive_scalar(alg, eps)
+        got = factor_positive_products(x, m=5)
+        assert got.route == "construction"
+        assert_positive_factorization(x, got.factors, 1e-6 * op_norm(x))
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_stacked_construction_matches_the_per_candidate_reference(m):
+    members = [random_member(a, rng_from((83, k))) for a in (M2, M3, M23, M4) for k in range(5)]
+    # at m = 4 the near scalars go without the lead, and in M3 at eps =
+    # 1e-11 one candidate is singular: the reference skips it, the stack
+    # leaves the element to the search (the test below)
+    near = [near_non_positive_scalar(a, eps) for a in (M2, M3, M23) for eps in NEAR_SCALAR_EPS]
+    for x in members + list(SCALARS) + (near if m == 5 else []):
+        got, want = factorization._construct(x, m, 0), per_candidate_construct(x, m, 0)
+        if want is None:
+            assert got is None
+            continue
+        assert len(got) == len(want) == m
+        for g, w in zip(got, want):
+            assert all(np.array_equal(a, b) for a, b in zip(g.blocks, w.blocks))
+
+
+def test_a_failing_stacked_step_leaves_the_element_to_the_search(monkeypatch):
+    # one singular candidate raises for the whole stack: no construction
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(factorization, "_triangular_eigvecs", singular)
+    x = random_member(M2, rng_from(17))
+    got = factor_positive_products(x, m=5, opt=OptimizerConfig(restarts=1))
+    assert got.route == "search"
+    assert got.residual <= 1e-6 * op_norm(x)
 
 
 # ---------------------------------------------------------------------------
