@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg as sla
+import scipy  # scipy.linalg loads on its first use, not at import
 
 from .errors import (
     BranchCut,
@@ -291,7 +291,7 @@ def exp_element(h: Element) -> Element:
         if _is_herm(b):
             out.append(_expm_herm(_herm(b)))
         else:
-            out.append(sla.expm(b))
+            out.append(scipy.linalg.expm(b))
     return Element(h.algebra, tuple(out))
 
 
@@ -313,12 +313,18 @@ def log_positive(a: Element) -> Element:
     return Element(a.algebra, tuple(out))
 
 
+def _unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(q, phases) with u = q diag(e^{i phases}) q* for a unitary block,
+    phases in (-pi, pi], from the complex Schur form, which is diagonal
+    for unitary input."""
+    t, q = scipy.linalg.schur(u, output="complex")
+    return q, np.angle(np.diag(t))
+
+
 def _log_unitary_block(u: np.ndarray, branch_gap: float) -> np.ndarray:
     """Principal log of a unitary block: self-adjoint h, e^{ih} = u,
-    eigenvalue phases inside (-pi, pi).  Uses the complex Schur form,
-    which is diagonal for unitary input."""
-    t, q = sla.schur(u, output="complex")
-    phases = np.angle(np.diag(t))
+    eigenvalue phases inside (-pi, pi)."""
+    q, phases = _unitary_eig(u)
     if np.any(np.abs(phases) >= np.pi - branch_gap):
         raise BranchCut(
             f"eigenvalue phase within {branch_gap:.1e} of the cut at -1"

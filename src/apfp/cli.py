@@ -430,7 +430,8 @@ def main(argv=None) -> int:
     except NotInClosure as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NOT_IN_CLOSURE
-    except APFPError as exc:
+    except (APFPError, np.linalg.LinAlgError) as exc:
+        # the search lets LinAlgError through: exp can overflow in its polish
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return EXIT_NUMERIC
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
+import scipy  # scipy.linalg loads on its first use, not at import
 
 from .algebra import (
     AlgebraDescriptor,
@@ -188,7 +188,7 @@ class ExpLine(InvertiblePath):
             elif kind == "s":
                 out.append(_exp_stack(q, 1j * ts[:, None] * w))
             else:
-                out.append(sla.expm(ts[:, None, None] * b))
+                out.append(scipy.linalg.expm(ts[:, None, None] * b))
         return tuple(out)
 
     def _det(self):
@@ -294,7 +294,7 @@ class Sampled(InvertiblePath):
 
     @cached_property
     def _seg_logs(self):
-        return tuple(np.array([sla.logm(g) for g in steps]) for steps in self._steps)
+        return tuple(np.array([scipy.linalg.logm(g) for g in steps]) for steps in self._steps)
 
     def _values(self, ts):
         times = self._times
@@ -310,7 +310,7 @@ class Sampled(InvertiblePath):
             mask = seg == k
             s = (ts[mask] - times[k]) / (times[k + 1] - times[k])
             for o, a, logs in zip(out, self._stacks, self._seg_logs):
-                o[mask] = a[k] @ sla.expm(s[:, None, None] * logs[k])
+                o[mask] = a[k] @ scipy.linalg.expm(s[:, None, None] * logs[k])
         return out
 
     def _det(self):

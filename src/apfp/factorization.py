@@ -24,7 +24,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy  # scipy.optimize loads on the first search, not at import
-import scipy.linalg as sla
 
 from .algebra import (
     AlgebraDescriptor,
@@ -35,6 +34,7 @@ from .algebra import (
     _positive_at,
     _same_algebra,
     _unitarity_errors,
+    _unitary_eig,
     exp_element,
     is_positive,
     log_positive,
@@ -49,6 +49,7 @@ from .errors import (
     APFPError,
     DeterminantNotOne,
     NoConvergence,
+    NonFiniteValue,
     NotInClosure,
     NotPositive,
     NotUnitaryPath,
@@ -171,11 +172,10 @@ def split_into_exponentials(
 
 
 def _balanced_phases(u_block: np.ndarray):
-    """Schur-diagonalize a unitary block and pick eigenvalue phases that
-    sum to (numerically) zero: the principal phases, with round(sum/2pi)
-    of the extreme ones shifted by a full turn."""
-    t, q = sla.schur(u_block, output="complex")
-    phases = np.angle(np.diag(t))
+    """Diagonalize a unitary block and pick eigenvalue phases that sum to
+    (numerically) zero: the principal phases, with round(sum/2pi) of the
+    extreme ones shifted by a full turn."""
+    q, phases = _unitary_eig(u_block)
     s = int(np.round(phases.sum() / (2 * np.pi)))
     if s:
         order = np.argsort(phases)
@@ -729,7 +729,9 @@ def factor_positive_products(
     part of x; later restarts are seeded Gaussian perturbations.  Success
     is a residual within opt.target_residual * op_norm(x); otherwise
     NoConvergence carries the best run found, or best=None and
-    best_residual=inf when no restart gave finite positive factors.
+    best_residual=inf when no restart gave finite positive factors.  A
+    non-positive x with max_i n_i * op_norm(x) beyond the float range
+    raises NonFiniteValue before either route runs.
     """
     if m < 1:
         raise ValueError("need at least one factor")
@@ -744,7 +746,11 @@ def factor_positive_products(
     if is_positive(x, FACTOR_POSITIVITY_TOL):  # the tolerance PositiveFactorization checks
         factors = (x,) + tuple(x.algebra.identity() for _ in range(m - 1))
         return PositiveFactorization(factors, x, route="positive")
-    target = opt.target_residual * op_norm(x)
+    norm = op_norm(x)
+    # a block's trace and the sum of a block and its adjoint reach n_i ||x||
+    if not math.isfinite(max(x.algebra.block_sizes) * norm):
+        raise NonFiniteValue(f"the scale of x overflows: op_norm {norm:.3e}")
+    target = opt.target_residual * norm
     if m >= 4:
         try:
             factors = _construct(x, m, opt.seed)

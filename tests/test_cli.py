@@ -46,7 +46,13 @@ from apfp.cli import (
     main,
 )
 from apfp.errors import NoConvergence
-from apfp.sampling import random_element, random_member, random_self_adjoint, rng_from
+from apfp.sampling import (
+    random_element,
+    random_member,
+    random_self_adjoint,
+    random_special_unitary,
+    rng_from,
+)
 from apfp.serialize import element_to_obj, path_to_obj
 
 M2 = AlgebraDescriptor((2,))
@@ -719,7 +725,7 @@ def test_flags_do_not_carry_over_between_calls(tmp_path, capsys):
 
 def test_det_path_on_sample_times_takes_no_logarithm(tmp_path, capsys, monkeypatch):
     # the 9 check points of det-path are the 9 sample times, where the path's
-    # value is its sample; sla.logm runs only strictly inside a segment
+    # value is its sample; scipy.linalg.logm runs only strictly inside a segment
     rng = rng_from(23)
     c = random_self_adjoint(M23, rng, norm=1.0)
     d = random_self_adjoint(M23, rng, norm=1.0)
@@ -733,7 +739,7 @@ def test_det_path_on_sample_times_takes_no_logarithm(tmp_path, capsys, monkeypat
         logm_calls.append(a)
         return logm(a, *rest, **kw)
 
-    monkeypatch.setattr(apfp.determinant.sla, "logm", counted)
+    monkeypatch.setattr(sla, "logm", counted)
     f = write_json(tmp_path, "sampled.json", path_to_obj(Sampled(samples)))
     code, report = run(capsys, "det-path", f)
     assert code == EXIT_OK
@@ -749,34 +755,93 @@ def test_det_path_on_sample_times_takes_no_logarithm(tmp_path, capsys, monkeypat
     assert logm_calls  # the counter sees the logarithms when they do run
 
 
-def factor_in_a_fresh_process(tmp_path, x):
-    """apfp factor --factors 5 on x through apfp.cli.main in a new
-    interpreter: the exit code, whether scipy.optimize was loaded, and the
-    report."""
-    f = element_file(tmp_path, "x.json", x)
+def cli_in_a_fresh_process(tmp_path, *argv):
+    """apfp.cli.main(argv) in a new interpreter: the exit code, which of
+    scipy.linalg and scipy.optimize it loaded, and the report."""
+    out_file = str(tmp_path / "r.json")
     script = (
         "import sys, apfp.cli\n"
-        f"code = apfp.cli.main(['factor', {f!r}, '--factors', '5', '--out', {str(tmp_path / 'r.json')!r}])\n"
-        "print(code, 'scipy.optimize' in sys.modules)\n"
+        f"code = apfp.cli.main({[*argv, '--out', out_file]!r})\n"
+        "print(code, *(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))\n"
     )
     src = os.path.dirname(os.path.dirname(apfp.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    code, loaded = out.stdout.split()
-    return int(code), loaded == "True", json.loads((tmp_path / "r.json").read_text())
+    code, *loaded = out.stdout.split()
+    return int(code), set(loaded), json.loads(Path(out_file).read_text())
+
+
+def factor_in_a_fresh_process(tmp_path, x):
+    """apfp factor --factors 5 on x in a new interpreter (see above)."""
+    return cli_in_a_fresh_process(tmp_path, "factor", element_file(tmp_path, "x.json", x), "--factors", "5")
 
 
 def test_member_factored_without_loading_the_optimizer(tmp_path):
+    # nor scipy.linalg: the construction needs numpy alone
     code, loaded, report = factor_in_a_fresh_process(tmp_path, random_member(M2, rng_from(29)))
-    assert (code, loaded) == (EXIT_OK, False)
+    assert (code, loaded) == (EXIT_OK, set())
     assert report["provenance"]["factorization"]["route"] == "construction"
 
 
 def test_non_member_probed_without_loading_the_optimizer(tmp_path):
-    # no search at m >= 4: the distance is the closed form's
+    # no search at m >= 4: the distance is the closed form's, from numpy alone
     code, loaded, report = factor_in_a_fresh_process(tmp_path, random_element(M2, rng_from((77, 1))))
-    assert (code, loaded) == (EXIT_NOT_IN_CLOSURE, False)
+    assert (code, loaded) == (EXIT_NOT_IN_CLOSURE, set())
     assert report["provenance"]["distance"] == {"route": "closed_form"}
+
+
+def fresh_process_inputs(tmp_path):
+    rng = rng_from(31)
+    c = random_self_adjoint(M23, rng, norm=1.0)
+    d = random_self_adjoint(M23, rng, norm=1.0)
+    loop = ExpLine(Element(M2, (np.array([[2j * np.pi, 0], [0, 0]]),)))
+    general = ExpLine(Element(M2, (np.array([[0.3, 1.0], [0.0, -0.2j]]),)))
+    return {
+        "membership": ["membership", element_file(tmp_path, "x.json", random_element(M23, rng))],
+        "hermitian-exp-line": ["det-path", write_json(tmp_path, "h.json", path_to_obj(ExpLine(c)))],
+        "product-polar": ["det-path", write_json(tmp_path, "p.json", path_to_obj(polar_path(c, d)))],
+        "loop": ["det-path", write_json(tmp_path, "l.json", path_to_obj(loop))],
+        "general-exp-line": ["det-path", write_json(tmp_path, "g.json", path_to_obj(general))],
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["membership", "hermitian-exp-line", "product-polar", "loop", "general-exp-line"]
+)
+def test_what_each_route_loads(tmp_path, capsys, name):
+    # only a generator neither hermitian nor skew-hermitian takes expm
+    loaded = {"scipy.linalg"} if name == "general-exp-line" else set()
+    argv = fresh_process_inputs(tmp_path)[name]
+    code, got, report = cli_in_a_fresh_process(tmp_path, *argv)
+    assert (code, got) == (EXIT_OK, loaded)
+    assert report["results"] == run(capsys, *argv)[1]["results"]
+
+
+def test_search_linalgerror_exits_3_without_a_traceback(tmp_path, capsys, monkeypatch):
+    # the m < 4 search can raise LinAlgError (its polish overflows exp);
+    # best_approx_distance lets it through, the command line reports it
+    def search(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(apfp.factorization, "_search", search)
+    f = element_file(tmp_path, "x.json", random_element(M2, rng_from((77, 1))))
+    assert main(["factor", f, "--factors", "3"]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: LinAlgError: SVD did not converge\n"
+
+
+@pytest.mark.parametrize("factors", ["3", "5"])
+def test_member_whose_scale_overflows_exits_3(tmp_path, capsys, factors):
+    # tr x = 2e308 overflows; the member test alone still answers
+    x = Element(M2, (1e308 * np.array([[1, 1], [-1, 1]], dtype=complex),))
+    f = element_file(tmp_path, "huge.json", x)
+    code, report = run(capsys, "membership", f)
+    assert (code, report["results"]["member"]) == (EXIT_OK, True)
+    assert main(["factor", f, "--factors", factors]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("error: NonFiniteValue:")
+    assert "Traceback" not in err
 
 
 def test_readme_command_line_is_the_parser():
@@ -798,7 +863,10 @@ def test_readme_command_line_is_the_parser():
 def test_perfbench_tracer_installs_on_the_cli(tmp_path, capsys, monkeypatch):
     # perfbench/tracing.py wraps functions on apfp.cli by name, among them
     # evaluate, delta_1_0 and best_approx_distance: a name that leaves
-    # cli.py fails here, not in the benchmark's traced run
+    # cli.py fails here, not in the benchmark's traced run.  It also
+    # replaces the name scipy on apfp.factorization with a namespace that
+    # holds optimize.minimize alone, so a Schur route of that module
+    # (commutator_factor_su) must not reach scipy.linalg through it
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     tracing = importlib.import_module("tracing")
     names = ("evaluate", "delta_1_0", "best_approx_distance", "path_determinant", "main")
@@ -811,6 +879,8 @@ def test_perfbench_tracer_installs_on_the_cli(tmp_path, capsys, monkeypatch):
     try:
         assert apfp.cli.main(["det-path", path_file]) == EXIT_OK
         assert apfp.cli.main(["factor", member_file, "--factors", "5"]) == EXIT_OK
+        u = random_special_unitary(M2, rng_from(37))
+        v, w = apfp.factorization.commutator_factor_su(u)
     finally:
         tracer.uninstall()
     capsys.readouterr()
@@ -820,3 +890,5 @@ def test_perfbench_tracer_installs_on_the_cli(tmp_path, capsys, monkeypatch):
     assert metrics["determinant.path_determinant.ExpLine.calls"][0] == 1
     assert metrics["determinant.delta_1_0.busy_s"][0] > 0
     assert metrics["factorization.factor_positive_products.busy_s"][0] > 0
+    (vb,), (wb,) = v.blocks, w.blocks
+    assert np.allclose(vb @ wb @ vb.conj().T @ wb.conj().T, u.blocks[0], atol=1e-10)
