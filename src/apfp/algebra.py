@@ -6,13 +6,14 @@ positivity and polar decomposition, exp/log, the universal trace into
 A/[A,A]-closure and the quotient norm on that space.
 
 All operations are pure; Element arrays are frozen on construction, so
-an element is immutable and can be shared between computations.
+an element is immutable and can be shared between computations, and an
+invariant of its blocks (op_norm, log_det) is computed once and kept.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -70,6 +71,7 @@ class Element:
 
     algebra: AlgebraDescriptor
     blocks: tuple[np.ndarray, ...]
+    _invariants: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple(_freeze(b) for b in self.blocks)
@@ -103,6 +105,16 @@ class Element:
 
     def map_blocks(self, fn) -> "Element":
         return Element(self.algebra, tuple(fn(b) for b in self.blocks))
+
+    def _once(self, fn):
+        """fn(self), computed on the first call and kept: the blocks are
+        read-only, so no invariant of them can change.  An exception is
+        not kept; it is raised again on the next call."""
+        if self._invariants is None:  # made on first use: most elements never need it
+            object.__setattr__(self, "_invariants", {})
+        if fn not in self._invariants:
+            self._invariants[fn] = fn(self)
+        return self._invariants[fn]
 
 
 @dataclass(frozen=True)
@@ -185,7 +197,12 @@ def inverse(x: Element) -> Element:
 
 
 def op_norm(x: Element) -> float:
-    """Largest singular value over all blocks (the C*-norm)."""
+    """Largest singular value over all blocks (the C*-norm), computed
+    once per element."""
+    return x._once(_op_norm)
+
+
+def _op_norm(x: Element) -> float:
     return max(float(np.linalg.svd(b, compute_uv=False)[0]) for b in x.blocks)
 
 

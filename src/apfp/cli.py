@@ -390,7 +390,7 @@ def _emit(report, config: RunConfig, out_file):
     if config.output_format == "csv":
         text = serialize.payload_to_csv(report["results"])
     else:
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = serialize.report_to_json(report) + "\n"
     if out_file:
         with open(out_file, "w") as fh:
             fh.write(text)

@@ -463,7 +463,12 @@ def log_det(x: Element) -> TraceValue:
     determinant of every path of invertibles from 1 to x, modulo the
     lattice.  SingularInput when a block's smallest singular value is at
     or below SINGULARITY_RTOL * op_norm(x), the test polar applies.
+    Computed once per element.
     """
+    return x._once(_log_det)
+
+
+def _log_det(x: Element) -> TraceValue:
     svals = [np.linalg.svd(b, compute_uv=False) for b in x.blocks]
     thresh = SINGULARITY_RTOL * max(float(s[0]) for s in svals)
     coords = []

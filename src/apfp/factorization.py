@@ -519,19 +519,23 @@ class PositiveFactorization:
     route: str = field(default="search", compare=False)
 
     def __post_init__(self):
-        stacks = self._stacks()
+        stacks = self._stacks
         tols = np.full(len(self.factors), FACTOR_POSITIVITY_TOL)
         if not _positive_at(stacks, tols).all():
             raise NotPositive("factorization contains a non-positive factor")
-        prods = []
-        for stack in stacks:
+        rs = []
+        for stack, t in zip(stacks, self.target.blocks):
             prod = np.eye(stack.shape[-1], dtype=complex)
             for p in stack:
                 prod = prod @ p
-            prods.append(prod)
-        product = Element(self.target.algebra, tuple(prods))
-        object.__setattr__(self, "residual", op_norm(product - self.target))
+            rs.append(prod + (-1.0 * t))
+        # the arithmetic of op_norm(product - target), without the elements
+        if not all(np.isfinite(r).all() for r in rs):
+            raise ValueError("non-finite entry in element")
+        residual = max(float(np.linalg.svd(r, compute_uv=False)[0]) for r in rs)
+        object.__setattr__(self, "residual", residual)
 
+    @functools.cached_property
     def _stacks(self) -> tuple[np.ndarray, ...]:
         """Block i of every factor as one (m, n_i, n_i) stack per block
         (shaped so, too, when there are no factors)."""
@@ -545,7 +549,7 @@ class PositiveFactorization:
     @property
     def max_factor_norm(self) -> float:
         return max(
-            float(np.linalg.svd(stack, compute_uv=False)[:, 0].max()) for stack in self._stacks()
+            float(np.linalg.svd(stack, compute_uv=False)[:, 0].max()) for stack in self._stacks
         )
 
 
@@ -646,7 +650,7 @@ def _balanced(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rescale the factors of each candidate in a (C, f, n, n) stack by
     positive scalars with product 1 to equal norms; returns the stack and
     each candidate's common norm, the geometric mean of its norms."""
-    norms = np.linalg.norm(stack, 2, axis=(-2, -1))
+    norms = np.linalg.svd(stack, compute_uv=False)[..., 0]
     mean = np.exp(np.mean(np.log(norms), axis=-1))
     return stack * (mean[:, None] / norms)[..., None, None], mean
 
@@ -825,23 +829,77 @@ def _singular_split(b):
     return q * np.where(lam < 0, -1.0, 1.0), abs(lam), q.conj().T
 
 
+def _turn(sv, r: float) -> float:
+    """sum_j arcsin(min(1, r / s_j)): the turn of det at distance r."""
+    return sum(math.asin(min(1.0, r / v)) for v in sv)
+
+
+def _turn_radius(sv, phi: float) -> float:
+    """r_i: the smallest float r with _turn(sv, r) >= phi, for phi > 0
+    and _turn(sv, s_n) > phi.  Newton steps start from the equal-split
+    upper end; below s_n the turn is convex and increasing, so steps from
+    above stay above r_i, and a step from below lands above it (or past
+    hi, where a bisection step replaces it).  Then probes 4, 8, 16, ...
+    floats away from the last Newton point bracket r_i, and a bisection
+    in floats ends at the adjacent pair.  lo always falls short of phi
+    and hi reaches it, and the turn is monotone in floats, so this is the
+    float a bisection from [0, s_n] finds."""
+    # turning the k smallest singular values by phi / k each costs
+    # s_{n-k+1} sin(phi / k)
+    ends = [sv[-k] * math.sin(phi / k) for k in range(1, len(sv) + 1) if phi / k <= math.pi / 2]
+    lo, hi = 0.0, sv[-1]
+    r = min(ends + [hi])
+    if r == hi:  # the chord from the origin, below r_i by convexity
+        r = hi * (phi / _turn(sv, hi))
+    last = r
+    while lo < r < hi:
+        t = _turn(sv, r)
+        short = t < phi
+        if short:
+            lo = r
+        else:
+            hi = r
+        last = r
+        q = [r / v for v in sv]
+        if max(q) >= 1.0:
+            break
+        # r times the Newton step over r; the slope of arcsin(r / v) is 1 / sqrt(v^2 - r^2)
+        r -= r * ((t - phi) / sum(x / math.sqrt((1.0 - x) * (1.0 + x)) for x in q))
+        if short and r >= hi:  # a step from below past hi: bisect instead
+            r = 0.5 * (lo + hi)
+    up = last == lo
+    gap = 4 * math.ulp(last)
+    while True:
+        probe = last + gap if up else last - gap
+        if not lo < probe < hi:
+            break
+        if _turn(sv, probe) >= phi:
+            hi = probe
+        else:
+            lo = probe
+        if (hi == probe) == up:  # the probe crossed r_i
+            break
+        last, gap = probe, 2 * gap
+    # lo + (hi - lo) / 2, not (lo + hi) / 2, which overflows near the top
+    # of the float range and would stop the bisection there
+    while lo < lo + 0.5 * (hi - lo) < hi:
+        mid = lo + 0.5 * (hi - lo)
+        lo, hi = (lo, mid) if _turn(sv, mid) >= phi else (mid, hi)
+    return hi
+
+
 def _closure_block(b) -> tuple[float, np.ndarray]:
-    """min(s_n, r_i) and the witness y_i for one block (see above); r_i by
-    bisection in floats, down to adjacent floats."""
+    """min(s_n, r_i) and the witness y_i for one block (see above)."""
     u, s, vh = _singular_split(b)
     angle = float(np.angle(np.linalg.slogdet(b)[0]))  # sign 0 when det = 0
     phi = abs(angle)
     sv = [float(v) for v in s]
-    turn = lambda r: sum(math.asin(min(1.0, r / v)) for v in sv)
-    if sv[-1] == 0.0 or turn(sv[-1]) <= phi:
+    if sv[-1] == 0.0 or _turn(sv, sv[-1]) <= phi:
         d = s.astype(complex)
         d[-1] = 0.0
         return sv[-1], (u * d) @ vh
-    lo, hi = 0.0, sv[-1] if phi > 0 else 0.0  # det > 0 needs no turn: r_i = 0
-    while lo < 0.5 * (lo + hi) < hi:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if turn(mid) >= phi else (mid, hi)
-    theta = np.arcsin(np.minimum(1.0, hi / s))
+    r = _turn_radius(sv, phi) if phi > 0 else 0.0  # det > 0 needs no turn: r_i = 0
+    theta = np.arcsin(np.minimum(1.0, r / s))
     theta[-1] = phi - theta[:-1].sum()  # the largest angle takes the rest: the turn is phi
     sin = np.sin(theta)
     d = s * np.sqrt(1.0 - sin * sin) * np.exp(-1j * np.copysign(theta, angle))

@@ -10,7 +10,9 @@ reconstruct the exact double.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -39,20 +41,21 @@ from .factorization import PositiveFactorization
 
 
 def element_to_obj(x: Element):
-    return {
-        "blocks": [
-            [[[float(v.real), float(v.imag)] for v in row] for row in b]
-            for b in x.blocks
-        ]
-    }
+    # a frozen block is C-ordered complex128: its float64 view holds the
+    # [re, im] pairs in row-major order
+    return {"blocks": [b.view(np.float64).reshape(len(b), len(b), 2).tolist() for b in x.blocks]}
+
+
+def _entry(re, im) -> complex:
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise ValueError(f"element entries must be numbers, got [{re!r}, {im!r}]")
+    return complex(re, im)
 
 
 def element_from_obj(obj) -> Element:
     blocks = []
     for b in obj["blocks"]:
-        arr = np.array(
-            [[complex(re, im) for re, im in row] for row in b], dtype=complex
-        )
+        arr = np.array([[_entry(re, im) for re, im in row] for row in b], dtype=complex)
         blocks.append(arr)
     alg = AlgebraDescriptor(tuple(len(b) for b in blocks))
     return Element(alg, tuple(blocks))
@@ -243,6 +246,57 @@ def trace_value_to_obj(v: TraceValue):
 
 def aff_function_to_obj(f: AffFunction):
     return {"values": [float(v) for v in f.values]}
+
+
+# ---------------------------------------------------------------------------
+# reports
+
+
+def report_to_json(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, for a
+    tree of dicts with str keys, lists, tuples, str, int, float, bool and
+    None.  With indent set, the json module encodes through its
+    pure-Python encoder; this writer lays out the same text from the same
+    pieces: float.__repr__ (NaN, Infinity, -Infinity spelled as json
+    spells them), int.__repr__, and encode_basestring_ascii for strings
+    and keys."""
+    return _encode(obj, "\n")
+
+
+def _encode(obj, newline: str) -> str:
+    # newline is the line break and indent that lead the closing bracket
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj == math.inf:
+            return "Infinity"
+        if obj == -math.inf:
+            return "-Infinity"
+        return float.__repr__(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        # a finite float, the usual item, is written in place: v - v is 0
+        # for it alone
+        items = [float.__repr__(v) if type(v) is float and v - v == 0.0 else _encode(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _encode(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------

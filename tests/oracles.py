@@ -68,6 +68,21 @@ def closure_distance(blocks) -> float:
     return float(out)
 
 
+def turn_radius_by_bisection(sv, phi: float) -> float:
+    """The smallest float r with sum_j arcsin(min(1, r / s_j)) >= phi (the
+    package's own turn, factorization._turn), by bisection in floats from
+    [0, s_n] down to adjacent floats, for phi > 0 and a turn at s_n above
+    phi.  The package starts from Newton steps instead; it must land on
+    the same float."""
+    from apfp.factorization import _turn
+
+    lo, hi = 0.0, sv[-1]
+    while lo < lo + 0.5 * (hi - lo) < hi:
+        mid = lo + 0.5 * (hi - lo)
+        lo, hi = (lo, mid) if _turn(sv, mid) >= phi else (mid, hi)
+    return hi
+
+
 def logdet_along_path(block_samples) -> complex:
     """Continuous branch of log det along a finely sampled matrix path.
 

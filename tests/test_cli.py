@@ -18,9 +18,11 @@ import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 import apfp
+import apfp.algebra
 import apfp.cli
 import apfp.determinant
 import apfp.factorization
+import apfp.serialize
 from apfp import (
     AlgebraDescriptor,
     Element,
@@ -29,6 +31,8 @@ from apfp import (
     distance_to_closure,
     evaluate,
     exp_element,
+    factor_positive_products,
+    membership_test,
     path_determinant,
     polar_path,
 )
@@ -53,7 +57,7 @@ from apfp.sampling import (
     random_special_unitary,
     rng_from,
 )
-from apfp.serialize import element_to_obj, path_to_obj
+from apfp.serialize import element_to_obj, factorization_to_obj, path_to_obj
 
 M2 = AlgebraDescriptor((2,))
 M23 = AlgebraDescriptor((2, 3))
@@ -429,6 +433,39 @@ def test_factor_computes_one_closure_distance_per_non_member(tmp_path, capsys, m
     assert report["results"]["distance_to_closure"] <= report["results"]["distance_probe"]
 
 
+def test_factor_computes_each_invariant_once_per_member(tmp_path, capsys, monkeypatch):
+    # the report's membership test and factor_positive_products' own
+    # share one log_det of x, and the search target and the report's
+    # relative residual share one op_norm of x: each is kept on x
+    x = random_member(M2, rng_from(29))
+    calls = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def once(y):
+            calls.append(name)
+            return fn(y)
+
+        monkeypatch.setattr(module, name, once)
+
+    counted(apfp.algebra, "_op_norm")
+    counted(apfp.determinant, "_log_det")
+    code, report = run(capsys, "factor", element_file(tmp_path, "member.json", x), "--factors", "5")
+    assert code == EXIT_OK
+    assert sorted(calls) == ["_log_det", "_op_norm"]
+    monkeypatch.undo()
+    member = membership_test(x)
+    direct = {
+        "member": member.member,
+        "det_phases": list(member.det_phases),
+        "factors_requested": 5,
+        "factorization": factorization_to_obj(factor_positive_products(x, 5)),
+    }
+    # repr keeps every bit (and the sign of zero)
+    assert json.dumps(report["results"], sort_keys=True) == json.dumps(direct, sort_keys=True)
+
+
 def test_factor_starved_optimizer_exits_5(tmp_path, capsys):
     x = random_member(M2, rng_from(11))
     f = element_file(tmp_path, "member.json", x)
@@ -469,8 +506,11 @@ def test_factor_without_finite_residual_writes_strict_json(tmp_path, capsys, mon
         # a 2x3 block is malformed input, not a numeric failure
         ([[[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]], EXIT_PARSE),
         ([[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]], EXIT_NUMERIC),
+        # JSON booleans are no numbers, though complex(True, False) is 1
+        ([[[[True, False]]]], EXIT_PARSE),
+        ([[[[1.0, 0.0], [0.0, False]], [[0.0, 0.0], [1.0, 0.0]]]], EXIT_PARSE),
     ],
-    ids=["non-square", "singular"],
+    ids=["non-square", "singular", "boolean", "boolean-imaginary-part"],
 )
 def test_membership_bad_element_exits_with_error_line(tmp_path, capsys, blocks, expected):
     f = write_json(tmp_path, "x.json", {"blocks": blocks})
@@ -664,6 +704,52 @@ def test_unknown_demo_rejected(capsys):
 
 # ---------------------------------------------------------------------------
 # output plumbing and determinism
+
+
+LOOP = ExpLine(Element(M2, (np.array([[2j * np.pi, 0], [0, 0]]),)))
+# one input per subcommand and exit path: (argv after the input file,
+# input object or None, exit code, a key results must hold)
+REPORTS = {
+    "factor-member": (["factor", "--factors", "5"], element_to_obj(random_member(M2, rng_from(29))), EXIT_OK, "factorization"),
+    "factor-non-member": (
+        ["factor", "--factors", "5"],
+        element_to_obj(random_element(M2, rng_from((77, 1)))),
+        EXIT_NOT_IN_CLOSURE,
+        "distance_to_closure",
+    ),
+    "factor-no-convergence": (["factor"], element_to_obj(random_member(M2, rng_from(11))), EXIT_NO_CONVERGENCE, "best_residual"),
+    "det-path-loop": (["det-path"], path_to_obj(LOOP), EXIT_OK, "delta_1_0"),
+    "membership": (["membership"], element_to_obj(random_element(M23, rng_from(5))), EXIT_OK, "det_phases"),
+    "check": (["check"], {"block_sizes": [2, 3]}, EXIT_OK, "apfp_verdict"),
+    "demo": (["demo", "--name", "loop-lattice"], None, EXIT_OK, "nearest_vector"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_reports_are_json_dumps_byte_for_byte(name, tmp_path, capsys, monkeypatch):
+    argv, obj, want_code, key = REPORTS[name]
+    if obj is not None:
+        argv = argv[:1] + [write_json(tmp_path, "in.json", obj)] + argv[1:]
+    if name == "factor-no-convergence":
+
+        def fail(*args, **kwargs):
+            raise NoConvergence("no restart gave positive factors", best_residual=np.inf, best=None)
+
+        monkeypatch.setattr(apfp.cli, "factor_positive_products", fail)
+    written = []
+    write = apfp.serialize.report_to_json
+
+    def spy(report):
+        written.append((report, write(report)))
+        return written[-1][1]
+
+    monkeypatch.setattr(apfp.serialize, "report_to_json", spy)
+    assert main(argv) == want_code
+    out = capsys.readouterr().out
+    [(report, text)] = written
+    assert key in report["results"]
+    assert text == json.dumps(report, sort_keys=True, indent=2)
+    assert out == text + "\n"
 
 
 def test_out_file_and_csv(tmp_path, capsys):

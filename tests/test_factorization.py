@@ -10,6 +10,7 @@ from oracles import (
     depth_first_split,
     per_candidate_construct,
     power_iteration_norm,
+    turn_radius_by_bisection,
 )
 
 import apfp.factorization as factorization
@@ -684,6 +685,30 @@ def test_closed_bracket_needs_a_positive_witness_below_m4():
 def test_distance_to_closure_against_the_oracle():
     for x in seeded_non_members((M2, M3, M23, M4), count=8):
         assert distance_to_closure(x).distance == pytest.approx(closure_distance(x.blocks), rel=1e-14)
+
+
+def test_turn_radius_is_the_float_of_the_full_bisection(monkeypatch):
+    # Newton steps and a probe a few floats wide replace most of the
+    # bisection; r* and the witness must keep every bit
+    xs = seeded_non_members((M2, M3, M23, M4), count=8) + seeded_non_members((M1,), count=32)
+    got = [distance_to_closure(x) for x in xs]
+    monkeypatch.setattr(factorization, "_turn_radius", turn_radius_by_bisection)
+    for x, g in zip(xs, got):
+        want = distance_to_closure(x)
+        assert g.distance == want.distance
+        assert all(np.array_equal(a, b) for a, b in zip(g.witness.blocks, want.witness.blocks))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e308])
+def test_distance_at_the_top_of_the_float_range(scale):
+    # the distance scales with x; near 1.8e308 the midpoint (lo + hi) / 2
+    # overflows, and a bisection on it stopped at once with r_i = s_n:
+    # 1.2e308 here instead of 7.5e307
+    x = Element(M2, (np.diag([1.5, 1.2]) * scale * np.exp(0.6j),))
+    unit = Element(M2, (np.diag([1.5, 1.2]) * np.exp(0.6j),))
+    with np.errstate(over="ignore"):  # slogdet warns at this scale
+        got = distance_to_closure(x).distance
+    assert got == pytest.approx(scale * distance_to_closure(unit).distance, rel=1e-15)
 
 
 def test_distance_to_closure_spreads_the_turn_over_unequal_angles():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from apfp import (
     AlgebraDescriptor,
@@ -35,6 +35,7 @@ from apfp.serialize import (
     path_from_json,
     path_to_json,
     payload_to_csv,
+    report_to_json,
     trace_value_to_obj,
 )
 
@@ -70,6 +71,20 @@ def test_element_json_round_trip_keeps_every_bit(re, im):
     x = Element(M1, (np.array([[re + 1j * im]]),))
     back = element_from_json(element_to_json(x))
     assert exact_equal(back, x)
+
+
+def test_element_obj_is_the_per_entry_floats():
+    x = random_element(M23, rng_from(4))
+    x = Element(M23, (x.blocks[0] * np.array([[1, -0.0], [1j, -1j]]), x.blocks[1]))
+    want = [[[[float(v.real), float(v.imag)] for v in row] for row in b] for b in x.blocks]
+    # repr keeps the sign of zero
+    assert repr(element_to_obj(x)["blocks"]) == repr(want)
+
+
+@pytest.mark.parametrize("entry", [[True, False], [1.0, True], [False, 0.5]])
+def test_element_entries_must_be_numbers(entry):
+    with pytest.raises(ValueError, match="numbers"):
+        element_from_obj({"blocks": [[[entry]]]})
 
 
 def test_element_json_survives_17_digit_floats():
@@ -204,3 +219,42 @@ def test_aff_function_payload():
 
     obj = aff_function_to_obj(AffFunction((Fraction(1, 2), 0.25)))
     assert obj["values"] == [0.5, 0.25]
+
+
+# ---------------------------------------------------------------------------
+# the report writer
+
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.floats().map(np.float64)  # a float subclass, as json treats it
+    | st.sampled_from([-0.0, np.nan, np.inf, -np.inf])
+    | st.text()
+)
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=40,
+)
+DEEP = [{"a": [[{"b": []}], {}]}]
+for _ in range(60):
+    DEEP = [DEEP, {"k\u00e9\ud7ff\n": DEEP[-1:]}]
+
+
+@given(JSON_TREES)
+@example(DEEP)
+@example({"\u2603 snow": ["\x00\x1f\"\\/", "\U0001f600"], "": [[], {}, [[]]]})
+def test_report_writer_is_json_dumps(tree):
+    assert report_to_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+def test_report_writer_rejects_what_json_rejects():
+    for bad in (np.int64(1), {1j: 1}, object()):
+        with pytest.raises(TypeError):
+            json.dumps(bad, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            report_to_json(bad)
