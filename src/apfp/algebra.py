@@ -7,14 +7,14 @@ A/[A,A]-closure and the quotient norm on that space.
 
 All operations are pure; Element arrays are frozen on construction, so
 an element is immutable and can be shared between computations, and an
-invariant of its blocks (op_norm, log_det) is computed once and kept.
+invariant of its blocks (singular values, log det) is computed once and
+kept.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 import scipy  # scipy.linalg loads on its first use, not at import
@@ -29,6 +29,8 @@ from .errors import (
 DEFAULT_BRANCH_GAP = 1e-6
 SINGULARITY_RTOL = 1e-12
 POSITIVITY_RTOL = 1e-12
+# a value v with ||v*v - 1|| at or below this is unitary
+UNITARITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -182,28 +184,37 @@ def commutator(x: Element, y: Element) -> Element:
 
 def inverse(x: Element) -> Element:
     """Blockwise inverse; SingularInput below the degeneracy threshold."""
-    thresh = SINGULARITY_RTOL * op_norm(x)
-    out = []
-    for b in x.blocks:
-        smin = np.linalg.svd(b, compute_uv=False)[-1]
-        if smin <= thresh:
-            raise SingularInput(f"smallest singular value {smin:.3e} <= {thresh:.3e}")
-        out.append(np.linalg.inv(b))
-    return Element(x.algebra, tuple(out))
+    _require_invertible(x)
+    return x.map_blocks(np.linalg.inv)
 
 
 # ---------------------------------------------------------------------------
-# norms and positivity
+# norms, invertibility and positivity
+
+
+def _singular_values(x: Element) -> tuple[np.ndarray, ...]:
+    """Each block's singular values, descending; one SVD per block, kept
+    through x._once."""
+    return tuple(np.linalg.svd(b, compute_uv=False) for b in x.blocks)
 
 
 def op_norm(x: Element) -> float:
-    """Largest singular value over all blocks (the C*-norm), computed
-    once per element."""
-    return x._once(_op_norm)
+    """Largest singular value over all blocks (the C*-norm)."""
+    return max(float(s[0]) for s in x._once(_singular_values))
 
 
-def _op_norm(x: Element) -> float:
-    return max(float(np.linalg.svd(b, compute_uv=False)[0]) for b in x.blocks)
+def _singular(smallest, norm):
+    """The invertibility rule: singular where the smallest singular value,
+    or a positive's lowest eigenvalue, is at most SINGULARITY_RTOL op_norm."""
+    return smallest <= SINGULARITY_RTOL * norm
+
+
+def _require_invertible(x: Element) -> None:
+    """SingularInput when a block of x is singular by _singular."""
+    norm = op_norm(x)
+    for s in x._once(_singular_values):
+        if _singular(s[-1], norm):
+            raise SingularInput(f"smallest singular value {s[-1]:.3e} <= {SINGULARITY_RTOL * norm:.3e}")
 
 
 # Stacks: k values at once, one (k, n, n) array per block; their
@@ -215,6 +226,12 @@ def _op_norms(svals) -> np.ndarray:
     return functools.reduce(np.maximum, [s[:, 0] for s in svals])
 
 
+def _singular_at(svals) -> np.ndarray:
+    """_singular at each point of a stack, from its singular values."""
+    norms = _op_norms(svals)
+    return np.any([_singular(s[:, -1], norms) for s in svals], axis=0)
+
+
 def _identity_distances(blocks) -> np.ndarray:
     """op_norm(v - 1) at each point v of a stack: one SVD per block."""
     return _op_norms(
@@ -222,10 +239,12 @@ def _identity_distances(blocks) -> np.ndarray:
     )
 
 
-def _unitarity_errors(svals) -> np.ndarray:
-    """||v*v - 1|| = max |s^2 - 1| at each point of a stack, from its
+def _unitarity_defects(svals) -> np.ndarray:
+    """||v*v - 1|| = max |s^2 - 1| at each point of a stack where it
+    exceeds UNITARITY_TOL, and 0 where the point is unitary: from its
     singular values, without forming v*v, which may overflow."""
-    return functools.reduce(np.maximum, [np.abs(s**2 - 1).max(axis=-1) for s in svals])
+    errs = functools.reduce(np.maximum, [np.abs(s**2 - 1).max(axis=-1) for s in svals])
+    return np.where(errs <= UNITARITY_TOL, 0.0, errs)
 
 
 def _herm(m: np.ndarray) -> np.ndarray:
@@ -270,14 +289,10 @@ def polar(x: Element) -> tuple[Element, Element]:
 
     Route: SVD per block, x = V S W*, u = V W*, p = W S W*.
     """
-    thresh = SINGULARITY_RTOL * op_norm(x)
+    _require_invertible(x)
     us, ps = [], []
     for b in x.blocks:
-        v, s, wt = np.linalg.svd(b)
-        if s[-1] <= thresh:
-            raise SingularInput(
-                f"polar: smallest singular value {s[-1]:.3e} <= {thresh:.3e}"
-            )
+        v, s, wt = np.linalg.svd(b)  # the vectors make u and p
         us.append(v @ wt)
         ps.append(_herm(wt.conj().T @ (s[:, None] * wt)))
     return Element(x.algebra, tuple(us)), Element(x.algebra, tuple(ps))
@@ -318,11 +333,10 @@ def log_positive(a: Element) -> Element:
     tol = POSITIVITY_RTOL * norm
     if not is_positive(a, tol=max(tol, 1e-10 * max(norm, 1.0))):
         raise NotPositive("log_positive needs a positive element")
-    floor = SINGULARITY_RTOL * norm
     out = []
     for b in a.blocks:
         w, q = np.linalg.eigh(_herm(b))
-        if w[0] <= floor:
+        if _singular(w[0], norm):
             raise NotPositive(
                 f"log_positive needs an invertible element (eigenvalue {w[0]:.3e})"
             )

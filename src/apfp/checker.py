@@ -40,9 +40,6 @@ class AffFunction:
     def __sub__(self, other):
         return AffFunction(tuple(a - b for a, b in zip(self.values, other.values)))
 
-    def max_norm(self) -> float:
-        return max(abs(v) for v in self.values) if self.values else 0.0
-
 
 @dataclass(frozen=True)
 class TraceSimplex:

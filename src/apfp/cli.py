@@ -25,7 +25,8 @@ from .algebra import (
     _identity_distances,
     _op_norms,
     _positive_at,
-    _unitarity_errors,
+    _unitarity_defects,
+    adjoint,
     op_norm,
     quotient_norm,
 )
@@ -198,7 +199,7 @@ def _cmd_det_path(args, config: RunConfig):
     endpoint_tol = config.tol("loop_endpoint")
     endpoints = _identity_distances([b[[0, -1]] for b in grid.blocks])
     endpoints_identity = (endpoints <= endpoint_tol).all()
-    unitary = (_unitarity_errors(grid.svals) <= 1e-8).all()
+    unitary = not _unitarity_defects(grid.svals).any()
     positive = _positive_at(grid.blocks, 1e-8 * np.maximum(1.0, _op_norms(grid.svals))).all()
     results = {
         "determinant": serialize.trace_value_to_obj(det),
@@ -332,15 +333,7 @@ def _demo_commutator(config: RunConfig):
     rng = rng_from((config.seed, 303))
     u = random_special_unitary(alg, rng)
     v, w = commutator_factor_su(u)
-    err = op_norm(
-        Element(
-            alg,
-            tuple(
-                vb @ wb @ vb.conj().T @ wb.conj().T - ub
-                for vb, wb, ub in zip(v.blocks, w.blocks, u.blocks)
-            ),
-        )
-    )
+    err = op_norm(v @ w @ adjoint(v) @ adjoint(w) - u)
     if err > 1e-8:
         raise _DemoFailure(f"commutator reconstruction error {err:.3e} exceeds 1e-8")
     return {"block_size": 4, "reconstruction_error": err}

@@ -33,9 +33,10 @@ from .algebra import (
     _herm,
     _identity_distances,
     _is_herm,
-    _op_norms,
-    _unitarity_errors,
-    SINGULARITY_RTOL,
+    _require_invertible,
+    _singular_at,
+    _singular_values,
+    _unitarity_defects,
 )
 from .checker import AffFunction
 from .errors import (
@@ -44,7 +45,6 @@ from .errors import (
     NotALoop,
     NotUnitaryPath,
     OutOfDomain,
-    SingularInput,
     SingularValueOnPath,
 )
 
@@ -139,7 +139,7 @@ def evaluate_many(path: InvertiblePath, ts) -> PathValues:
     blocks, failed = _values_or_failures(path, ts)
     # one SVD per block stack gives op_norm and the smallest singular values
     svals = tuple(np.linalg.svd(b, compute_uv=False) for b in blocks)
-    singular = np.any([s[:, -1] <= SINGULARITY_RTOL * _op_norms(svals) for s in svals], axis=0)
+    singular = _singular_at(svals)
     if singular.any() or any(failed):
         i = next(i for i, f in enumerate(failed) if f or singular[i])
         _raise_failed(ts, failed, i)
@@ -265,8 +265,7 @@ class Sampled(InvertiblePath):
         far = steps >= 0.5
         if far.any():
             raise ValueError(f"consecutive samples too far apart (step {steps[far.argmax()]:.3f} >= 1/2)")
-        svals = [np.linalg.svd(s, compute_uv=False) for s in self._stacks]
-        singular = np.any([s[:, -1] <= SINGULARITY_RTOL * _op_norms(svals) for s in svals], axis=0)
+        singular = _singular_at([np.linalg.svd(s, compute_uv=False) for s in self._stacks])
         if singular.any():
             raise SingularValueOnPath(f"singular sample at t={ts[singular.argmax()]}")
 
@@ -461,27 +460,25 @@ def log_det(x: Element) -> TraceValue:
 
     By Jacobi's formula T(a'a^{-1}) = (log det a)', so this is the
     determinant of every path of invertibles from 1 to x, modulo the
-    lattice.  SingularInput when a block's smallest singular value is at
-    or below SINGULARITY_RTOL * op_norm(x), the test polar applies.
-    Computed once per element.
+    lattice.  SingularInput when x is singular (algebra._singular).
     """
-    return x._once(_log_det)
+    _require_invertible(x)
+    return TraceValue(x.algebra, x._once(_block_log_dets))
 
 
-def _log_det(x: Element) -> TraceValue:
-    svals = [np.linalg.svd(b, compute_uv=False) for b in x.blocks]
-    thresh = SINGULARITY_RTOL * max(float(s[0]) for s in svals)
-    coords = []
-    for b, s in zip(x.blocks, svals):
-        if s[-1] <= thresh:
-            raise SingularInput(f"smallest singular value {s[-1]:.3e} <= {thresh:.3e}")
-        sign, logabs = np.linalg.slogdet(b)
-        if not (np.isfinite(sign) and np.isfinite(logabs)):
+def _block_log_dets(x: Element) -> tuple[complex, ...]:
+    """log det x_i, imaginary part in (-pi, pi], one slogdet per block kept
+    through x._once; untested for invertibility, a singular LU reads -inf."""
+    out = []
+    for b, s in zip(x.blocks, x._once(_singular_values)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            sign, logabs = np.linalg.slogdet(b)
+        if sign != 0 and not (np.isfinite(sign) and np.isfinite(logabs)):
             # the LU overflowed: b / s_1 has entries of modulus at most 1
             sign, logabs = np.linalg.slogdet(b / s[0])
             logabs += len(b) * np.log(s[0])
-        coords.append(complex(logabs, np.angle(sign)))
-    return TraceValue(x.algebra, tuple(coords))
+        out.append(complex(logabs, np.angle(sign)))
+    return tuple(out)
 
 
 def determinant_mod_lattice(x: Element) -> LatticeQuotientValue:
@@ -499,15 +496,15 @@ def delta_1_0(loop: InvertiblePath, endpoint_tol: float = 1e-8) -> AffFunction:
     t1, t2 = loop.domain
     ts = np.linspace(t1, t2, 17)
     blocks, failed = _values_or_failures(loop, ts)
-    errs = _unitarity_errors([np.linalg.svd(b, compute_uv=False) for b in blocks])
+    defects = _unitarity_defects([np.linalg.svd(b, compute_uv=False) for b in blocks])
     ends = _identity_distances([b[[0, -1]] for b in blocks])
     for i, t, dist in ((0, t1, ends[0]), (-1, t2, ends[1])):
         _raise_failed(ts, failed, i)
         if dist > endpoint_tol:
             raise NotALoop(f"endpoint at t={t} is not the identity")
-    for i, err in enumerate(errs):
+    for i, defect in enumerate(defects):
         _raise_failed(ts, failed, i)
-        if err > 1e-8:
-            raise NotUnitaryPath(f"value at t={ts[i]} is not unitary ({err:.3e})")
+        if defect:
+            raise NotUnitaryPath(f"value at t={ts[i]} is not unitary ({defect:.3e})")
     h = [complex(c) / (2j * np.pi) for c in loop._det()]
     return AffFunction(tuple(c.real / n for c, n in zip(h, loop.algebra.block_sizes)))

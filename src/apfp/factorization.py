@@ -33,7 +33,7 @@ from .algebra import (
     _identity_distances,
     _positive_at,
     _same_algebra,
-    _unitarity_errors,
+    _unitarity_defects,
     _unitary_eig,
     exp_element,
     is_positive,
@@ -44,7 +44,7 @@ from .algebra import (
     polar,
     universal_trace,
 )
-from .determinant import InvertiblePath, ProductPolar, evaluate_many, log_det
+from .determinant import InvertiblePath, ProductPolar, _block_log_dets, evaluate_many, log_det
 from .errors import (
     APFPError,
     DeterminantNotOne,
@@ -114,13 +114,12 @@ MAX_SPLIT_SEGMENTS = 2 ** 16
 
 
 def _unitary_values(path: InvertiblePath, ts: np.ndarray) -> tuple[np.ndarray, ...]:
-    """evaluate_many at ts, then unitarity to 1e-8 at each t in order."""
+    """evaluate_many at ts, then unitarity at each t in order."""
     got = evaluate_many(path, ts)
-    errs = _unitarity_errors(got.svals)
-    bad = errs > 1e-8
-    if bad.any():
-        i = int(bad.argmax())
-        raise NotUnitaryPath(f"path value at t={float(ts[i])} is not unitary ({errs[i]:.3e})")
+    defects = _unitarity_defects(got.svals)
+    if defects.any():
+        i = int(np.flatnonzero(defects)[0])
+        raise NotUnitaryPath(f"path value at t={float(ts[i])} is not unitary ({defects[i]:.3e})")
     return got.blocks
 
 
@@ -136,7 +135,7 @@ def split_into_exponentials(
     midpoints of all offending steps are evaluated in one evaluate_many
     call.  Raises ValueError when the path does not start at the
     identity, NonFiniteValue or SingularValueOnPath (from evaluate_many)
-    and NotUnitaryPath (beyond 1e-8) for a value it reads,
+    and NotUnitaryPath (beyond UNITARITY_TOL) for a value it reads,
     PartitionOverflow when the partition would pass MAX_SPLIT_SEGMENTS
     segments, and BranchCut when a step's logarithm reaches the cut.
     """
@@ -523,16 +522,8 @@ class PositiveFactorization:
         tols = np.full(len(self.factors), FACTOR_POSITIVITY_TOL)
         if not _positive_at(stacks, tols).all():
             raise NotPositive("factorization contains a non-positive factor")
-        rs = []
-        for stack, t in zip(stacks, self.target.blocks):
-            prod = np.eye(stack.shape[-1], dtype=complex)
-            for p in stack:
-                prod = prod @ p
-            rs.append(prod + (-1.0 * t))
-        # the arithmetic of op_norm(product - target), without the elements
-        if not all(np.isfinite(r).all() for r in rs):
-            raise ValueError("non-finite entry in element")
-        residual = max(float(np.linalg.svd(r, compute_uv=False)[0]) for r in rs)
+        prods = (functools.reduce(np.matmul, s, np.eye(s.shape[-1], dtype=complex)) for s in stacks)
+        residual = op_norm(Element(self.target.algebra, tuple(prods)) - self.target)
         object.__setattr__(self, "residual", residual)
 
     @functools.cached_property
@@ -607,14 +598,16 @@ def _wu_pair(v: np.ndarray, lam: np.ndarray) -> list[np.ndarray]:
     return [_herm((v * lam[..., None, :]) @ _ct(v)), _herm(_ct(vi) @ vi)]
 
 
-def _sourour_wu(t: np.ndarray, beta: np.ndarray, draws: np.ndarray) -> list[np.ndarray]:
+def _sourour_wu(t: np.ndarray, logabs: float, draws: np.ndarray) -> list[np.ndarray]:
     """Four stacks of positives, each (len(draws), n, n): one
     factorization of t per candidate, for a non-scalar block with det t >
-    0, B's spectrum beta and C's spectrum |det t| / beta in pivot order.
-    Row c of draws holds candidate c's first vectors, for each step k the
-    real and then the imaginary parts of its n - k entries."""
+    0 and log |det t| = logabs: B's spectrum is beta = |det t|^(1/2n)
+    _ramp(n), C's is |det t|^(1/n) / beta.  Row c of draws holds
+    candidate c's first vectors, for each step k the real and then the
+    imaginary parts of its n - k entries."""
     n = len(t)
-    pivot = np.exp(np.linalg.slogdet(t)[1] / n)
+    pivot = np.exp(logabs / n)
+    beta = np.exp(logabs / (2 * n)) * _ramp(n)
     x = np.broadcast_to(np.eye(n, dtype=complex), (len(draws), n, n)).copy()
     s = t
     at = 0
@@ -680,8 +673,9 @@ def _lead(t: np.ndarray, m: int) -> tuple[list[np.ndarray], np.ndarray | None] |
     return [], t
 
 
-def _construct_block(t: np.ndarray, m: int, rng) -> list[np.ndarray] | None:
-    """At most m positive factors with product t (det t > 0), or None
+def _construct_block(t: np.ndarray, m: int, rng, logabs: float) -> list[np.ndarray] | None:
+    """At most m positive factors with product t (det t > 0, log |det t|
+    = logabs, which a lead of determinant one keeps), or None
     when the block is a non-positive scalar and m < 5, or when no
     candidate gave finite factors.  All CONSTRUCTION_CANDIDATES choices
     of the first vectors run as one stack, and the one with the smallest
@@ -695,10 +689,9 @@ def _construct_block(t: np.ndarray, m: int, rng) -> list[np.ndarray] | None:
     if t is None:
         return lead
     n = len(t)
-    beta = np.exp(np.linalg.slogdet(t)[1] / (2 * n)) * _ramp(n)
     # 2 (n - k) normals at each step k < n - 1, per candidate in turn
     draws = rng.normal(size=(CONSTRUCTION_CANDIDATES, (n - 1) * (n + 2)))
-    factors = _sourour_wu(t, beta, draws)
+    factors = _sourour_wu(t, logabs, draws)
     lead = [np.broadcast_to(p, factors[0].shape) for p in lead]
     stack, norms = _balanced(np.stack(lead + factors, axis=1))
     finite = np.isfinite(norms)
@@ -709,12 +702,18 @@ def _construct_block(t: np.ndarray, m: int, rng) -> list[np.ndarray] | None:
 
 def _construct(x: Element, m: int, seed: int) -> tuple[Element, ...] | None:
     """m positive factors of a member x in closed form (m >= 4), padded
-    with the identity, or None where the construction does not apply."""
+    with the identity, or None where the construction does not apply.
+    Each block is divided by 2^e >= op_norm(x) (|e| <= 1022), which is
+    exact, before it is factored: near 1e200 the steps overflow.  2^e
+    spread evenly over its factors keeps their norms equal."""
+    e = min(max(math.frexp(op_norm(x))[1], -1022), 1022)
     per_block = []
-    for i, (t, n) in enumerate(zip(x.blocks, x.algebra.block_sizes)):
-        factors = _construct_block(t, m, np.random.default_rng((seed, i)))
+    for i, (t, n, c) in enumerate(zip(x.blocks, x.algebra.block_sizes, x._once(_block_log_dets))):
+        rng = np.random.default_rng((seed, i))
+        factors = _construct_block(t * 2.0**-e, m, rng, c.real - n * e * math.log(2))
         if factors is None:
             return None
+        factors = [2.0 ** (e / len(factors)) * p for p in factors]
         per_block.append(factors + [np.eye(n, dtype=complex)] * (m - len(factors)))
     return tuple(Element(x.algebra, tuple(b[j] for b in per_block)) for j in range(m))
 
@@ -888,10 +887,9 @@ def _turn_radius(sv, phi: float) -> float:
     return hi
 
 
-def _closure_block(b) -> tuple[float, np.ndarray]:
-    """min(s_n, r_i) and the witness y_i for one block (see above)."""
+def _closure_block(b, angle: float) -> tuple[float, np.ndarray]:
+    """min(s_n, r_i) and the witness y_i for a block with arg det = angle."""
     u, s, vh = _singular_split(b)
-    angle = float(np.angle(np.linalg.slogdet(b)[0]))  # sign 0 when det = 0
     phi = abs(angle)
     sv = [float(v) for v in s]
     if sv[-1] == 0.0 or _turn(sv, sv[-1]) <= phi:
@@ -908,9 +906,9 @@ def _closure_block(b) -> tuple[float, np.ndarray]:
 
 def distance_to_closure(x: Element) -> ClosureDistance:
     """The distance from x to the closure of P(A) for m >= 4 factors in
-    closed form, from one SVD (eigh for a hermitian block) and one slogdet
-    per block (see above)."""
-    blocks = [_closure_block(b) for b in x.blocks]
+    closed form, from one SVD (eigh for a hermitian block) per block and
+    the phases of its block log dets, 0 for a singular block (see above)."""
+    blocks = [_closure_block(b, c.imag) for b, c in zip(x.blocks, x._once(_block_log_dets))]
     return ClosureDistance(
         max(d for d, _ in blocks), Element(x.algebra, tuple(y for _, y in blocks))
     )

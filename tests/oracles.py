@@ -5,6 +5,7 @@ iteration, Taylor series, brute-force search) so that agreement with the
 library is meaningful evidence rather than a tautology.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -97,50 +98,6 @@ def logdet_along_path(block_samples) -> complex:
         assert abs(np.angle(ratio)) < 3.0, "oracle sampling too coarse"
         total += complex(np.log(ratio))
     return total
-
-
-def _traceless_basis(n: int):
-    basis = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                e = np.zeros((n, n), dtype=complex)
-                e[i, j] = 1.0
-                basis.append(e)
-    for k in range(n - 1):
-        e = np.zeros((n, n), dtype=complex)
-        e[k, k] = 1.0
-        e[k + 1, k + 1] = -1.0
-        basis.append(e)
-    return basis
-
-
-def brute_force_commutant_distance(mat, seed: int = 0, rounds: int = 40) -> float:
-    """Upper bound on the operator-norm distance from mat to traceless matrices.
-
-    Random multi-start coordinate descent over a traceless basis.  The result
-    is a valid upper bound for the true distance; with enough rounds it lands
-    close to the optimum for the small blocks used in tests.
-    """
-    from scipy.optimize import minimize
-
-    m = np.asarray(mat, dtype=complex)
-    basis = _traceless_basis(m.shape[0])
-    dim = 2 * len(basis)
-
-    def objective(x):
-        y = np.zeros_like(m)
-        for k, e in enumerate(basis):
-            y = y + (x[2 * k] + 1j * x[2 * k + 1]) * e
-        return float(np.linalg.norm(m - y, ord=2))
-
-    rng = np.random.default_rng(seed)
-    best = objective(np.zeros(dim))
-    for r in range(rounds):
-        x0 = rng.normal(scale=1.0 + 0.5 * r, size=dim) if r else np.zeros(dim)
-        res = minimize(objective, x0, method="Powell", options={"maxiter": 4000, "xtol": 1e-10, "ftol": 1e-12})
-        best = min(best, float(res.fun))
-    return best
 
 
 def nearest_lattice_point(values, generators, radius: int = 6):
@@ -266,10 +223,13 @@ def per_candidate_construct(x, m: int, seed: int):
     of each block tried one after another: each draws its first vectors
     from the block's generator as it runs, one that raises LinAlgError
     is skipped, and a later one wins only with a strictly smaller finite
-    norm.  The route of each block is the package's own (_lead).  The
+    norm.  The route of each block is the package's own (_lead), and so
+    are its scale (x over the power of two 2^e at or above op_norm(x),
+    then 2^e spread over the block's factors) and log |det|.  The
     package runs all candidates as one stack; its factors must equal
     these bit for bit."""
-    from apfp import Element
+    from apfp import Element, op_norm
+    from apfp.determinant import log_det
     from apfp.algebra import _herm
     from apfp.factorization import CONSTRUCTION_CANDIDATES, _lead, _ramp
 
@@ -286,9 +246,10 @@ def per_candidate_construct(x, m: int, seed: int):
         vi = np.linalg.inv(v)
         return [_herm((v * lam) @ v.conj().T), _herm(vi.conj().T @ vi)]
 
-    def sourour_wu(t, beta, rng):
+    def sourour_wu(t, logabs, rng):
         n = len(t)
-        pivot = np.exp(np.linalg.slogdet(t)[1] / n)
+        pivot = np.exp(logabs / n)
+        beta = np.exp(logabs / (2 * n)) * _ramp(n)
         x = np.eye(n, dtype=complex)
         s = t
         for k in range(n - 1):
@@ -318,29 +279,30 @@ def per_candidate_construct(x, m: int, seed: int):
         mean = float(np.exp(np.mean(np.log(norms))))
         return list(stack * (mean / norms)[:, None, None]), mean
 
-    def block(t, rng):
+    def block(t, rng, logabs):
         route = _lead(t, m)
         if route is None:
             return None
         lead, t = route
         if t is None:
             return lead
-        n = len(t)
-        beta = np.exp(np.linalg.slogdet(t)[1] / (2 * n)) * _ramp(n)
         best, best_norm = None, np.inf
         for _ in range(CONSTRUCTION_CANDIDATES):
             try:
-                factors, norm = balanced(lead + sourour_wu(t, beta, rng))
+                factors, norm = balanced(lead + sourour_wu(t, logabs, rng))
             except np.linalg.LinAlgError:
                 continue
             if norm < best_norm:
                 best, best_norm = factors, norm
         return best
 
+    e = min(max(math.frexp(op_norm(x))[1], -1022), 1022)
+    logs = log_det(x).coords
     per_block = []
     for i, (t, n) in enumerate(zip(x.blocks, x.algebra.block_sizes)):
-        factors = block(t, np.random.default_rng((seed, i)))
+        factors = block(t * 2.0**-e, np.random.default_rng((seed, i)), logs[i].real - n * e * math.log(2))
         if factors is None:
             return None
-        per_block.append(factors + [np.eye(n, dtype=complex)] * (m - len(factors)))
+        spread = 2.0 ** (e / len(factors))
+        per_block.append([spread * p for p in factors] + [np.eye(n, dtype=complex)] * (m - len(factors)))
     return tuple(Element(x.algebra, tuple(b[j] for b in per_block)) for j in range(m))

@@ -31,7 +31,7 @@ from apfp.sampling import (
     rng_from,
 )
 
-from oracles import brute_force_commutant_distance, power_iteration_norm, taylor_expm
+from oracles import power_iteration_norm, taylor_expm
 
 M1 = AlgebraDescriptor((1,))
 M2 = AlgebraDescriptor((2,))
@@ -306,16 +306,22 @@ def test_quotient_norm_values():
     assert quotient_norm(TraceValue(M1, (3 - 4j,))) == 5.0
 
 
-def test_quotient_norm_against_brute_force():
-    # the closed form |tr x|/n is the distance from x to the traceless
-    # matrices; a random-start Powell search over that subspace agrees
-    rng = rng_from(41)
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    x = elem(M2, b)
-    closed = quotient_norm(universal_trace(x))
-    searched = brute_force_commutant_distance(b)
-    assert closed <= searched + 1e-9  # search only ever overshoots
-    assert searched <= closed + 5e-3
+def test_quotient_norm_certificate():
+    # the closed form max_i |tr x_i| / n_i is the distance from x to the
+    # traceless elements: project_traceless(x) is traceless at that
+    # distance, and no traceless t is nearer, as |tr x_i| = |tr(x_i -
+    # t_i)| <= n_i ||x_i - t_i||; checked on traceless t around the nearest
+    alg = AlgebraDescriptor((1, 2, 3, 4, 5))
+    for k in range(8):
+        x = random_element(alg, rng_from((41, k)))
+        y = project_traceless(x)
+        assert max(abs(c) for c in universal_trace(y).coords) <= 1e-12 * op_norm(x)
+        assert op_norm(x - y) == pytest.approx(quotient_norm(universal_trace(x)), rel=1e-12)
+        for j, eps in enumerate((0.0, 1e-6, 1e-3, 1e-1, 1.0)):
+            t = y + eps * project_traceless(random_element(alg, rng_from((42, k, j))))
+            for xb, tb, n in zip(x.blocks, t.blocks, alg.block_sizes):
+                bound = n * np.linalg.norm(xb - tb, 2) * (1 + 1e-12) + abs(np.trace(tb))
+                assert abs(np.trace(xb)) <= bound
 
 
 @given(SEEDS, ALGEBRAS)

@@ -15,10 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import apfp
-import apfp.algebra
 import apfp.cli
 import apfp.determinant
 import apfp.factorization
@@ -326,16 +325,18 @@ def not_strict_json(constant):
     raise AssertionError(f"{constant} in a report")
 
 
-def run_contract(command, obj):
+def run_contract(command, obj, *flags, reports=(EXIT_OK,)):
+    """The exit codes in reports write a strict JSON report with results;
+    2 and 3 write an error line alone."""
     with tempfile.TemporaryDirectory() as tmp:
         src = os.path.join(tmp, "in.json")
         with open(src, "w") as fh:
             json.dump(obj, fh)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, src])
-    assert code in (EXIT_OK, EXIT_PARSE, EXIT_NUMERIC)
-    if code == EXIT_OK:
+            code = main([command, src, *flags])
+    assert code in (*reports, EXIT_PARSE, EXIT_NUMERIC)
+    if code in reports:
         assert json.loads(out.getvalue(), parse_constant=not_strict_json)["results"]
     else:
         assert out.getvalue() == "" and err.getvalue().startswith("error:")
@@ -351,6 +352,20 @@ def test_det_path_contract_on_any_path_object(obj):
 @given(st.one_of(element_objs(), JUNK))
 def test_membership_contract_on_any_element_object(obj):
     run_contract("membership", obj)
+
+
+# det = -3e924: slogdet's LU overflows, though every singular value is finite
+HUGE_M3 = {"blocks": [[[[v * 1e308, 0.0] for v in row] for row in [[1, 1, -1], [1, 0, 1], [-1, 1, 0]]]]}
+
+
+@settings(max_examples=150)
+@given(st.one_of(element_objs(), JUNK))
+@example(HUGE_M3)
+def test_factor_contract_on_any_element_object(obj):
+    # few restarts and iterations: a member that reaches the search ends
+    # in exit 0 or 5 all the same
+    flags = ("--factors", "5", "--restarts", "1", "--max-iterations", "20")
+    run_contract("factor", obj, *flags, reports=(EXIT_OK, EXIT_NOT_IN_CLOSURE, EXIT_NO_CONVERGENCE))
 
 
 # ---------------------------------------------------------------------------
@@ -433,27 +448,45 @@ def test_factor_computes_one_closure_distance_per_non_member(tmp_path, capsys, m
     assert report["results"]["distance_to_closure"] <= report["results"]["distance_probe"]
 
 
-def test_factor_computes_each_invariant_once_per_member(tmp_path, capsys, monkeypatch):
-    # the report's membership test and factor_positive_products' own
-    # share one log_det of x, and the search target and the report's
-    # relative residual share one op_norm of x: each is kept on x
-    x = random_member(M2, rng_from(29))
+def counted_block_calls(monkeypatch, x):
+    """Per block of x, the values-only SVDs and the slogdets taken of
+    that block; any other slogdet is counted under None."""
     calls = []
+    svd, slogdet = np.linalg.svd, np.linalg.slogdet
 
-    def counted(module, name):
-        fn = getattr(module, name)
+    def block_of(a):
+        hits = [i for i, b in enumerate(x.blocks) if a.shape == b.shape and np.array_equal(a, b)]
+        return hits[0] if hits else None
 
-        def once(y):
-            calls.append(name)
-            return fn(y)
+    def counted_svd(a, *rest, **kw):
+        if not kw.get("compute_uv", True) and block_of(a) is not None:
+            calls.append(("svd", block_of(a)))
+        return svd(a, *rest, **kw)
 
-        monkeypatch.setattr(module, name, once)
+    def counted_slogdet(a):
+        calls.append(("slogdet", block_of(a)))
+        return slogdet(a)
 
-    counted(apfp.algebra, "_op_norm")
-    counted(apfp.determinant, "_log_det")
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "slogdet", counted_slogdet)
+    return calls
+
+
+def one_svd_and_one_slogdet_per_block(x):
+    return sorted([("slogdet", i) for i in range(x.algebra.rank)] + [("svd", i) for i in range(x.algebra.rank)])
+
+
+def test_factor_computes_each_invariant_once_per_member(tmp_path, capsys, monkeypatch):
+    # the report's membership test, factor_positive_products' own, the
+    # overflow check, the construction's scale and log |det| and the
+    # report's relative residual share one SVD and one slogdet of each
+    # block, kept on x
+    x = random_member(M23, rng_from(29))
+    calls = counted_block_calls(monkeypatch, x)
     code, report = run(capsys, "factor", element_file(tmp_path, "member.json", x), "--factors", "5")
     assert code == EXIT_OK
-    assert sorted(calls) == ["_log_det", "_op_norm"]
+    assert report["provenance"]["factorization"]["route"] == "construction"
+    assert sorted(calls) == one_svd_and_one_slogdet_per_block(x)
     monkeypatch.undo()
     member = membership_test(x)
     direct = {
@@ -464,6 +497,17 @@ def test_factor_computes_each_invariant_once_per_member(tmp_path, capsys, monkey
     }
     # repr keeps every bit (and the sign of zero)
     assert json.dumps(report["results"], sort_keys=True) == json.dumps(direct, sort_keys=True)
+
+
+def test_factor_computes_each_invariant_once_per_non_member(tmp_path, capsys, monkeypatch):
+    # the membership test and the closed-form distance read one phase of
+    # each block determinant
+    x = random_element(M23, rng_from((77, 1)))
+    calls = counted_block_calls(monkeypatch, x)
+    code, report = run(capsys, "factor", element_file(tmp_path, "bad.json", x), "--factors", "5")
+    assert code == EXIT_NOT_IN_CLOSURE
+    assert report["provenance"]["distance"] == {"route": "closed_form"}
+    assert sorted(calls) == one_svd_and_one_slogdet_per_block(x)
 
 
 def test_factor_starved_optimizer_exits_5(tmp_path, capsys):
@@ -538,6 +582,15 @@ def test_membership_of_an_element_whose_determinant_overflows(tmp_path, capsys):
     assert code == EXIT_OK
     assert report["results"]["member"] is False
     assert report["results"]["det_phases"] == [pytest.approx(np.pi)]
+
+
+def test_factor_of_an_element_whose_determinant_overflows(tmp_path, capsys):
+    # the distance reads the phase pi of the membership test
+    f = write_json(tmp_path, "huge.json", HUGE_M3)
+    code, report = run(capsys, "factor", f, "--factors", "5")
+    assert code == EXIT_NOT_IN_CLOSURE
+    assert report["results"]["det_phases"] == [pytest.approx(np.pi)]
+    assert report["results"]["distance_to_closure"] == pytest.approx(1e308, rel=1e-12)
 
 
 def near_member_file(tmp_path):

@@ -451,6 +451,19 @@ def test_construction_gives_positive_factors(monkeypatch, m):
         assert_positive_factorization(x, got.factors, 1e-6 * op_norm(x))
 
 
+@pytest.mark.parametrize("m", [4, 5])
+def test_members_far_above_unit_scale_are_constructed(monkeypatch, m):
+    # unscaled, the Sourour steps overflowed, and then the search's first
+    # eigh raised LinAlgError
+    no_search(monkeypatch)
+    x = random_member(M3, rng_from(5))
+    for norm in (1e200, 1e250, 1e300):
+        big = x.map_blocks(lambda b: b * (norm / op_norm(x)))
+        got = factor_positive_products(big, m=m)
+        assert got.route == "construction"
+        assert_positive_factorization(big, got.factors, 1e-6 * op_norm(big))
+
+
 def test_construction_leaves_non_positive_scalars_to_the_search_at_m4(monkeypatch):
     # a non-positive scalar is no product of four positives: its fifth
     # factor does not fit, so the search takes over
@@ -706,8 +719,7 @@ def test_distance_at_the_top_of_the_float_range(scale):
     # 1.2e308 here instead of 7.5e307
     x = Element(M2, (np.diag([1.5, 1.2]) * scale * np.exp(0.6j),))
     unit = Element(M2, (np.diag([1.5, 1.2]) * np.exp(0.6j),))
-    with np.errstate(over="ignore"):  # slogdet warns at this scale
-        got = distance_to_closure(x).distance
+    got = distance_to_closure(x).distance
     assert got == pytest.approx(scale * distance_to_closure(unit).distance, rel=1e-15)
 
 
