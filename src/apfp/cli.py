@@ -180,16 +180,21 @@ class _ParseError(Exception):
     pass
 
 
+def _load(path, from_obj, what):
+    """from_obj applied to the JSON in path; _ParseError naming what on failure."""
+    obj = _read_json(path)
+    try:
+        return from_obj(obj)
+    except (KeyError, TypeError, ValueError, OverflowError, DescriptorMismatch) as exc:
+        raise _ParseError(f"bad {what} file: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_det_path(args, config: RunConfig):
-    obj = _read_json(args.path_file)
-    try:
-        path = serialize.path_from_obj(obj)
-    except (KeyError, TypeError, ValueError, OverflowError, DescriptorMismatch) as exc:
-        raise _ParseError(f"bad path file: {exc}") from exc
+    path = _load(args.path_file, serialize.path_from_obj, "path")
     det = path_determinant(path)
     reduced = lattice_reduce(det)
     t1, t2 = path.domain
@@ -220,7 +225,7 @@ def _cmd_det_path(args, config: RunConfig):
 
 
 def _cmd_factor(args, config: RunConfig):
-    x = _load_element(args.element_file)
+    x = _load(args.element_file, serialize.element_from_obj, "element")
     # the default tolerance: the one factor_positive_products enforces
     member = membership_test(x)
     results = {
@@ -250,16 +255,8 @@ def _cmd_factor(args, config: RunConfig):
     return results, EXIT_OK, {"factorization": route}
 
 
-def _load_element(path) -> Element:
-    obj = _read_json(path)
-    try:
-        return serialize.element_from_obj(obj)
-    except (KeyError, TypeError, ValueError, OverflowError, DescriptorMismatch) as exc:
-        raise _ParseError(f"bad element file: {exc}") from exc
-
-
 def _cmd_membership(args, config: RunConfig):
-    x = _load_element(args.element_file)
+    x = _load(args.element_file, serialize.element_from_obj, "element")
     member = membership_test(x, config.tol("membership"))
     results = {
         "member": member.member,

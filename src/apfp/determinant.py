@@ -470,13 +470,14 @@ def _block_log_dets(x: Element) -> tuple[complex, ...]:
     """log det x_i, imaginary part in (-pi, pi], one slogdet per block kept
     through x._once; untested for invertibility, a singular LU reads -inf."""
     out = []
-    for b, s in zip(x.blocks, x._once(_singular_values)):
+    for i, b in enumerate(x.blocks):
         with np.errstate(over="ignore", invalid="ignore"):
             sign, logabs = np.linalg.slogdet(b)
         if sign != 0 and not (np.isfinite(sign) and np.isfinite(logabs)):
             # the LU overflowed: b / s_1 has entries of modulus at most 1
-            sign, logabs = np.linalg.slogdet(b / s[0])
-            logabs += len(b) * np.log(s[0])
+            s1 = x._once(_singular_values)[i][0]
+            sign, logabs = np.linalg.slogdet(b / s1)
+            logabs += len(b) * np.log(s1)
         out.append(complex(logabs, np.angle(sign)))
     return tuple(out)
 

@@ -33,6 +33,7 @@ from .algebra import (
     _identity_distances,
     _positive_at,
     _same_algebra,
+    _singular_values,
     _unitarity_defects,
     _unitary_eig,
     exp_element,
@@ -703,18 +704,19 @@ def _construct_block(t: np.ndarray, m: int, rng, logabs: float) -> list[np.ndarr
 def _construct(x: Element, m: int, seed: int) -> tuple[Element, ...] | None:
     """m positive factors of a member x in closed form (m >= 4), padded
     with the identity, or None where the construction does not apply.
-    Each block is divided by 2^e >= op_norm(x) (|e| <= 1022), which is
-    exact, before it is factored: near 1e200 the steps overflow.  2^e
-    spread evenly over its factors keeps their norms equal."""
-    e = min(max(math.frexp(op_norm(x))[1], -1022), 1022)
+    Each block x_i is divided by 2^e_i >= ||x_i|| (|e_i| <= 1022), which
+    is exact, before it is factored: near 1e200 the steps overflow, and
+    far below it they underflow.  2^e_i spread evenly over the block's
+    factors keeps their norms equal."""
     per_block = []
-    for i, (t, n, c) in enumerate(zip(x.blocks, x.algebra.block_sizes, x._once(_block_log_dets))):
+    for i, (t, s, c) in enumerate(zip(x.blocks, x._once(_singular_values), x._once(_block_log_dets))):
+        e = min(max(math.frexp(s[0])[1], -1022), 1022)
         rng = np.random.default_rng((seed, i))
-        factors = _construct_block(t * 2.0**-e, m, rng, c.real - n * e * math.log(2))
+        factors = _construct_block(t * 2.0**-e, m, rng, c.real - len(t) * e * math.log(2))
         if factors is None:
             return None
         factors = [2.0 ** (e / len(factors)) * p for p in factors]
-        per_block.append(factors + [np.eye(n, dtype=complex)] * (m - len(factors)))
+        per_block.append(factors + [np.eye(len(t), dtype=complex)] * (m - len(factors)))
     return tuple(Element(x.algebra, tuple(b[j] for b in per_block)) for j in range(m))
 
 

@@ -224,11 +224,11 @@ def per_candidate_construct(x, m: int, seed: int):
     from the block's generator as it runs, one that raises LinAlgError
     is skipped, and a later one wins only with a strictly smaller finite
     norm.  The route of each block is the package's own (_lead), and so
-    are its scale (x over the power of two 2^e at or above op_norm(x),
-    then 2^e spread over the block's factors) and log |det|.  The
+    are its scale (each block over the power of two 2^e at or above its
+    own norm, then 2^e spread over the block's factors) and log |det|.  The
     package runs all candidates as one stack; its factors must equal
     these bit for bit."""
-    from apfp import Element, op_norm
+    from apfp import Element
     from apfp.determinant import log_det
     from apfp.algebra import _herm
     from apfp.factorization import CONSTRUCTION_CANDIDATES, _lead, _ramp
@@ -296,10 +296,10 @@ def per_candidate_construct(x, m: int, seed: int):
                 best, best_norm = factors, norm
         return best
 
-    e = min(max(math.frexp(op_norm(x))[1], -1022), 1022)
     logs = log_det(x).coords
     per_block = []
     for i, (t, n) in enumerate(zip(x.blocks, x.algebra.block_sizes)):
+        e = min(max(math.frexp(np.linalg.norm(t, 2))[1], -1022), 1022)
         factors = block(t * 2.0**-e, np.random.default_rng((seed, i)), logs[i].real - n * e * math.log(2))
         if factors is None:
             return None

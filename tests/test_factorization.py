@@ -464,6 +464,21 @@ def test_members_far_above_unit_scale_are_constructed(monkeypatch, m):
         assert_positive_factorization(big, got.factors, 1e-6 * op_norm(big))
 
 
+@pytest.mark.parametrize("m", [4, 5])
+def test_construction_scales_each_block_by_its_own_norm(m):
+    # a unit block beside a 1e200 one: over the larger norm it would
+    # underflow.  The element is singular by the element-wide rule, so
+    # the construction is called directly and checked block by block
+    u = random_member(M3, rng_from(5))
+    x = elem(AlgebraDescriptor((1, 3)), [[1e200]], u.blocks[0] / op_norm(u))
+    factors = factorization._construct(x, m, 0)
+    assert factors is not None and len(factors) == m
+    for i, xb in enumerate(x.blocks):
+        block = Element(AlgebraDescriptor((len(xb),)), (xb,))
+        parts = [Element(block.algebra, (f.blocks[i],)) for f in factors]
+        assert_positive_factorization(block, parts, 1e-6 * op_norm(block))
+
+
 def test_construction_leaves_non_positive_scalars_to_the_search_at_m4(monkeypatch):
     # a non-positive scalar is no product of four positives: its fifth
     # factor does not fit, so the search takes over
