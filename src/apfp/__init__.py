@@ -10,6 +10,7 @@ characterization of when that closure is everything.
 """
 
 from .algebra import (
+    AffFunction,
     AlgebraDescriptor,
     Element,
     TraceValue,
@@ -31,7 +32,6 @@ from .algebra import (
 )
 from .checker import (
     AbstractDescriptor,
-    AffFunction,
     ConditionCheck,
     ConditionReport,
     K0Data,

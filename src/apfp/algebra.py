@@ -147,6 +147,23 @@ class TraceValue:
         return TraceValue(self.algebra, tuple(lam * a for a in self.coords))
 
 
+@dataclass(frozen=True)
+class AffFunction:
+    """An affine function on the trace simplex, recorded by its values at
+    the extreme traces.  Entries may be floats or exact Fractions."""
+
+    values: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", tuple(self.values))
+
+    def __add__(self, other):
+        return AffFunction(tuple(a + b for a, b in zip(self.values, other.values)))
+
+    def __sub__(self, other):
+        return AffFunction(tuple(a - b for a, b in zip(self.values, other.values)))
+
+
 def _same_algebra(x, y):
     if x.algebra != y.algebra:
         raise DescriptorMismatch(f"{x.algebra} != {y.algebra}")
@@ -268,19 +285,20 @@ def is_positive(x: Element, tol: float | None = None) -> bool:
 def _positive_at(blocks, tols) -> np.ndarray:
     """is_positive(v, tol) at each point v of a stack, tol from tols: the
     norm of v - v* (its largest singular value) and the lowest eigenvalue
-    of (v + v*)/2, one batched call each per block, until no point is
-    left positive.  Both are formed from v/2 and v*/2, which cannot
+    of (v + v*)/2, one batched call each per block while some point is
+    left positive, the second only while some point is self-adjoint
+    within its tol.  Both are formed from v/2 and v*/2, which cannot
     overflow: the defect is compared at half scale."""
     ok = np.ones(len(tols), dtype=bool)
     half_tols = 0.5 * tols
     for b in blocks:
-        half = 0.5 * b
-        half_h = half.conj().swapaxes(-1, -2)
-        half_defect = np.linalg.svd(half - half_h, compute_uv=False)[:, 0]
-        lowest = np.linalg.eigvalsh(half + half_h)[:, 0]
-        ok &= ~(half_defect > half_tols) & ~(lowest < -tols)
         if not np.count_nonzero(ok):
             break
+        half = 0.5 * b
+        half_h = half.conj().swapaxes(-1, -2)
+        ok &= ~(np.linalg.svd(half - half_h, compute_uv=False)[:, 0] > half_tols)
+        if np.count_nonzero(ok):
+            ok &= ~(np.linalg.eigvalsh(half + half_h)[:, 0] < -tols)
     return ok
 
 

@@ -18,27 +18,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraDescriptor, Element
+from .algebra import AffFunction, AlgebraDescriptor, Element
+from .determinant import delta_1_0
 from .errors import InconsistentFlags, RankMismatch, RankTooHighForDensity
 
 CONDITION_NAMES = ("no_findim_reps", "stable_rank_one", "k1_trivial", "rho_dense")
-
-
-@dataclass(frozen=True)
-class AffFunction:
-    """An affine function on the trace simplex, recorded by its values at
-    the extreme traces.  Entries may be floats or exact Fractions."""
-
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-
-    def __add__(self, other):
-        return AffFunction(tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __sub__(self, other):
-        return AffFunction(tuple(a - b for a, b in zip(self.values, other.values)))
 
 
 @dataclass(frozen=True)
@@ -71,12 +55,11 @@ class TraceSimplex:
 
 @dataclass(frozen=True)
 class K0Data:
-    """K0 pairing data: either the closed-form block pairing g -> g_i/n_i
-    or a finite list of abstract generator images a + b*theta with exact
+    """K0 pairing data of an abstract descriptor: its rank and, when
+    known, a finite list of generator images a + b*theta with exact
     rational a, b and theta a fixed symbolic irrational."""
 
     rank: int
-    block_sizes: Optional[tuple[int, ...]] = None
     generators: Optional[tuple[tuple[Fraction, Fraction], ...]] = None
 
     @classmethod
@@ -280,8 +263,6 @@ class PairingCheck:
 
 def pairing_consistency(alg: AlgebraDescriptor, loop, tol: float = 1e-6) -> PairingCheck:
     """Check that the loop invariant lands on the pairing range of K0."""
-    from .determinant import delta_1_0  # deferred: this module is imported by determinant
-
     f = delta_1_0(loop)
     nearest = tuple(
         int(np.round(v * n)) for v, n in zip(f.values, alg.block_sizes)

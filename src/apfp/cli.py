@@ -169,10 +169,12 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _read_json(path):
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer
+    # longer than int() reads; RecursionError, arrays nested past the stack
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise _ParseError(str(exc)) from exc
 
 
@@ -185,7 +187,7 @@ def _load(path, from_obj, what):
     obj = _read_json(path)
     try:
         return from_obj(obj)
-    except (KeyError, TypeError, ValueError, OverflowError, DescriptorMismatch) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError, DescriptorMismatch) as exc:
         raise _ParseError(f"bad {what} file: {exc}") from exc
 
 
@@ -218,7 +220,7 @@ def _cmd_det_path(args, config: RunConfig):
     if endpoints_identity and unitary:
         f = delta_1_0(path, endpoint_tol=endpoint_tol)
         results["delta_1_0"] = {
-            "values": [float(v) for v in f.values],
+            **serialize.aff_function_to_obj(f),
             "imag_residual": max(abs(c.real) / (2 * np.pi) for c in det.coords),
         }
     return results, EXIT_OK
@@ -267,22 +269,9 @@ def _cmd_membership(args, config: RunConfig):
 
 
 def _cmd_check(args, config: RunConfig):
-    obj = _read_json(args.descriptor_file)
-    if "block_sizes" in obj:
-        try:
-            alg = AlgebraDescriptor(tuple(obj["block_sizes"]))
-        except (TypeError, ValueError) as exc:
-            raise _ParseError(f"bad descriptor: {exc}") from exc
-        report = check_conditions(alg)
-    elif "rank" in obj:
-        try:
-            desc = serialize.abstract_descriptor_from_obj(obj)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise _ParseError(f"bad descriptor: {exc}") from exc
-        report = check_abstract(desc)
-    else:
-        raise _ParseError("descriptor needs block_sizes or rank")
-    return serialize.condition_report_to_obj(report), EXIT_OK
+    desc = _load(args.descriptor_file, serialize.descriptor_from_obj, "descriptor")
+    check = check_conditions if isinstance(desc, AlgebraDescriptor) else check_abstract
+    return serialize.condition_report_to_obj(check(desc)), EXIT_OK
 
 
 # ---------------------------------------------------------------------------

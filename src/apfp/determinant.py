@@ -27,6 +27,7 @@ import numpy as np
 import scipy  # scipy.linalg loads on its first use, not at import
 
 from .algebra import (
+    AffFunction,
     AlgebraDescriptor,
     Element,
     TraceValue,
@@ -38,7 +39,6 @@ from .algebra import (
     _singular_values,
     _unitarity_defects,
 )
-from .checker import AffFunction
 from .errors import (
     DescriptorMismatch,
     NonFiniteValue,

@@ -26,6 +26,7 @@ import numpy as np
 import scipy  # scipy.optimize loads on the first search, not at import
 
 from .algebra import (
+    POSITIVITY_RTOL,
     AlgebraDescriptor,
     Element,
     TraceValue,
@@ -726,7 +727,8 @@ def factor_positive_products(
     """Factor an invertible member of the closure of P(A) into m positive
     factors.
 
-    A positive x is its own first factor.  For m >= 4 the factors are
+    An x positive within the smaller of FACTOR_POSITIVITY_TOL and
+    POSITIVITY_RTOL * op_norm(x) is its own first factor.  For m >= 4 the factors are
     constructed in closed form (Sourour, then Wu; see above) and returned
     when they pass PositiveFactorization's checks and reach the target,
     with restarts_used 0.  Otherwise a multi-start quasi-Newton search
@@ -748,10 +750,11 @@ def factor_positive_products(
             + ", ".join(f"{p:+.3e}" for p in membership.det_phases),
             diagnostics=membership,
         )
-    if is_positive(x, FACTOR_POSITIVITY_TOL):  # the tolerance PositiveFactorization checks
+    norm = op_norm(x)
+    # the absolute tolerance alone would take any x of norm below 1e-10
+    if is_positive(x, min(FACTOR_POSITIVITY_TOL, POSITIVITY_RTOL * norm)):
         factors = (x,) + tuple(x.algebra.identity() for _ in range(m - 1))
         return PositiveFactorization(factors, x, route="positive")
-    norm = op_norm(x)
     # a block's trace and the sum of a block and its adjoint reach n_i ||x||
     if not math.isfinite(max(x.algebra.block_sizes) * norm):
         raise NonFiniteValue(f"the scale of x overflows: op_norm {norm:.3e}")

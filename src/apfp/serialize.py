@@ -16,10 +16,10 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .algebra import AlgebraDescriptor, Element, TraceValue, op_norm
+from .algebra import AffFunction, AlgebraDescriptor, Element, TraceValue, op_norm
 from .checker import (
+    CONDITION_NAMES,
     AbstractDescriptor,
-    AffFunction,
     ConditionCheck,
     ConditionReport,
     K0Data,
@@ -33,7 +33,6 @@ from .determinant import (
     Reversal,
     Sampled,
 )
-from .factorization import PositiveFactorization
 
 
 # ---------------------------------------------------------------------------
@@ -73,49 +72,6 @@ def element_from_json(text: str) -> Element:
 # paths
 
 
-def path_to_obj(path: InvertiblePath):
-    if isinstance(path, ExpLine):
-        return {
-            "kind": "ExpLine",
-            "domain": list(path.domain),
-            "c": element_to_obj(path.c),
-        }
-    if isinstance(path, ProductPolar):
-        return {
-            "kind": "ProductPolar",
-            "domain": list(path.domain),
-            "c": element_to_obj(path.c),
-            "d": element_to_obj(path.d),
-        }
-    if isinstance(path, Sampled):
-        return {
-            "kind": "Sampled",
-            "domain": list(path.domain),
-            "samples": [[t, element_to_obj(v)] for t, v in path.samples],
-        }
-    if isinstance(path, PointwiseProduct):
-        return {
-            "kind": "PointwiseProduct",
-            "domain": list(path.domain),
-            "first": path_to_obj(path.first),
-            "second": path_to_obj(path.second),
-        }
-    if isinstance(path, Concatenation):
-        return {
-            "kind": "Concatenation",
-            "domain": list(path.domain),
-            "first": path_to_obj(path.first),
-            "second": path_to_obj(path.second),
-        }
-    if isinstance(path, Reversal):
-        return {
-            "kind": "Reversal",
-            "domain": list(path.domain),
-            "inner": path_to_obj(path.inner),
-        }
-    raise ValueError(f"unknown path kind {type(path).__name__}")
-
-
 def _parameter(v) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(float(v)):
         raise ValueError(f"path parameter must be a finite number, got {v!r}")
@@ -129,35 +85,56 @@ def _domain(obj) -> tuple[float, float]:
     return (_parameter(dom[0]), _parameter(dom[1]))
 
 
-# the path kinds a path object may name, each with its reader of (obj, domain)
+# what a path field holds, as (writer, reader).  The readers look up
+# element_from_obj and path_from_obj when they run, so a wrapper set on
+# this module sees the nested reads too.
+_ELEMENT = (element_to_obj, lambda obj: element_from_obj(obj))
+_PATH = (lambda path: path_to_obj(path), lambda obj: path_from_obj(obj))
+_SAMPLES = (
+    lambda samples: [[t, element_to_obj(v)] for t, v in samples],
+    lambda obj: tuple((_parameter(t), element_from_obj(v)) for t, v in obj),
+)
+
+# the path kinds by name, each with its class and its fields in the order
+# they are written; every kind writes its domain after its kind
 PATH_KINDS = {
-    "ExpLine": lambda obj, domain: ExpLine(element_from_obj(obj["c"]), domain),
-    "ProductPolar": lambda obj, domain: ProductPolar(
-        element_from_obj(obj["c"]), element_from_obj(obj["d"]), domain
-    ),
-    "Sampled": lambda obj, _: Sampled(
-        tuple((_parameter(t), element_from_obj(v)) for t, v in obj["samples"])
-    ),
-    "PointwiseProduct": lambda obj, _: PointwiseProduct(
-        path_from_obj(obj["first"]), path_from_obj(obj["second"])
-    ),
-    "Concatenation": lambda obj, _: Concatenation(
-        path_from_obj(obj["first"]), path_from_obj(obj["second"])
-    ),
-    "Reversal": lambda obj, _: Reversal(path_from_obj(obj["inner"])),
+    "ExpLine": (ExpLine, {"c": _ELEMENT}),
+    "ProductPolar": (ProductPolar, {"c": _ELEMENT, "d": _ELEMENT}),
+    "Sampled": (Sampled, {"samples": _SAMPLES}),
+    "PointwiseProduct": (PointwiseProduct, {"first": _PATH, "second": _PATH}),
+    "Concatenation": (Concatenation, {"first": _PATH, "second": _PATH}),
+    "Reversal": (Reversal, {"inner": _PATH}),
 }
+# the kinds built on the domain a path object gives
+_ON_A_DOMAIN = (ExpLine, ProductPolar)
+
+
+def path_to_obj(path: InvertiblePath):
+    for kind, (cls, fields) in PATH_KINDS.items():
+        if isinstance(path, cls):
+            obj = {"kind": kind, "domain": list(path.domain)}
+            for name, (write, _) in fields.items():
+                obj[name] = write(getattr(path, name))
+            return obj
+    raise ValueError(f"unknown path kind {type(path).__name__}")
 
 
 def path_from_obj(obj) -> InvertiblePath:
     """The path an object describes; ValueError (or KeyError, TypeError,
-    OverflowError) on anything else.  The domain, when given, is two finite numbers; the
+    OverflowError, and RecursionError for paths nested past the stack) on
+    anything else.  The domain, when given, is two finite numbers; the
     composite kinds and Sampled take theirs from their parts."""
     if not isinstance(obj, dict):
         raise ValueError(f"a path is a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if not isinstance(kind, str) or kind not in PATH_KINDS:
         raise ValueError(f"unknown path kind {kind!r}")
-    return PATH_KINDS[kind](obj, _domain(obj))
+    cls, fields = PATH_KINDS[kind]
+    domain = _domain(obj)
+    parts = {"domain": domain} if cls in _ON_A_DOMAIN else {}
+    for name, (_, read) in fields.items():  # a loop, not a comprehension: one frame less per nested path
+        parts[name] = read(obj[name])
+    return cls(**parts)
 
 
 def path_to_json(path: InvertiblePath) -> str:
@@ -169,29 +146,61 @@ def path_from_json(text: str) -> InvertiblePath:
 
 
 # ---------------------------------------------------------------------------
-# abstract descriptors and reports
+# descriptors and reports
 
 
-def abstract_descriptor_from_obj(obj) -> AbstractDescriptor:
-    rank = int(obj["rank"])
+def _count(v, what) -> int:
+    """A JSON integer >= 1; booleans are no integers."""
+    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {v!r}")
+    return v
+
+
+def _json(v, kind, what):
+    """v when it is a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(v, kind):
+        raise ValueError(f"{what} must be a JSON {'object' if kind is dict else 'array'}, got {v!r}")
+    return v
+
+
+def _rational(v) -> Fraction:
+    """A generator coordinate: a JSON number or a string such as "1/3"."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+        raise ValueError(f"a generator coordinate must be a number or a string, got {v!r}")
+    try:
+        return Fraction(v)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"bad generator coordinate {v!r}: {exc}") from exc
+
+
+def _generator(g) -> tuple[Fraction, Fraction]:
+    _json(g, dict, "a generator")
+    return (_rational(g.get("a", "0")), _rational(g.get("b", "0")))
+
+
+def descriptor_from_obj(obj) -> AlgebraDescriptor | AbstractDescriptor:
+    """The algebra a descriptor object describes: {"block_sizes": [...]}
+    for a concrete one, {"rank": ..., "generators": [...], "flags": {...}}
+    for an abstract one.  ValueError on anything else, among it a block
+    size or rank that is not an integer >= 1, a flag that is not a
+    boolean (rho_dense may be null) and a zero denominator."""
+    _json(obj, dict, "a descriptor")
+    if "block_sizes" in obj:
+        sizes = _json(obj["block_sizes"], list, "block_sizes")
+        return AlgebraDescriptor(tuple(_count(n, "a block size") for n in sizes))
+    if "rank" not in obj:
+        raise ValueError("descriptor needs block_sizes or rank")
+    rank = _count(obj["rank"], "rank")
     gens = obj.get("generators")
     if gens is not None:
-        k0 = K0Data(
-            rank=rank,
-            generators=tuple(
-                (Fraction(g.get("a", "0")), Fraction(g.get("b", "0"))) for g in gens
-            ),
-        )
-    else:
-        k0 = K0Data(rank=rank)
-    flags = obj.get("flags", {})
-    return AbstractDescriptor(
-        k0=k0,
-        no_findim_reps=bool(flags.get("no_findim_reps", False)),
-        stable_rank_one=bool(flags.get("stable_rank_one", False)),
-        k1_trivial=bool(flags.get("k1_trivial", False)),
-        rho_dense=flags.get("rho_dense"),
-    )
+        gens = tuple(_generator(g) for g in _json(gens, list, "generators"))
+    given = _json(obj.get("flags", {}), dict, "flags")
+    # the three asserted flags default to false, rho_dense to null
+    flags = {name: given.get(name, None if name == "rho_dense" else False) for name in CONDITION_NAMES}
+    for name, v in flags.items():
+        if not isinstance(v, bool) and not (name == "rho_dense" and v is None):
+            raise ValueError(f"flag {name} must be true or false, got {v!r}")
+    return AbstractDescriptor(K0Data(rank, gens), **flags)
 
 
 def abstract_descriptor_to_obj(desc: AbstractDescriptor):
@@ -200,14 +209,8 @@ def abstract_descriptor_to_obj(desc: AbstractDescriptor):
         obj["generators"] = [
             {"a": str(a), "b": str(b)} for a, b in desc.k0.generators
         ]
-    flags = {
-        "no_findim_reps": desc.no_findim_reps,
-        "stable_rank_one": desc.stable_rank_one,
-        "k1_trivial": desc.k1_trivial,
-    }
-    if desc.rho_dense is not None:
-        flags["rho_dense"] = desc.rho_dense
-    obj["flags"] = flags
+    flags = {name: getattr(desc, name) for name in CONDITION_NAMES}
+    obj["flags"] = {name: v for name, v in flags.items() if v is not None}
     return obj
 
 
@@ -219,16 +222,14 @@ def condition_report_to_obj(report: ConditionReport):
         return out
 
     return {
-        "no_findim_reps": check(report.no_findim_reps),
-        "stable_rank_one": check(report.stable_rank_one),
-        "k1_trivial": check(report.k1_trivial),
-        "rho_dense": check(report.rho_dense),
+        **{name: check(getattr(report, name)) for name in CONDITION_NAMES},
         "apfp_verdict": report.apfp_verdict,
         "failing": sorted(report.failing_set()),
     }
 
 
-def factorization_to_obj(f: PositiveFactorization):
+def factorization_to_obj(f):
+    """The report payload of a PositiveFactorization."""
     return {
         "factors": [element_to_obj(p) for p in f.factors],
         "residual": f.residual,

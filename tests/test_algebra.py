@@ -150,8 +150,15 @@ def test_is_positive_examples():
     assert is_positive(mul(adjoint(y), y))
 
 
-def test_is_positive_rejects_non_selfadjoint():
+def test_is_positive_rejects_non_selfadjoint(monkeypatch):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
     assert not is_positive(elem(M2, [[1, 1], [0, 1]]))
+    # the defect of v - v* decides it: no eigenvalue is computed
+    assert shapes == []
+    assert is_positive(M23.identity())
+    assert shapes == [(1, 2, 2), (1, 3, 3)]
 
 
 def test_is_positive_near_overflow():

@@ -297,3 +297,20 @@ def test_winding_loops_land_on_lattice():
         assert check
         assert check.nearest_vector == (w,)
         assert check.function.values[0] == pytest.approx(w / 2, abs=1e-9)
+
+
+def test_determinant_needs_no_checker():
+    # AffFunction lives in algebra beside TraceValue, so determinant does
+    # not import checker, and checker imports delta_1_0 at the top
+    import ast
+    from pathlib import Path
+
+    import apfp.algebra
+    import apfp.checker
+
+    src = Path(apfp.algebra.__file__).parent
+    det = ast.parse((src / "determinant.py").read_text())
+    assert not any(isinstance(n, ast.ImportFrom) and n.module == "checker" for n in ast.walk(det))
+    chk = ast.parse((src / "checker.py").read_text())
+    assert all(n in chk.body for n in ast.walk(chk) if isinstance(n, (ast.Import, ast.ImportFrom)))
+    assert AffFunction is apfp.algebra.AffFunction is apfp.checker.AffFunction

@@ -217,6 +217,16 @@ def test_det_path_ill_conditioned_polar_path_is_unitary(tmp_path, capsys):
     assert report["results"]["is_unitary"] is True
 
 
+@pytest.mark.parametrize("command", ["det-path", "factor", "membership", "check"])
+@pytest.mark.parametrize("text", ["1" * 5000, "[" * 100000 + "]" * 100000], ids=["long-integer", "deep-array"])
+def test_json_that_python_cannot_hold_exits_2(tmp_path, capsys, command, text):
+    p = tmp_path / "in.json"
+    p.write_text(text)
+    assert main([command, str(p)]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+
+
 def test_det_path_rejects_bad_file(tmp_path, capsys):
     p = tmp_path / "junk.json"
     p.write_text("{not json")
@@ -228,6 +238,13 @@ def test_det_path_rejects_bad_file(tmp_path, capsys):
 ONE = {"blocks": [[[[1.0, 0.0]]]]}
 
 
+def nested_reversals(depth):
+    obj = {"kind": "ExpLine", "c": ONE}
+    for _ in range(depth):
+        obj = {"kind": "Reversal", "inner": obj}
+    return obj
+
+
 @pytest.mark.parametrize(
     "obj,expected",
     [
@@ -235,11 +252,20 @@ ONE = {"blocks": [[[[1.0, 0.0]]]]}
         ({"kind": "ExpLine", "c": ONE, "domain": [0.0]}, EXIT_PARSE),
         ({"kind": "ExpLine", "c": ONE, "domain": ["0", "1"]}, EXIT_PARSE),
         ({"kind": "ExpLine", "c": ONE, "domain": [0.0, float("nan")]}, EXIT_PARSE),
+        (nested_reversals(600), EXIT_PARSE),
         ({"kind": "ExpLine", "c": {"blocks": [[[[1e300, 0.0]]]]}}, EXIT_NUMERIC),
         # unit-modulus values, but the trace 2e308 i overflows
         ({"kind": "ExpLine", "c": {"blocks": [[[[0.0, 1e308], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1e308]]]]}}, EXIT_NUMERIC),
     ],
-    ids=["list", "one-entry-domain", "string-domain", "nan-domain", "overflowing-value", "overflowing-determinant"],
+    ids=[
+        "list",
+        "one-entry-domain",
+        "string-domain",
+        "nan-domain",
+        "nested-past-the-stack",
+        "overflowing-value",
+        "overflowing-determinant",
+    ],
 )
 def test_det_path_bad_input_exits_with_error_line(tmp_path, capsys, obj, expected):
     f = write_json(tmp_path, "path.json", obj)
@@ -325,9 +351,9 @@ def not_strict_json(constant):
     raise AssertionError(f"{constant} in a report")
 
 
-def run_contract(command, obj, *flags, reports=(EXIT_OK,)):
+def run_contract(command, obj, *flags, reports=(EXIT_OK,), errors=(EXIT_PARSE, EXIT_NUMERIC)):
     """The exit codes in reports write a strict JSON report with results;
-    2 and 3 write an error line alone."""
+    those in errors write an error line alone."""
     with tempfile.TemporaryDirectory() as tmp:
         src = os.path.join(tmp, "in.json")
         with open(src, "w") as fh:
@@ -335,7 +361,7 @@ def run_contract(command, obj, *flags, reports=(EXIT_OK,)):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, src, *flags])
-    assert code in (*reports, EXIT_PARSE, EXIT_NUMERIC)
+    assert code in (*reports, *errors)
     if code in reports:
         assert json.loads(out.getvalue(), parse_constant=not_strict_json)["results"]
     else:
@@ -738,6 +764,87 @@ def test_check_contradictory_assertion_exits_2(tmp_path, capsys):
 def test_check_needs_a_recognizable_shape(tmp_path, capsys):
     f = write_json(tmp_path, "desc.json", {"sizes": [2]})
     assert main(["check", f]) == EXIT_PARSE
+
+
+TRUE_FLAGS = {"no_findim_reps": True, "stable_rank_one": True, "k1_trivial": True}
+DENSE = [{"a": "1"}, {"b": "1"}]
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        5,
+        None,
+        {"rank": 1, "flags": 5},
+        {"block_sizes": [2.5]},
+        {"block_sizes": [True]},
+        {"block_sizes": ["3"]},
+        {"block_sizes": "23"},
+        {"block_sizes": [0]},
+        {"rank": 1.9, "generators": DENSE, "flags": TRUE_FLAGS},
+        {"rank": True, "generators": DENSE, "flags": TRUE_FLAGS},
+        {"rank": 1, "generators": DENSE, "flags": {**TRUE_FLAGS, "k1_trivial": "false"}},
+        {"rank": 1, "generators": DENSE, "flags": {**TRUE_FLAGS, "stable_rank_one": None}},
+        {"rank": 2, "flags": {**TRUE_FLAGS, "rho_dense": 1}},
+        {"rank": 1, "generators": {"a": "1"}, "flags": TRUE_FLAGS},
+        {"rank": 1, "generators": ["1", {"b": "1"}], "flags": TRUE_FLAGS},
+        {"rank": 1, "generators": [{"a": "1/0"}], "flags": TRUE_FLAGS},
+        {"rank": 1, "generators": [{"a": True}], "flags": TRUE_FLAGS},
+    ],
+    ids=[
+        "number",
+        "null",
+        "flags-number",
+        "fractional-size",
+        "boolean-size",
+        "string-size",
+        "string-sizes",
+        "zero-size",
+        "fractional-rank",
+        "boolean-rank",
+        "string-flag",
+        "null-flag",
+        "number-density",
+        "generators-object",
+        "generator-string",
+        "zero-denominator",
+        "boolean-coordinate",
+    ],
+)
+def test_check_bad_descriptor_exits_2(tmp_path, capsys, obj):
+    f = write_json(tmp_path, "desc.json", obj)
+    assert main(["check", f]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+
+
+RATIONALS = st.one_of(st.sampled_from(["0", "1", "-2", "1/2", "-1/3", "2/4", "1/0", "x"]), NUMBERS, JUNK)
+FLAGS = st.fixed_dictionaries(
+    {},
+    optional={
+        name: st.one_of(st.booleans(), st.booleans(), JUNK)
+        for name in ("no_findim_reps", "stable_rank_one", "k1_trivial", "rho_dense")
+    },
+)
+DESCRIPTORS = st.one_of(
+    st.fixed_dictionaries({"block_sizes": st.one_of(st.lists(st.one_of(st.integers(1, 4), JUNK), max_size=3), JUNK)}),
+    st.fixed_dictionaries(
+        {"rank": st.one_of(st.integers(1, 3), JUNK)},
+        optional={
+            "generators": st.one_of(
+                st.lists(st.fixed_dictionaries({}, optional={"a": RATIONALS, "b": RATIONALS}), max_size=3), JUNK
+            ),
+            "flags": st.one_of(FLAGS, FLAGS, JUNK),
+        },
+    ),
+    JUNK,
+)
+
+
+@settings(max_examples=150)
+@given(DESCRIPTORS)
+def test_check_contract_on_any_descriptor_object(obj):
+    run_contract("check", obj, errors=(EXIT_PARSE, EXIT_RANK_TOO_HIGH))
 
 
 # ---------------------------------------------------------------------------

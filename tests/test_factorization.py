@@ -465,6 +465,24 @@ def test_members_far_above_unit_scale_are_constructed(monkeypatch, m):
 
 
 @pytest.mark.parametrize("m", [4, 5])
+def test_members_far_below_unit_scale_are_constructed(monkeypatch, m):
+    # positive within the absolute 1e-10 that PositiveFactorization checks
+    # factors with, but far from self-adjoint at their own scale: no
+    # shortcut, each is constructed
+    no_search(monkeypatch)
+    x = random_member(M3, rng_from(5))
+    for norm in (1e-11, 1e-100, 1e-300):
+        small = x.map_blocks(lambda b: b * (norm / op_norm(x)))
+        got = factor_positive_products(small, m=m)
+        assert got.route == "construction"
+        for f in got.factors:
+            (b,) = f.blocks
+            assert np.abs(b - b.conj().T).max() <= 1e-12 * np.linalg.norm(b, 2)
+            assert np.linalg.eigvalsh(b)[0] > 0
+        assert_positive_factorization(small, got.factors, 1e-6 * op_norm(small))
+
+
+@pytest.mark.parametrize("m", [4, 5])
 def test_construction_scales_each_block_by_its_own_norm(m):
     # a unit block beside a 1e200 one: over the larger norm it would
     # underflow.  The element is singular by the element-wide rule, so

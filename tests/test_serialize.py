@@ -22,7 +22,7 @@ from apfp import (
 from apfp import serialize
 from apfp.sampling import random_element, random_self_adjoint, rng_from
 from apfp.serialize import (
-    abstract_descriptor_from_obj,
+    descriptor_from_obj,
     abstract_descriptor_to_obj,
     aff_function_to_obj,
     condition_report_to_obj,
@@ -136,6 +136,45 @@ def test_composite_path_round_trip():
     path_round_trip(Concatenation(PointwiseProduct(a, b), Reversal(a)))
 
 
+def test_path_objects_keep_their_keys_and_order():
+    from apfp import exp_element
+
+    rng = rng_from(13)
+    c = random_self_adjoint(M2, rng, norm=0.5)
+    d = random_self_adjoint(M2, rng, norm=0.5)
+    a, b = M2.identity(), exp_element(0.1 * d)
+    domain = (0.25, 0.75)
+    path = Reversal(
+        Concatenation(
+            PointwiseProduct(ExpLine(c, domain), ProductPolar(c, d, domain)),
+            Sampled(((0.0, a), (1.0, b))),
+        )
+    )
+    el = element_to_obj
+    want = {
+        "kind": "Reversal",
+        "domain": [0.25, 1.75],
+        "inner": {
+            "kind": "Concatenation",
+            "domain": [0.25, 1.75],
+            "first": {
+                "kind": "PointwiseProduct",
+                "domain": [0.25, 0.75],
+                "first": {"kind": "ExpLine", "domain": [0.25, 0.75], "c": el(c)},
+                "second": {"kind": "ProductPolar", "domain": [0.25, 0.75], "c": el(c), "d": el(d)},
+            },
+            "second": {"kind": "Sampled", "domain": [0.0, 1.0], "samples": [[0.0, el(a)], [1.0, el(b)]]},
+        },
+    }
+    # json.dumps keeps the order of the keys: the texts agree only if it is the same
+    obj = serialize.path_to_obj(path)
+    assert json.dumps(obj) == json.dumps(want)
+    assert json.dumps(serialize.path_to_obj(serialize.path_from_obj(obj))) == json.dumps(want)
+    for other in (c, M2, object()):
+        with pytest.raises(ValueError, match="unknown path kind"):
+            serialize.path_to_obj(other)
+
+
 def test_path_json_rejects_unknown_kind():
     with pytest.raises(ValueError):
         path_from_json(json.dumps({"kind": "spline", "data": {}}))
@@ -166,13 +205,13 @@ def test_abstract_descriptor_round_trip():
             "k1_trivial": True,
         },
     }
-    desc = abstract_descriptor_from_obj(obj)
+    desc = descriptor_from_obj(obj)
     assert desc.k0.generators == (
         (Fraction(1), Fraction(0)),
         (Fraction(1, 2), Fraction(1, 3)),
     )
     assert desc.rho_dense is None
-    again = abstract_descriptor_from_obj(abstract_descriptor_to_obj(desc))
+    again = descriptor_from_obj(abstract_descriptor_to_obj(desc))
     assert again == desc
 
 
