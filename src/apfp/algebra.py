@@ -31,6 +31,10 @@ SINGULARITY_RTOL = 1e-12
 POSITIVITY_RTOL = 1e-12
 # a value v with ||v*v - 1|| at or below this is unitary
 UNITARITY_TOL = 1e-8
+# a path whose values at both ends have ||v - 1|| at or below this is a loop
+LOOP_ENDPOINT_TOL = 1e-8
+# a member of the closure has |arg det x_i| at or below this in each block
+MEMBERSHIP_TOL = 1e-8
 
 
 @dataclass(frozen=True)

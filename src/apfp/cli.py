@@ -20,6 +20,8 @@ import numpy as np
 
 from . import serialize
 from .algebra import (
+    LOOP_ENDPOINT_TOL,
+    MEMBERSHIP_TOL,
     AlgebraDescriptor,
     Element,
     _identity_distances,
@@ -71,7 +73,7 @@ EXIT_DEMO_FAILURE = 7
 
 # the names --tol accepts, with their defaults: loop_endpoint is read by
 # det-path, membership by membership
-TOLERANCES = {"loop_endpoint": 1e-8, "membership": 1e-8}
+TOLERANCES = {"loop_endpoint": LOOP_ENDPOINT_TOL, "membership": MEMBERSHIP_TOL}
 
 
 @dataclass(frozen=True)

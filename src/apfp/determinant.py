@@ -27,6 +27,7 @@ import numpy as np
 import scipy  # scipy.linalg loads on its first use, not at import
 
 from .algebra import (
+    LOOP_ENDPOINT_TOL,
     AffFunction,
     AlgebraDescriptor,
     Element,
@@ -96,37 +97,6 @@ class PathValues:
     svals: tuple[np.ndarray, ...]
 
 
-def _values_or_failures(path, ts):
-    """The path's values at ts, one stack per block, and for each t None
-    or why its value failed: the ValueError evaluating it raised, or a
-    non-finite entry.  A failed value reads as zero in the stack.  The
-    stack runs past the first failing t, so overflow there is reported
-    as a failure, not warned about."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            blocks = path._values(ts)
-            failed = [None] * len(ts)
-        except ValueError:  # a non-finite input, or LinAlgError, at some t
-            blocks, failed = _empty(path.algebra, len(ts)), []
-            for i in range(len(ts)):
-                try:
-                    for b, v in zip(blocks, path._values(ts[i : i + 1])):
-                        b[i] = v[0]
-                    failed.append(None)
-                except ValueError as exc:
-                    failed.append(str(exc))
-    finite = np.all([np.isfinite(b).all(axis=(1, 2)) for b in blocks], axis=0)
-    if not finite.all():
-        failed = [f or (None if ok else "non-finite entry in element") for f, ok in zip(failed, finite)]
-        blocks = tuple(np.where(finite[:, None, None], b, 0) for b in blocks)
-    return blocks, failed
-
-
-def _raise_failed(ts, failed, i):
-    if failed[i]:
-        raise NonFiniteValue(f"path value at t={float(ts[i])}: {failed[i]}")
-
-
 def evaluate_many(path: InvertiblePath, ts) -> PathValues:
     """Evaluate the path at the parameters ts, one stack per block,
     checking the domain, then finiteness and invertibility at each t in
@@ -136,15 +106,41 @@ def evaluate_many(path: InvertiblePath, ts) -> PathValues:
     outside = ~((min(t1, t2) - 1e-12 <= ts) & (ts <= max(t1, t2) + 1e-12))
     if outside.any():
         raise OutOfDomain(f"t={float(ts[outside.argmax()])} outside [{t1}, {t2}]")
-    blocks, failed = _values_or_failures(path, ts)
+    failed = [None] * len(ts)  # None, or why the value at ts[i] failed
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is a failure, not a warning
+        try:
+            blocks = path._values(ts)
+        except ValueError:  # a non-finite input, or LinAlgError, at some t
+            blocks = _empty(path.algebra, len(ts))
+            for i in range(len(ts)):
+                try:
+                    for b, v in zip(blocks, path._values(ts[i : i + 1])):
+                        b[i] = v[0]
+                except ValueError as exc:
+                    failed[i] = str(exc)
+    finite = np.all([np.isfinite(b).all(axis=(1, 2)) for b in blocks], axis=0)
+    if not finite.all():  # a failed value reads as zero in the SVD
+        failed = [f or (None if ok else "non-finite entry in element") for f, ok in zip(failed, finite)]
+        blocks = tuple(np.where(finite[:, None, None], b, 0) for b in blocks)
     # one SVD per block stack gives op_norm and the smallest singular values
     svals = tuple(np.linalg.svd(b, compute_uv=False) for b in blocks)
     singular = _singular_at(svals)
     if singular.any() or any(failed):
         i = next(i for i, f in enumerate(failed) if f or singular[i])
-        _raise_failed(ts, failed, i)
+        if failed[i]:
+            raise NonFiniteValue(f"path value at t={float(ts[i])}: {failed[i]}")
         raise SingularValueOnPath(f"singular value at t={float(ts[i])}")
     return PathValues(blocks, svals)
+
+
+def _unitary_blocks(ts, got: PathValues) -> tuple[np.ndarray, ...]:
+    """got.blocks when each value evaluate_many read at ts is unitary
+    (algebra._unitarity_defects), else NotUnitaryPath at the first t that is not."""
+    defects = _unitarity_defects(got.svals)
+    if defects.any():
+        i = int((defects > 0).argmax())
+        raise NotUnitaryPath(f"value at t={float(ts[i])} is not unitary ({defects[i]:.3e})")
+    return got.blocks
 
 
 def evaluate(path: InvertiblePath, t: float) -> Element:
@@ -487,25 +483,19 @@ def determinant_mod_lattice(x: Element) -> LatticeQuotientValue:
     return lattice_reduce(log_det(x))
 
 
-def delta_1_0(loop: InvertiblePath, endpoint_tol: float = 1e-8) -> AffFunction:
+def delta_1_0(loop: InvertiblePath, endpoint_tol: float = LOOP_ENDPOINT_TOL) -> AffFunction:
     """The loop invariant: h = Delta/(2 pi i) read as an affine function
     on the trace simplex, value h_i / n_i at the i-th extreme trace.
 
-    The loop is checked first, on one stack of its values at 17 equally
-    spaced points: identity endpoints, then a unitary value at each
-    point, in order."""
+    The loop is checked first, on evaluate_many at 17 equally spaced
+    points: a finite invertible value at each point in order, then
+    identity endpoints, then a unitary value at each point in order."""
     t1, t2 = loop.domain
     ts = np.linspace(t1, t2, 17)
-    blocks, failed = _values_or_failures(loop, ts)
-    defects = _unitarity_defects([np.linalg.svd(b, compute_uv=False) for b in blocks])
-    ends = _identity_distances([b[[0, -1]] for b in blocks])
-    for i, t, dist in ((0, t1, ends[0]), (-1, t2, ends[1])):
-        _raise_failed(ts, failed, i)
+    got = evaluate_many(loop, ts)
+    for t, dist in zip((t1, t2), _identity_distances([b[[0, -1]] for b in got.blocks])):
         if dist > endpoint_tol:
             raise NotALoop(f"endpoint at t={t} is not the identity")
-    for i, defect in enumerate(defects):
-        _raise_failed(ts, failed, i)
-        if defect:
-            raise NotUnitaryPath(f"value at t={ts[i]} is not unitary ({defect:.3e})")
+    _unitary_blocks(ts, got)
     h = [complex(c) / (2j * np.pi) for c in loop._det()]
     return AffFunction(tuple(c.real / n for c, n in zip(h, loop.algebra.block_sizes)))

@@ -26,6 +26,8 @@ import numpy as np
 import scipy  # scipy.optimize loads on the first search, not at import
 
 from .algebra import (
+    LOOP_ENDPOINT_TOL,
+    MEMBERSHIP_TOL,
     POSITIVITY_RTOL,
     AlgebraDescriptor,
     Element,
@@ -35,7 +37,6 @@ from .algebra import (
     _positive_at,
     _same_algebra,
     _singular_values,
-    _unitarity_defects,
     _unitary_eig,
     exp_element,
     is_positive,
@@ -46,7 +47,7 @@ from .algebra import (
     polar,
     universal_trace,
 )
-from .determinant import InvertiblePath, ProductPolar, _block_log_dets, evaluate_many, log_det
+from .determinant import InvertiblePath, ProductPolar, _block_log_dets, _unitary_blocks, evaluate_many, log_det
 from .errors import (
     APFPError,
     DeterminantNotOne,
@@ -54,7 +55,6 @@ from .errors import (
     NonFiniteValue,
     NotInClosure,
     NotPositive,
-    NotUnitaryPath,
     PartitionOverflow,
 )
 
@@ -115,16 +115,6 @@ class ExponentialSplitting:
 MAX_SPLIT_SEGMENTS = 2 ** 16
 
 
-def _unitary_values(path: InvertiblePath, ts: np.ndarray) -> tuple[np.ndarray, ...]:
-    """evaluate_many at ts, then unitarity at each t in order."""
-    got = evaluate_many(path, ts)
-    defects = _unitarity_defects(got.svals)
-    if defects.any():
-        i = int(np.flatnonzero(defects)[0])
-        raise NotUnitaryPath(f"path value at t={float(ts[i])} is not unitary ({defects[i]:.3e})")
-    return got.blocks
-
-
 def split_into_exponentials(
     path: InvertiblePath, max_step_norm: float = 0.5
 ) -> ExponentialSplitting:
@@ -143,8 +133,9 @@ def split_into_exponentials(
     """
     t1, t2 = path.domain
     s = np.array([0.0, 1.0])  # the cuts, normalized to [0, 1]
-    vals = _unitary_values(path, t1 + (t2 - t1) * s)
-    if _identity_distances([v[:1] for v in vals])[0] > 1e-8:
+    ts = t1 + (t2 - t1) * s
+    vals = _unitary_blocks(ts, evaluate_many(path, ts))
+    if _identity_distances([v[:1] for v in vals])[0] > LOOP_ENDPOINT_TOL:
         raise ValueError("split_into_exponentials needs a path starting at the identity")
     while True:
         steps = tuple(v[:-1].conj().swapaxes(-1, -2) @ v[1:] for v in vals)
@@ -157,7 +148,8 @@ def split_into_exponentials(
                 f"dyadic refinement would exceed {MAX_SPLIT_SEGMENTS} segments"
             )
         mids = 0.5 * (s[over] + s[over + 1])
-        new = _unitary_values(path, t1 + (t2 - t1) * mids)
+        ts = t1 + (t2 - t1) * mids
+        new = _unitary_blocks(ts, evaluate_many(path, ts))
         s = np.insert(s, over + 1, mids)
         vals = tuple(np.insert(v, over + 1, w, axis=0) for v, w in zip(vals, new))
     logs = tuple(
@@ -232,7 +224,7 @@ class MembershipResult:
         return self.member
 
 
-def membership_test(x: Element, tol: float = 1e-8) -> MembershipResult:
+def membership_test(x: Element, tol: float = MEMBERSHIP_TOL) -> MembershipResult:
     """Decide membership of an invertible in the closure of P(A): every
     block determinant det x_i must have phase 0.  Since det |x_i| > 0,
     that is the phase of det of the unitary polar part; it is read off
@@ -424,7 +416,7 @@ def _lbfgs(fun, x0, maxiter, gtol):
 def _polar_logs(x: Element):
     """(c, h) with |x| = e^c and the unitary part e^{ih}, phases balanced
     blockwise so that e^{ith} keeps each block determinant's winding at
-    zero along the whole homotopy."""
+    zero along the whole homotopy; every restart reads it through x._once."""
     u, p = polar(x)
     c = log_positive(p)
     hb = []
@@ -442,7 +434,7 @@ _GAUSSIAN_SCALES = (0.3, 1.0, 0.1, 2.0)
 def _continuation_start(obj: _Objective, opt: OptimizerConfig):
     """Deterministic warm start: follow targets e^{i t h} |x| from the
     positive part (t=0, exactly factorable) up to x (t=1)."""
-    c, h = _polar_logs(obj.x)
+    c, h = obj.x._once(_polar_logs)
     theta = _pack([[b / obj.m for b in c.blocks]] * obj.m, obj.alg)
     for step in range(1, _CONTINUATION_STEPS + 1):
         t = step / _CONTINUATION_STEPS
@@ -456,10 +448,10 @@ def _continuation_start(obj: _Objective, opt: OptimizerConfig):
 def _gaussian_start(obj: _Objective, opt: OptimizerConfig, index: int):
     rng = np.random.default_rng((opt.seed, index))
     try:
-        c, h = _polar_logs(obj.x)
+        c, h = obj.x._once(_polar_logs)
         base = op_norm(c) + op_norm(h) + 0.3
         center = [b / obj.m for b in c.blocks]
-    except Exception:
+    except (APFPError, ValueError):  # LinAlgError is a ValueError
         base = op_norm(obj.x) + 0.3
         center = [np.zeros((n, n), dtype=complex) for n in obj.alg.block_sizes]
     sigma = base / obj.m * _GAUSSIAN_SCALES[index % len(_GAUSSIAN_SCALES)]

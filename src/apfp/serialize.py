@@ -163,10 +163,18 @@ def _json(v, kind, what):
     return v
 
 
+# bits of all generator coordinates, numerators and denominators: a cyclic
+# witness has at most about twice as many, within the 4300 digits str() writes
+MAX_GENERATOR_BITS = 6000
+
+
 def _rational(v) -> Fraction:
     """A generator coordinate: a JSON number or a string such as "1/3"."""
     if isinstance(v, bool) or not isinstance(v, (int, float, str)):
         raise ValueError(f"a generator coordinate must be a number or a string, got {v!r}")
+    # a string's exponent is read before Fraction expands it
+    if isinstance(v, str) and abs(int(v.lower().partition("e")[2] or 0)) > MAX_GENERATOR_BITS:
+        raise ValueError(f"generator coordinate {v!r} has more than {MAX_GENERATOR_BITS} bits")
     try:
         return Fraction(v)
     except (ZeroDivisionError, OverflowError) as exc:
@@ -194,6 +202,9 @@ def descriptor_from_obj(obj) -> AlgebraDescriptor | AbstractDescriptor:
     gens = obj.get("generators")
     if gens is not None:
         gens = tuple(_generator(g) for g in _json(gens, list, "generators"))
+        bits = sum(r.numerator.bit_length() + r.denominator.bit_length() for g in gens for r in g)
+        if bits > MAX_GENERATOR_BITS:
+            raise ValueError(f"the generator coordinates have {bits} bits, more than {MAX_GENERATOR_BITS}")
     given = _json(obj.get("flags", {}), dict, "flags")
     # the three asserted flags default to false, rho_dense to null
     flags = {name: given.get(name, None if name == "rho_dense" else False) for name in CONDITION_NAMES}

@@ -790,6 +790,10 @@ DENSE = [{"a": "1"}, {"b": "1"}]
         {"rank": 1, "generators": ["1", {"b": "1"}], "flags": TRUE_FLAGS},
         {"rank": 1, "generators": [{"a": "1/0"}], "flags": TRUE_FLAGS},
         {"rank": 1, "generators": [{"a": True}], "flags": TRUE_FLAGS},
+        # str() of a 5001-digit witness would pass Python's 4300-digit limit
+        {"rank": 1, "generators": [{"a": "1e5000"}], "flags": TRUE_FLAGS},
+        # parallel generators whose cyclic witness has a 6126-digit denominator
+        {"rank": 1, "generators": [{"a": f"1/{p**2000}"} for p in (3, 5, 7, 11)], "flags": TRUE_FLAGS},
     ],
     ids=[
         "number",
@@ -809,6 +813,8 @@ DENSE = [{"a": "1"}, {"b": "1"}]
         "generator-string",
         "zero-denominator",
         "boolean-coordinate",
+        "long-coordinate",
+        "long-witness",
     ],
 )
 def test_check_bad_descriptor_exits_2(tmp_path, capsys, obj):
@@ -816,6 +822,25 @@ def test_check_bad_descriptor_exits_2(tmp_path, capsys, obj):
     assert main(["check", f]) == EXIT_PARSE
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:")
+
+
+def test_check_refuses_a_large_exponent_before_expanding_it(tmp_path):
+    # Fraction would build 10^(10^9) first; a fresh process that the test
+    # can stop times the call
+    obj = {"rank": 1, "generators": [{"a": "1e1000000000"}], "flags": TRUE_FLAGS}
+    f = write_json(tmp_path, "desc.json", obj)
+    script = (
+        "import time, apfp.cli\n"
+        "start = time.process_time()\n"
+        f"code = apfp.cli.main(['check', {f!r}])\n"
+        "print(code, time.process_time() - start)\n"
+    )
+    src = os.path.dirname(os.path.dirname(apfp.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=30)
+    code, seconds = out.stdout.split()
+    assert int(code) == EXIT_PARSE and float(seconds) < 1.0
+    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
 
 
 RATIONALS = st.one_of(st.sampled_from(["0", "1", "-2", "1/2", "-1/3", "2/4", "1/0", "x"]), NUMBERS, JUNK)

@@ -652,3 +652,17 @@ def test_delta_rejects_non_unitary_loop():
     )
     with pytest.raises(NotUnitaryPath):
         delta_1_0(Sampled(samples))
+
+
+def test_delta_names_the_first_failing_t_before_the_endpoints():
+    # e^{800 t} overflows from t = 0.8873 on: the first of the 17 points
+    # past it is 0.9375, and finiteness is tested before the endpoints
+    with pytest.raises(NonFiniteValue, match=r"at t=0\.9375: "):
+        delta_1_0(ExpLine(elem(M2, [[800.0, 0], [0, 800.0]])))
+
+
+def test_delta_rejects_a_singular_value_on_its_grid():
+    # e^{-64 t} <= 1e-12 from t = 0.4317 on: 0.4375 is a midpoint of the
+    # 9-point grid, and invertibility is tested before the endpoints
+    with pytest.raises(SingularValueOnPath, match=r"at t=0\.4375$"):
+        delta_1_0(ExpLine(elem(M2, [[-64.0, 0], [0, 0]])))

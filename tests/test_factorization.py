@@ -130,7 +130,7 @@ def test_split_rejects_non_unitary_path():
     from apfp.errors import NotUnitaryPath
 
     path = ExpLine(elem(M2, [[0.5, 0], [0, -0.5]]))  # positive values
-    with pytest.raises(NotUnitaryPath):
+    with pytest.raises(NotUnitaryPath, match=r"^value at t=1\.0 is not unitary \("):
         split_into_exponentials(path)
 
 
@@ -380,6 +380,22 @@ def test_search_stops_at_the_first_restart_that_converges(monkeypatch):
     got = factor_positive_products(x, m=3, opt=OptimizerConfig(restarts=8))
     assert got.restarts_used == 1
     assert calls == [0]
+
+
+def test_search_computes_its_start_once(monkeypatch):
+    # the continuation and every Gaussian start read the polar logs of x
+    calls = []
+    polar_logs = factorization._polar_logs
+
+    def counted(x):
+        calls.append(x)
+        return polar_logs(x)
+
+    monkeypatch.setattr(factorization, "_polar_logs", counted)
+    x = random_element(M2, rng_from(3))
+    opt = OptimizerConfig(restarts=4, max_iterations=5)
+    factorization._search(factorization._Objective(x, 3), opt, polish=False)
+    assert len(calls) == 1
 
 
 def test_factor_deterministic_across_thread_counts():
