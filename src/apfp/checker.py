@@ -262,13 +262,8 @@ class PairingCheck:
 
 
 def pairing_consistency(alg: AlgebraDescriptor, loop, tol: float = 1e-6) -> PairingCheck:
-    """Check that the loop invariant lands on the pairing range of K0."""
+    """Check that the loop invariant lands on the pairing range of K0,
+    with the exact distance and nearest vector of rho_image_distance."""
     f = delta_1_0(loop)
-    nearest = tuple(
-        int(np.round(v * n)) for v, n in zip(f.values, alg.block_sizes)
-    )
-    dist = max(
-        abs(v - g / n)
-        for v, g, n in zip(f.values, nearest, alg.block_sizes)
-    )
+    dist, nearest = rho_image_distance(f, alg)
     return PairingCheck(dist <= tol, nearest, float(dist), f)

@@ -14,7 +14,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -78,7 +78,6 @@ TOLERANCES = {"loop_endpoint": LOOP_ENDPOINT_TOL, "membership": MEMBERSHIP_TOL}
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int = 0
     tolerances: dict = field(default_factory=dict)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     output_format: str = "json"
@@ -99,11 +98,9 @@ def _build_parser():
     # position: `apfp --seed 1 factor f.json` or `apfp factor f.json --seed 1`;
     # SUPPRESS keeps a later subparser from clobbering an earlier value
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--restarts", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--max-iterations", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--gradient-tolerance", type=float, default=argparse.SUPPRESS)
-    common.add_argument("--target-residual", type=float, default=argparse.SUPPRESS)
+    for f in fields(OptimizerConfig):
+        flag = "--" + f.name.replace("_", "-")
+        common.add_argument(flag, type=type(f.default), default=argparse.SUPPRESS)
     common.add_argument("--output", choices=("json", "csv"), default=argparse.SUPPRESS)
     common.add_argument("--out", metavar="FILE", default=argparse.SUPPRESS)
     common.add_argument(
@@ -155,17 +152,10 @@ def _config_from_args(args) -> RunConfig:
             raise ValueError(f"--tol {name} must be finite and non-negative, got {tols[name]}")
     if get("factors", 1) < 1:
         raise ValueError(f"--factors must be at least 1, got {get('factors', 1)}")
-    seed = get("seed", 0)
+    given = {f.name: getattr(args, f.name) for f in fields(OptimizerConfig) if hasattr(args, f.name)}
     return RunConfig(
-        seed=seed,
         tolerances=tols,
-        optimizer=OptimizerConfig(
-            restarts=get("restarts", 16),
-            max_iterations=get("max_iterations", 2000),
-            gradient_tolerance=get("gradient_tolerance", 1e-10),
-            target_residual=get("target_residual", 1e-6),
-            seed=seed,
-        ),
+        optimizer=OptimizerConfig(**given),
         output_format=get("output", "json"),
     )
 
@@ -282,7 +272,7 @@ def _cmd_check(args, config: RunConfig):
 
 def _demo_polar_path(config: RunConfig):
     alg = AlgebraDescriptor((2, 3))
-    rng = rng_from((config.seed, 101))
+    rng = rng_from((config.optimizer.seed, 101))
     c = random_self_adjoint(alg, rng, norm=1.3)
     d = random_self_adjoint(alg, rng, norm=1.1)
     det = path_determinant(polar_path(c, d))
@@ -298,7 +288,7 @@ def _demo_polar_path(config: RunConfig):
 
 def _demo_splitting(config: RunConfig):
     alg = AlgebraDescriptor((2, 3))
-    rng = rng_from((config.seed, 202))
+    rng = rng_from((config.optimizer.seed, 202))
     c = random_self_adjoint(alg, rng, norm=1.4)
     d = random_self_adjoint(alg, rng, norm=0.9)
     path = polar_path(c, d)
@@ -318,7 +308,7 @@ def _demo_splitting(config: RunConfig):
 
 def _demo_commutator(config: RunConfig):
     alg = AlgebraDescriptor((4,))
-    rng = rng_from((config.seed, 303))
+    rng = rng_from((config.optimizer.seed, 303))
     u = random_special_unitary(alg, rng)
     v, w = commutator_factor_su(u)
     err = op_norm(v @ w @ adjoint(v) @ adjoint(w) - u)
@@ -420,13 +410,12 @@ def main(argv=None) -> int:
         "results": results,
         "provenance": {
             "command": args.command,
-            "seed": config.seed,
+            "seed": config.optimizer.seed,
             "tolerances": config.tolerances,
             "optimizer": {
-                "restarts": config.optimizer.restarts,
-                "max_iterations": config.optimizer.max_iterations,
-                "gradient_tolerance": config.optimizer.gradient_tolerance,
-                "target_residual": config.optimizer.target_residual,
+                f.name: getattr(config.optimizer, f.name)
+                for f in fields(OptimizerConfig)
+                if f.name != "seed"
             },
             "elapsed_seconds": time.time() - started,
         },

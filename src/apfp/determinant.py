@@ -256,14 +256,14 @@ class Sampled(InvertiblePath):
             if v.algebra != alg:
                 raise ValueError("samples share one algebra")
         object.__setattr__(self, "samples", samples)
-        # ||a_{j+1} a_j^{-1} - 1|| for every pair, one stack per block
-        steps = _identity_distances([s[1:] @ np.linalg.inv(s[:-1]) for s in self._stacks])
-        far = steps >= 0.5
-        if far.any():
-            raise ValueError(f"consecutive samples too far apart (step {steps[far.argmax()]:.3f} >= 1/2)")
         singular = _singular_at([np.linalg.svd(s, compute_uv=False) for s in self._stacks])
         if singular.any():
             raise SingularValueOnPath(f"singular sample at t={ts[singular.argmax()]}")
+        # ||a_j^{-1} a_{j+1} - 1|| for every step the path reads
+        steps = _identity_distances(self._steps)
+        far = steps >= 0.5
+        if far.any():
+            raise ValueError(f"consecutive samples too far apart (step {steps[far.argmax()]:.3f} >= 1/2)")
 
     @property
     def algebra(self):

@@ -365,12 +365,6 @@ class _Objective:
         coords[:, w.shape[-1] :] *= 2.0  # each off-diagonal coordinate sits in two entries
         return coords
 
-    def _factors(self, blocks: list[_Block]) -> list[Element]:
-        return [Element(self.alg, tuple(b.p[j] for b in blocks)) for j in range(self.m)]
-
-    def factors(self, theta) -> list[Element]:
-        return self._factors(self._blocks(theta))
-
     def value_and_grad(self, theta):
         blocks = self._blocks(theta)
         val = sum(float(np.linalg.norm(b.r, "fro") ** 2) for b in blocks)
@@ -379,16 +373,18 @@ class _Objective:
             grad[idx] = self._gradient(b, b.r, 2.0)
         return val, grad
 
-    def op_residual(self, theta) -> float:
-        """Operator-norm residual of the product; inf unless the factors
-        and the residual are finite and every factor is positive within
-        FACTOR_POSITIVITY_TOL."""
+    def factorization(self, theta, restarts_used: int) -> PositiveFactorization | None:
+        """The factors at theta as a PositiveFactorization of x, or None
+        unless the factors and the residual are finite and every factor is
+        positive within FACTOR_POSITIVITY_TOL."""
         blocks = self._blocks(theta)
         if not all(np.isfinite(b.p).all() and np.isfinite(b.r).all() for b in blocks):
-            return np.inf
-        if not all(is_positive(p, FACTOR_POSITIVITY_TOL) for p in self._factors(blocks)):
-            return np.inf
-        return op_norm(Element(self.alg, tuple(b.pre[-1] for b in blocks)) - self.x)
+            return None
+        factors = tuple(Element(self.alg, tuple(b.p[j] for b in blocks)) for j in range(self.m))
+        try:
+            return PositiveFactorization(factors, self.x, restarts_used=restarts_used)
+        except NotPositive:
+            return None
 
     def opnorm_value_and_grad(self, theta):
         """Largest-singular-value residual over blocks; gradient flows
@@ -466,6 +462,9 @@ def _gaussian_start(obj: _Objective, opt: OptimizerConfig, index: int):
 
 
 def _run_restart(obj, opt, index, polish):
+    """Restart index as a PositiveFactorization with restarts_used index +
+    1, or None when its factors fail that check; with polish, the one of
+    the restart and its op-norm polish with the smaller residual."""
     theta = None
     if index == 0:
         try:
@@ -475,26 +474,28 @@ def _run_restart(obj, opt, index, polish):
     if theta is None:
         theta = _gaussian_start(obj, opt, index)
         theta = _lbfgs(obj.value_and_grad, theta, opt.max_iterations, opt.gradient_tolerance).x
-    best = obj.op_residual(theta)
+    best = obj.factorization(theta, index + 1)
     if polish:
         polished = _lbfgs(obj.opnorm_value_and_grad, theta, 300, opt.gradient_tolerance).x
-        cand = obj.op_residual(polished)
-        if cand < best:
-            best, theta = cand, polished
-    return best, theta
+        cand = obj.factorization(polished, index + 1)
+        if cand is not None and (best is None or cand.residual < best.residual):
+            best = cand
+    return best
 
 
-def _search(obj, opt, polish, stop_at=None):
-    """Run restarts in index order; return (residual, theta, index) of the
-    first restart reaching stop_at, else of the global minimum with index
-    tie-break."""
+def _search(obj, opt, polish, stop_at=None) -> PositiveFactorization | None:
+    """Run restarts in index order; return the first restart's
+    factorization reaching stop_at, else the one with the smallest
+    residual (ties to the lower index), or None when no restart gave one."""
     best = None
     for i in range(opt.restarts):
-        r, theta = _run_restart(obj, opt, i, polish)
-        if stop_at is not None and r <= stop_at:
-            return r, theta, i
-        if best is None or r < best[0]:
-            best = (r, theta, i)
+        result = _run_restart(obj, opt, i, polish)
+        if result is None:
+            continue
+        if stop_at is not None and result.residual <= stop_at:
+            return result
+        if best is None or result.residual < best.residual:
+            best = result
     return best
 
 
@@ -760,17 +761,13 @@ def factor_positive_products(
                     return result
         except (np.linalg.LinAlgError, NotPositive):
             pass  # the search below decides
-    obj = _Objective(x, m)
-    residual, theta, index = _search(obj, opt, polish=False, stop_at=target)
-    if residual == np.inf:
+    result = _search(_Objective(x, m), opt, polish=False, stop_at=target)
+    if result is None:
         raise NoConvergence(
             f"no restart of {opt.restarts} gave finite positive factors",
             best_residual=np.inf,
             best=None,
         )
-    result = PositiveFactorization(
-        tuple(obj.factors(theta)), x, restarts_used=index + 1
-    )
     if result.residual > target:
         raise NoConvergence(
             f"best residual {result.residual:.3e} above target {target:.3e} "
@@ -938,7 +935,8 @@ def _distance_probe(x: Element, m: int, opt: OptimizerConfig):
         return np.inf, None, "closed_form"
     if m >= 4 or is_positive(closure.witness):
         return closure.distance, closure, "closed_form"
-    return _search(_Objective(x, m), opt, polish=True)[0], closure, "search"
+    found = _search(_Objective(x, m), opt, polish=True)
+    return (np.inf if found is None else found.residual), closure, "search"
 
 
 def residual_curve(x: Element, ms, opt: OptimizerConfig | None = None):

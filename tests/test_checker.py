@@ -299,6 +299,17 @@ def test_winding_loops_land_on_lattice():
         assert check.function.values[0] == pytest.approx(w / 2, abs=1e-9)
 
 
+def test_pairing_distance_is_exact():
+    # delta_1_0 reads -0.6666666666666666 on this M3 loop; its exact
+    # distance from -2/3 is 3.7e-17, which subtracting the float -2/3 reads as 0.0
+    m3 = AlgebraDescriptor((3,))
+    check = pairing_consistency(m3, winding_loop(m3, 0, -2))
+    assert check.function.values == (-0.6666666666666666,)
+    assert check.nearest_vector == (-2,)
+    assert check.distance == float(abs(Fraction(-0.6666666666666666) + Fraction(2, 3)))
+    assert check.distance == 3.700743415417188e-17
+
+
 def test_determinant_needs_no_checker():
     # AffFunction lives in algebra beside TraceValue, so determinant does
     # not import checker, and checker imports delta_1_0 at the top

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
@@ -26,6 +27,7 @@ from apfp import (
     AlgebraDescriptor,
     Element,
     ExpLine,
+    OptimizerConfig,
     Sampled,
     distance_to_closure,
     evaluate,
@@ -992,6 +994,22 @@ def test_flags_do_not_carry_over_between_calls(tmp_path, capsys):
     assert code == EXIT_OK
     assert second["provenance"]["seed"] == 0
     assert second["provenance"]["tolerances"] == {}
+
+
+def test_each_optimizer_field_has_one_flag():
+    parser = _build_parser()
+    flags = [f for a in parser._actions for f in a.option_strings]
+    for field in dataclasses.fields(OptimizerConfig):
+        assert flags.count("--" + field.name.replace("_", "-")) == 1
+
+
+def test_factor_without_optimizer_flags_echoes_the_defaults(tmp_path, capsys):
+    f = element_file(tmp_path, "member.json", random_member(M2, rng_from(29)))
+    code, report = run(capsys, "factor", f)
+    assert code == EXIT_OK
+    default = dataclasses.asdict(OptimizerConfig())
+    assert report["provenance"]["seed"] == default.pop("seed")
+    assert report["provenance"]["optimizer"] == default
 
 
 def test_det_path_on_sample_times_takes_no_logarithm(tmp_path, capsys, monkeypatch):

@@ -376,11 +376,15 @@ def test_sampled_validation():
     samples = [elem(M1, [[v]]) for v in (1.0, 1.2, 1.2 * 1.6, 1.2 * 1.6 * 3.0)]
     with pytest.raises(ValueError, match=r"step 0\.600 >= 1/2"):
         Sampled(tuple(enumerate(samples)))
-    # numerically singular samples that still pass the step check
+    # numerically singular samples, tested before the step check
     a = elem(M2, [[1, 0], [0, 1e-14]])
     b = elem(M2, [[1, 0], [0, 1.2e-14]])
     with pytest.raises(SingularValueOnPath):
         Sampled(((0.0, a), (1.0, b)))
+    # an exactly singular sample, which the step a_j^-1 a_{j+1} cannot invert
+    zero = elem(M2, [[1, 0], [0, 0]])
+    with pytest.raises(SingularValueOnPath, match=r"^singular sample at t=0\.0$"):
+        Sampled(((0.0, zero), (1.0, zero)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Splitting, commutator witnesses, membership, and the positive-factor
 optimizer."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -359,7 +361,7 @@ def test_factor_overflow_ends_in_no_convergence():
 
 
 def test_factor_without_positive_restart_carries_no_best(monkeypatch):
-    monkeypatch.setattr(factorization._Objective, "op_residual", lambda self, theta: np.inf)
+    monkeypatch.setattr(factorization._Objective, "factorization", lambda self, theta, used: None)
     x = random_member(M2, rng_from(17))
     with pytest.raises(NoConvergence) as err:
         factor_positive_products(x, m=2, opt=OptimizerConfig(restarts=2))
@@ -380,6 +382,51 @@ def test_search_stops_at_the_first_restart_that_converges(monkeypatch):
     got = factor_positive_products(x, m=3, opt=OptimizerConfig(restarts=8))
     assert got.restarts_used == 1
     assert calls == [0]
+
+
+def built_factorizations(monkeypatch) -> list:
+    """Every PositiveFactorization the module builds from now on, in order."""
+    built = []
+    real = factorization.PositiveFactorization
+
+    def counted(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(factorization, "PositiveFactorization", counted)
+    return built
+
+
+def test_a_converged_search_returns_its_restarts_factorization(monkeypatch):
+    built = built_factorizations(monkeypatch)
+    x = random_member(M2, rng_from(17))
+    got = factor_positive_products(x, m=3, opt=OptimizerConfig(restarts=8))
+    assert len(built) == 1 and built[0] is got
+    assert (got.route, got.restarts_used) == ("search", 1)
+
+
+def test_no_convergence_carries_the_best_restarts_factorization(monkeypatch):
+    built = built_factorizations(monkeypatch)
+    x = random_member(M2, rng_from(17))
+    opt = OptimizerConfig(restarts=3, max_iterations=5, target_residual=0.0)
+    with pytest.raises(NoConvergence) as err:
+        factor_positive_products(x, m=3, opt=opt)
+    assert len(built) == 3  # one per restart
+    assert [f.restarts_used for f in built] == [1, 2, 3]
+    best = err.value.best
+    assert best is min(built, key=lambda f: f.residual)
+    assert best.route == "search"
+    assert err.value.best_residual == best.residual
+
+
+def test_a_polished_search_builds_two_factorizations_per_restart(monkeypatch):
+    built = built_factorizations(monkeypatch)
+    x = random_element(M2, rng_from((77, 1)))
+    opt = OptimizerConfig(restarts=2, max_iterations=20)
+    found = factorization._search(factorization._Objective(x, 3), opt, polish=True)
+    assert len(built) == 4  # each restart, then its polish
+    assert [f.restarts_used for f in built] == [1, 1, 2, 2]
+    assert found is min(built, key=lambda f: f.residual)
 
 
 def test_search_computes_its_start_once(monkeypatch):
@@ -698,9 +745,10 @@ def test_distance_witness_checked_independently():
 def test_distance_lower_bound_below_the_search(m):
     opt = OptimizerConfig(restarts=1, max_iterations=300)
     for x in seeded_non_members((M2, M3, M23), count=2):
-        residual, _, _ = factorization._search(factorization._Objective(x, m), opt, polish=False)
-        assert np.isfinite(residual)
-        assert distance_to_closure(x).distance <= residual * (1 + 1e-12)
+        found = factorization._search(factorization._Objective(x, m), opt, polish=False)
+        assert found is not None
+        assert np.isfinite(found.residual)
+        assert distance_to_closure(x).distance <= found.residual * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("m", [1, 3, 5])
@@ -793,7 +841,8 @@ def test_open_bracket_caps_the_search_with_the_witness_from_m4(monkeypatch):
     x = random_element(M2, rng_from((77, 1)))
     got = distance_to_closure(x)
     assert not is_positive(got.witness)
-    monkeypatch.setattr(factorization, "_search", lambda *args, **kwargs: (got.distance + 1.0, None, 0))
+    found = SimpleNamespace(residual=got.distance + 1.0)
+    monkeypatch.setattr(factorization, "_search", lambda *args, **kwargs: found)
     assert best_approx_distance(x, m=5) == got.distance
     assert best_approx_distance(x, m=3) == got.distance + 1.0
 

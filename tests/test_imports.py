@@ -1,8 +1,9 @@
-"""No module of apfp imports a name it never uses.
+"""No module of apfp imports a name it never uses, and no private
+definition of apfp goes unread.
 
 A name kept on purpose (for instance for a tracer that wraps it by its
 module attribute) carries `# noqa: F401` on its line.  __init__.py is
-left out: its imports are the public API.
+left out of the import scan: its imports are the public API.
 """
 
 import ast
@@ -36,3 +37,46 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_import(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def unread_private_definitions(sources: list[str]) -> list[str]:
+    """The functions, classes and methods named with one leading
+    underscore, and the methods of such classes (dunders aside), that no
+    source reads as a name or an attribute."""
+    trees = [ast.parse(s) for s in sources]
+    read = set()
+    defined = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and _private(node.name):
+                defined.append(node.name)
+                if isinstance(node, ast.ClassDef):
+                    defined += [
+                        f.name
+                        for f in node.body
+                        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (f.name.startswith("__") and f.name.endswith("__"))
+                    ]
+    return [name for name in defined if name not in read]
+
+
+def test_the_scan_finds_an_unread_private_definition():
+    source = (
+        "class _Kept:\n    def used(self): pass\n    def unused(self): pass\n    def __len__(self): return 0\n"
+        "def _helper(): pass\ndef _dead(): pass\ndef public(): pass\n"
+        "_Kept().used()\n_helper()\n"
+    )
+    assert unread_private_definitions([source]) == ["unused", "_dead"]
+
+
+def test_every_private_definition_is_read():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert unread_private_definitions(sources) == []
