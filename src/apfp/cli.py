@@ -376,7 +376,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage already; normalize everything else
         return EXIT_PARSE if exc.code not in (0,) else 0
-    started = time.time()
+    started = time.perf_counter()
     try:
         config = _config_from_args(args)
     except ValueError as exc:
@@ -417,7 +417,7 @@ def main(argv=None) -> int:
                 for f in fields(OptimizerConfig)
                 if f.name != "seed"
             },
-            "elapsed_seconds": time.time() - started,
+            "elapsed_seconds": time.perf_counter() - started,
         },
     }
     for more in extra:

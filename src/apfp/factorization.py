@@ -32,10 +32,10 @@ from .algebra import (
     AlgebraDescriptor,
     Element,
     TraceValue,
+    _freeze,
     _herm,
     _identity_distances,
     _positive_at,
-    _same_algebra,
     _singular_values,
     _unitary_eig,
     exp_element,
@@ -50,6 +50,7 @@ from .algebra import (
 from .determinant import InvertiblePath, ProductPolar, _block_log_dets, _unitary_blocks, evaluate_many, log_det
 from .errors import (
     APFPError,
+    DescriptorMismatch,
     DeterminantNotOne,
     NoConvergence,
     NonFiniteValue,
@@ -374,16 +375,14 @@ class _Objective:
         return val, grad
 
     def factorization(self, theta, restarts_used: int) -> PositiveFactorization | None:
-        """The factors at theta as a PositiveFactorization of x, or None
-        unless the factors and the residual are finite and every factor is
-        positive within FACTOR_POSITIVITY_TOL."""
-        blocks = self._blocks(theta)
-        if not all(np.isfinite(b.p).all() and np.isfinite(b.r).all() for b in blocks):
-            return None
-        factors = tuple(Element(self.alg, tuple(b.p[j] for b in blocks)) for j in range(self.m))
+        """The factors at theta, each block's stack b.p, as a
+        PositiveFactorization of x, or None unless the factors and their
+        product are finite and every factor is positive within
+        FACTOR_POSITIVITY_TOL."""
+        stacks = tuple(b.p for b in self._blocks(theta))
         try:
-            return PositiveFactorization(factors, self.x, restarts_used=restarts_used)
-        except NotPositive:
+            return PositiveFactorization(stacks, self.x, restarts_used=restarts_used)
+        except (NonFiniteValue, NotPositive):
             return None
 
     def opnorm_value_and_grad(self, theta):
@@ -501,41 +500,54 @@ def _search(obj, opt, polish, stop_at=None) -> PositiveFactorization | None:
 
 @dataclass(frozen=True)
 class PositiveFactorization:
-    """m positive factors with the product's operator-norm residual
-    against the target, recomputed on construction.  route says how the
-    factors were found: "positive" (x itself), "construction" or
-    "search"."""
+    """m positive factors, held as one read-only (m, n_i, n_i) stack per
+    block i, with the product's operator-norm residual against the
+    target, recomputed on construction.  route says how the factors were
+    found: "positive" (x itself), "construction" or "search".  Raises
+    DescriptorMismatch for stacks of other shapes, NonFiniteValue when a
+    factor or the product is not finite, and NotPositive when a factor is
+    not positive within FACTOR_POSITIVITY_TOL."""
 
-    factors: tuple[Element, ...]
+    stacks: tuple[np.ndarray, ...]
     target: Element
     residual: float = field(init=False)
     restarts_used: int = field(default=0, compare=False)
     route: str = field(default="search", compare=False)
 
     def __post_init__(self):
-        stacks = self._stacks
-        tols = np.full(len(self.factors), FACTOR_POSITIVITY_TOL)
-        if not _positive_at(stacks, tols).all():
+        sizes = self.target.algebra.block_sizes
+        stacks = tuple(_freeze(s) for s in self.stacks)
+        m = len(stacks[0]) if stacks else 0
+        if len(stacks) != len(sizes) or any(s.shape != (m, n, n) for s, n in zip(stacks, sizes)):
+            shapes = ", ".join(str(s.shape) for s in stacks)
+            raise DescriptorMismatch(f"factor stacks {shapes} do not fit {self.target.algebra}")
+        object.__setattr__(self, "stacks", stacks)
+        if not all(np.isfinite(s).all() for s in stacks):
+            raise NonFiniteValue("a factor is not finite")
+        if not _positive_at(stacks, np.full(m, FACTOR_POSITIVITY_TOL)).all():
             raise NotPositive("factorization contains a non-positive factor")
-        prods = (functools.reduce(np.matmul, s, np.eye(s.shape[-1], dtype=complex)) for s in stacks)
-        residual = op_norm(Element(self.target.algebra, tuple(prods)) - self.target)
+        # prod - x_i is, bit for bit, prod + (-1.0 * x_i) as an Element difference
+        misses = [
+            functools.reduce(np.matmul, s, np.eye(n, dtype=complex)) - t
+            for s, n, t in zip(stacks, sizes, self.target.blocks)
+        ]
+        if not all(np.isfinite(d).all() for d in misses):
+            raise NonFiniteValue("the product of the factors is not finite")
+        residual = max(float(np.linalg.svd(d, compute_uv=False)[0]) for d in misses)
         object.__setattr__(self, "residual", residual)
 
     @functools.cached_property
-    def _stacks(self) -> tuple[np.ndarray, ...]:
-        """Block i of every factor as one (m, n_i, n_i) stack per block
-        (shaped so, too, when there are no factors)."""
-        for p in self.factors:
-            _same_algebra(p, self.target)
+    def factors(self) -> tuple[Element, ...]:
+        """The factors as Elements, built on first use."""
         return tuple(
-            np.array([p.blocks[i] for p in self.factors]).reshape(len(self.factors), n, n)
-            for i, n in enumerate(self.target.algebra.block_sizes)
+            Element(self.target.algebra, tuple(s[j] for s in self.stacks))
+            for j in range(len(self.stacks[0]))
         )
 
     @property
     def max_factor_norm(self) -> float:
         return max(
-            float(np.linalg.svd(stack, compute_uv=False)[:, 0].max()) for stack in self._stacks
+            float(np.linalg.svd(stack, compute_uv=False)[:, 0].max()) for stack in self.stacks
         )
 
 
@@ -668,9 +680,9 @@ def _lead(t: np.ndarray, m: int) -> tuple[list[np.ndarray], np.ndarray | None] |
     return [], t
 
 
-def _construct_block(t: np.ndarray, m: int, rng, logabs: float) -> list[np.ndarray] | None:
+def _construct_block(t: np.ndarray, m: int, rng, logabs: float) -> np.ndarray | None:
     """At most m positive factors with product t (det t > 0, log |det t|
-    = logabs, which a lead of determinant one keeps), or None
+    = logabs, which a lead of determinant one keeps) as one stack, or None
     when the block is a non-positive scalar and m < 5, or when no
     candidate gave finite factors.  All CONSTRUCTION_CANDIDATES choices
     of the first vectors run as one stack, and the one with the smallest
@@ -682,7 +694,7 @@ def _construct_block(t: np.ndarray, m: int, rng, logabs: float) -> list[np.ndarr
         return None
     lead, t = route
     if t is None:
-        return lead
+        return np.array(lead)
     n = len(t)
     # 2 (n - k) normals at each step k < n - 1, per candidate in turn
     draws = rng.normal(size=(CONSTRUCTION_CANDIDATES, (n - 1) * (n + 2)))
@@ -692,26 +704,35 @@ def _construct_block(t: np.ndarray, m: int, rng, logabs: float) -> list[np.ndarr
     finite = np.isfinite(norms)
     if not finite.any():
         return None
-    return list(stack[np.argmin(np.where(finite, norms, np.inf))])
+    return stack[np.argmin(np.where(finite, norms, np.inf))]
 
 
-def _construct(x: Element, m: int, seed: int) -> tuple[Element, ...] | None:
-    """m positive factors of a member x in closed form (m >= 4), padded
-    with the identity, or None where the construction does not apply.
+def _padded(stack: np.ndarray, m: int) -> np.ndarray:
+    """An (f, n, n) stack followed by m - f identities."""
+    n = stack.shape[-1]
+    out = np.empty((m, n, n), dtype=complex)
+    out[: len(stack)] = stack
+    out[len(stack) :] = np.eye(n)
+    return out
+
+
+def _construct(x: Element, m: int, seed: int) -> tuple[np.ndarray, ...] | None:
+    """m positive factors of a member x in closed form (m >= 4), one (m,
+    n_i, n_i) stack per block padded with the identity, or None where the
+    construction does not apply.
     Each block x_i is divided by 2^e_i >= ||x_i|| (|e_i| <= 1022), which
     is exact, before it is factored: near 1e200 the steps overflow, and
     far below it they underflow.  2^e_i spread evenly over the block's
     factors keeps their norms equal."""
-    per_block = []
+    stacks = []
     for i, (t, s, c) in enumerate(zip(x.blocks, x._once(_singular_values), x._once(_block_log_dets))):
         e = min(max(math.frexp(s[0])[1], -1022), 1022)
         rng = np.random.default_rng((seed, i))
         factors = _construct_block(t * 2.0**-e, m, rng, c.real - len(t) * e * math.log(2))
         if factors is None:
             return None
-        factors = [2.0 ** (e / len(factors)) * p for p in factors]
-        per_block.append(factors + [np.eye(len(t), dtype=complex)] * (m - len(factors)))
-    return tuple(Element(x.algebra, tuple(b[j] for b in per_block)) for j in range(m))
+        stacks.append(_padded(2.0 ** (e / len(factors)) * factors, m))
+    return tuple(stacks)
 
 
 def factor_positive_products(
@@ -729,7 +750,8 @@ def factor_positive_products(
     part of x; later restarts are seeded Gaussian perturbations.  Success
     is a residual within opt.target_residual * op_norm(x); otherwise
     NoConvergence carries the best run found, or best=None and
-    best_residual=inf when no restart gave finite positive factors.  A
+    best_residual=inf when no restart gave finite positive factors or
+    the search raised LinAlgError (an eigh or SVD that failed).  A
     non-positive x with max_i n_i * op_norm(x) beyond the float range
     raises NonFiniteValue before either route runs.
     """
@@ -746,22 +768,24 @@ def factor_positive_products(
     norm = op_norm(x)
     # the absolute tolerance alone would take any x of norm below 1e-10
     if is_positive(x, min(FACTOR_POSITIVITY_TOL, POSITIVITY_RTOL * norm)):
-        factors = (x,) + tuple(x.algebra.identity() for _ in range(m - 1))
-        return PositiveFactorization(factors, x, route="positive")
+        return PositiveFactorization(tuple(_padded(b[None], m) for b in x.blocks), x, route="positive")
     # a block's trace and the sum of a block and its adjoint reach n_i ||x||
     if not math.isfinite(max(x.algebra.block_sizes) * norm):
         raise NonFiniteValue(f"the scale of x overflows: op_norm {norm:.3e}")
     target = opt.target_residual * norm
     if m >= 4:
         try:
-            factors = _construct(x, m, opt.seed)
-            if factors is not None:
-                result = PositiveFactorization(factors, x, route="construction")
+            stacks = _construct(x, m, opt.seed)
+            if stacks is not None:
+                result = PositiveFactorization(stacks, x, route="construction")
                 if result.residual <= target:
                     return result
-        except (np.linalg.LinAlgError, NotPositive):
+        except (np.linalg.LinAlgError, NonFiniteValue, NotPositive):
             pass  # the search below decides
-    result = _search(_Objective(x, m), opt, polish=False, stop_at=target)
+    try:
+        result = _search(_Objective(x, m), opt, polish=False, stop_at=target)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"the search failed: LinAlgError: {exc}", best_residual=np.inf, best=None) from exc
     if result is None:
         raise NoConvergence(
             f"no restart of {opt.restarts} gave finite positive factors",

@@ -9,6 +9,7 @@ reconstruct the exact double.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -240,9 +241,13 @@ def condition_report_to_obj(report: ConditionReport):
 
 
 def factorization_to_obj(f):
-    """The report payload of a PositiveFactorization."""
+    """The report payload of a PositiveFactorization.  Each factor's
+    blocks are float64 arrays of [re, im] pairs, views of its stacks,
+    which report_to_json and flatten_for_csv write as element_to_obj's
+    nested lists."""
+    views = [s.view(np.float64).reshape(*s.shape, 2) for s in f.stacks]
     return {
-        "factors": [element_to_obj(p) for p in f.factors],
+        "factors": [{"blocks": [v[j] for v in views]} for j in range(len(views[0]))],
         "residual": f.residual,
         "relative_residual": f.residual / max(1e-300, op_norm(f.target)),
         "restarts_used": f.restarts_used,
@@ -267,12 +272,26 @@ def aff_function_to_obj(f: AffFunction):
 def report_to_json(obj) -> str:
     """json.dumps(obj, sort_keys=True, indent=2), byte for byte, for a
     tree of dicts with str keys, lists, tuples, str, int, float, bool and
-    None.  With indent set, the json module encodes through its
-    pure-Python encoder; this writer lays out the same text from the same
-    pieces: float.__repr__ (NaN, Infinity, -Infinity spelled as json
-    spells them), int.__repr__, and encode_basestring_ascii for strings
-    and keys."""
+    None, where a float64 array stands for its .tolist().  With indent
+    set, the json module encodes through its pure-Python encoder; this
+    writer lays out the same text from the same pieces: float.__repr__
+    (NaN, Infinity, -Infinity spelled as json spells them), int.__repr__,
+    and encode_basestring_ascii for strings and keys.  A finite array is
+    filled into a layout made once per shape and position."""
     return _encode(obj, "\n")
+
+
+@functools.lru_cache(maxsize=256)
+def _array_layout(shape: tuple[int, ...], newline: str) -> str:
+    """The text _encode lays out for a nested list of this shape, with %s
+    in place of each value."""
+    if not shape:
+        return "%s"
+    if not shape[0]:
+        return "[]"
+    inner = newline + "  "
+    item = _array_layout(shape[1:], inner)
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + newline + "]"
 
 
 def _encode(obj, newline: str) -> str:
@@ -308,6 +327,11 @@ def _encode(obj, newline: str) -> str:
             return "{}"
         items = [encode_basestring_ascii(k) + ": " + _encode(v, inner) for k, v in sorted(obj.items())]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, np.ndarray) and obj.dtype == np.float64:
+        text = _array_layout(obj.shape, newline) % tuple(map(float.__repr__, obj.ravel().tolist()))
+        # float.__repr__ writes no "n" but in nan and inf, which json
+        # spells NaN and Infinity: a non-finite array goes the list way
+        return text if "n" not in text else _encode(obj.tolist(), newline)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -317,7 +341,10 @@ def _encode(obj, newline: str) -> str:
 
 def flatten_for_csv(payload, prefix=""):
     """Flatten a report into (column, value) pairs; per-block complex
-    vectors become block_i_re / block_i_im columns."""
+    vectors become block_i_re / block_i_im columns, and an array its
+    .tolist()."""
+    if isinstance(payload, np.ndarray):
+        payload = payload.tolist()
     rows = []
     if isinstance(payload, dict):
         if set(payload) == {"coords", "block_sizes"}:

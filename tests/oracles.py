@@ -306,3 +306,16 @@ def per_candidate_construct(x, m: int, seed: int):
         spread = 2.0 ** (e / len(factors))
         per_block.append([spread * p for p in factors] + [np.eye(n, dtype=complex)] * (m - len(factors)))
     return tuple(Element(x.algebra, tuple(b[j] for b in per_block)) for j in range(m))
+
+
+def element_residual(factors, target) -> float:
+    """op_norm(f_1 ... f_m - target) in Element arithmetic: the product
+    taken from the identity one factor at a time, the difference as
+    prod + (-1.0 * target).  The package reads the residual from one
+    (m, n_i, n_i) stack per block; it must equal this bit for bit."""
+    from apfp import mul, op_norm
+
+    prod = target.algebra.identity()
+    for f in factors:
+        prod = mul(prod, f)
+    return op_norm(prod - target)

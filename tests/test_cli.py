@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from apfp import (
     exp_element,
     factor_positive_products,
     membership_test,
+    op_norm,
     path_determinant,
     polar_path,
 )
@@ -58,7 +60,7 @@ from apfp.sampling import (
     random_special_unitary,
     rng_from,
 )
-from apfp.serialize import element_to_obj, factorization_to_obj, path_to_obj
+from apfp.serialize import element_to_obj, factorization_to_obj, path_to_obj, payload_to_csv, report_to_json
 
 M2 = AlgebraDescriptor((2,))
 M23 = AlgebraDescriptor((2, 3))
@@ -523,8 +525,9 @@ def test_factor_computes_each_invariant_once_per_member(tmp_path, capsys, monkey
         "factors_requested": 5,
         "factorization": factorization_to_obj(factor_positive_products(x, 5)),
     }
-    # repr keeps every bit (and the sign of zero)
-    assert json.dumps(report["results"], sort_keys=True) == json.dumps(direct, sort_keys=True)
+    # repr keeps every bit (and the sign of zero); the factors of direct
+    # are array leaves, those read back from the report nested lists
+    assert report_to_json(report["results"]) == report_to_json(direct)
 
 
 def test_factor_computes_each_invariant_once_per_non_member(tmp_path, capsys, monkeypatch):
@@ -935,7 +938,8 @@ def test_reports_are_json_dumps_byte_for_byte(name, tmp_path, capsys, monkeypatc
     out = capsys.readouterr().out
     [(report, text)] = written
     assert key in report["results"]
-    assert text == json.dumps(report, sort_keys=True, indent=2)
+    # the factors are float64 array leaves, which json writes as their lists
+    assert text == json.dumps(report, sort_keys=True, indent=2, default=np.ndarray.tolist)
     assert out == text + "\n"
 
 
@@ -948,6 +952,45 @@ def test_out_file_and_csv(tmp_path, capsys):
     header, row = dest.read_text().strip().splitlines()
     assert "member" in header.split(",")
     capsys.readouterr()
+
+
+def test_factor_csv_flattens_the_factors_as_nested_lists(tmp_path, capsys):
+    # the payload's factors are array leaves; the CSV is the one that
+    # element_to_obj's nested lists of the factors give
+    x = random_member(M23, rng_from(29))
+    f = element_file(tmp_path, "member.json", x)
+    dest = tmp_path / "report.csv"
+    assert main(["factor", f, "--factors", "5", "--output", "csv", "--out", str(dest)]) == EXIT_OK
+    fac = factor_positive_products(x, 5)
+    member = membership_test(x)
+    nested = {
+        "member": True,
+        "det_phases": list(member.det_phases),
+        "factors_requested": 5,
+        "factorization": {
+            "factors": [element_to_obj(p) for p in fac.factors],
+            "residual": fac.residual,
+            "relative_residual": fac.residual / max(1e-300, op_norm(x)),
+            "restarts_used": 0,
+        },
+    }
+    assert dest.read_text() == payload_to_csv(nested)
+    # one column per real and imaginary part of every entry: 5 (2*2 + 3*3) * 2
+    header = dest.read_text().splitlines()[0].split(",")
+    columns = [name for name in header if name.startswith("factorization_factors_")]
+    assert len(columns) == 130
+    assert columns[-1] == "factorization_factors_4_blocks_1_2_2_1"
+
+
+def test_elapsed_seconds_is_never_negative(tmp_path, capsys, monkeypatch):
+    # the wall clock may step back during a run; elapsed time reads a
+    # monotonic clock
+    clock = iter(range(10**6, 0, -1))
+    monkeypatch.setattr(time, "time", lambda: float(next(clock)))
+    f = element_file(tmp_path, "x.json", random_element(M23, rng_from(5)))
+    code, report = run(capsys, "membership", f)
+    assert code == EXIT_OK
+    assert report["provenance"]["elapsed_seconds"] >= 0
 
 
 def test_rerun_results_are_byte_identical(tmp_path, capsys):
@@ -1118,6 +1161,16 @@ def test_search_linalgerror_exits_3_without_a_traceback(tmp_path, capsys, monkey
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: LinAlgError: SVD did not converge\n"
+
+
+def test_member_search_linalgerror_exits_5(tmp_path, capsys):
+    # an eigh in this member's search does not converge: the member route
+    # reports NoConvergence with no best run, not a numeric failure
+    x = random_member(M23, rng_from((901, 2, 2)))
+    f = element_file(tmp_path, "member.json", x)
+    code, report = run(capsys, "factor", f, "--factors", "1", "--restarts", "3")
+    assert code == EXIT_NO_CONVERGENCE
+    assert report["results"]["best_residual"] is None
 
 
 @pytest.mark.parametrize("factors", ["3", "5"])

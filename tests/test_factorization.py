@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     closure_distance,
     depth_first_split,
+    element_residual,
     per_candidate_construct,
     power_iteration_norm,
     turn_radius_by_bisection,
@@ -39,6 +40,8 @@ from apfp import (
     split_into_exponentials,
 )
 from apfp.errors import (
+    APFPError,
+    DescriptorMismatch,
     DeterminantNotOne,
     NoConvergence,
     NonFiniteValue,
@@ -369,6 +372,22 @@ def test_factor_without_positive_restart_carries_no_best(monkeypatch):
     assert err.value.best is None
 
 
+def test_a_linalgerror_in_the_search_ends_in_no_convergence(monkeypatch):
+    # the documented failure of the member search, with no best run
+    error = np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    def search(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(factorization, "_search", search)
+    x = random_member(M2, rng_from(17))
+    with pytest.raises(NoConvergence) as err:
+        factor_positive_products(x, m=3, opt=OptimizerConfig(restarts=2))
+    assert err.value.best is None
+    assert err.value.best_residual == np.inf
+    assert err.value.__cause__ is error
+
+
 def test_search_stops_at_the_first_restart_that_converges(monkeypatch):
     calls = []
     run = factorization._run_restart
@@ -455,6 +474,83 @@ def test_factor_deterministic_across_thread_counts():
     assert first.residual == second.residual
     for a, b in zip(first.factors, second.factors):
         assert op_norm(a - b) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the factorization's stacks
+
+
+def assert_stacks_are_the_factors(got, want, x):
+    """got holds want's factors bit for bit, one read-only (m, n_i, n_i)
+    stack per block, and its residual is their Element-arithmetic
+    residual against x, bit for bit."""
+    m = len(want)
+    assert [s.shape for s in got.stacks] == [(m, n, n) for n in x.algebra.block_sizes]
+    assert not any(s.flags.writeable for s in got.stacks)
+    assert len(got.factors) == m
+    for f, w in zip(got.factors, want):
+        assert [b.tobytes() for b in f.blocks] == [b.tobytes() for b in w.blocks]
+    for i, stack in enumerate(got.stacks):
+        assert stack.tobytes() == np.array([w.blocks[i] for w in want]).tobytes()
+    assert got.residual == element_residual(want, x)
+    assert got.max_factor_norm == max(op_norm(w) for w in want)
+
+
+def test_positive_route_stacks_x_and_identities():
+    x = random_positive(M23, rng_from(11))
+    got = factor_positive_products(x, m=3)
+    assert got.route == "positive"
+    assert_stacks_are_the_factors(got, (x, M23.identity(), M23.identity()), x)
+
+
+@pytest.mark.parametrize("alg", [M2, M23])
+def test_construction_route_stacks_the_reference_factors(monkeypatch, alg):
+    no_search(monkeypatch)
+    x = random_member(alg, rng_from((83, 1)))
+    got = factor_positive_products(x, m=5)
+    assert got.route == "construction"
+    assert_stacks_are_the_factors(got, per_candidate_construct(x, 5, 0), x)
+
+
+@pytest.mark.parametrize("alg", [M2, M23])
+def test_search_route_stacks_the_restarts_factors(monkeypatch, alg):
+    # the factors are the restart's b.p, factor j of block i at b.p[j]; a
+    # short Gaussian restart in place of the continuation keeps this fast
+    seen = []
+    real = factorization._Objective.factorization
+
+    def spy(obj, theta, restarts_used):
+        seen.append((obj, theta.copy()))
+        return real(obj, theta, restarts_used)
+
+    def no_continuation(obj, opt):
+        raise APFPError("no continuation")
+
+    monkeypatch.setattr(factorization._Objective, "factorization", spy)
+    monkeypatch.setattr(factorization, "_continuation_start", no_continuation)
+    x = random_member(alg, rng_from(17))
+    opt = OptimizerConfig(restarts=1, max_iterations=20, target_residual=0.0)
+    with pytest.raises(NoConvergence) as err:
+        factor_positive_products(x, m=3, opt=opt)
+    got = err.value.best
+    assert (got.route, got.restarts_used) == ("search", 1)
+    [(obj, theta)] = seen
+    blocks = obj._blocks(theta)
+    want = [Element(alg, tuple(b.p[j] for b in blocks)) for j in range(3)]
+    assert_stacks_are_the_factors(got, want, x)
+
+
+def test_factorization_rejects_stacks_that_do_not_fit():
+    x = random_positive(M23, rng_from(11))
+    good = tuple(np.broadcast_to(b, (2, len(b), len(b))) for b in x.blocks)
+    with pytest.raises(DescriptorMismatch):
+        factorization.PositiveFactorization(good[:1], x)
+    with pytest.raises(DescriptorMismatch):
+        factorization.PositiveFactorization((good[0], good[1][:1]), x)
+    bad = (good[0], np.full((2, 3, 3), np.nan))
+    with pytest.raises(NonFiniteValue):
+        factorization.PositiveFactorization(bad, x)
+    assert factorization.PositiveFactorization(good, x).residual > 0
 
 
 # ---------------------------------------------------------------------------
@@ -552,11 +648,11 @@ def test_construction_scales_each_block_by_its_own_norm(m):
     # the construction is called directly and checked block by block
     u = random_member(M3, rng_from(5))
     x = elem(AlgebraDescriptor((1, 3)), [[1e200]], u.blocks[0] / op_norm(u))
-    factors = factorization._construct(x, m, 0)
-    assert factors is not None and len(factors) == m
-    for i, xb in enumerate(x.blocks):
+    stacks = factorization._construct(x, m, 0)
+    assert stacks is not None and [len(s) for s in stacks] == [m, m]
+    for xb, stack in zip(x.blocks, stacks):
         block = Element(AlgebraDescriptor((len(xb),)), (xb,))
-        parts = [Element(block.algebra, (f.blocks[i],)) for f in factors]
+        parts = [Element(block.algebra, (f,)) for f in stack]
         assert_positive_factorization(block, parts, 1e-6 * op_norm(block))
 
 
@@ -648,9 +744,11 @@ def test_stacked_construction_matches_the_per_candidate_reference(m):
         if want is None:
             assert got is None
             continue
-        assert len(got) == len(want) == m
-        for g, w in zip(got, want):
-            assert all(np.array_equal(a, b) for a, b in zip(g.blocks, w.blocks))
+        # one (m, n_i, n_i) stack per block against the reference's m elements
+        assert len(want) == m
+        assert [s.shape for s in got] == [(m, n, n) for n in x.algebra.block_sizes]
+        for i, stack in enumerate(got):
+            assert np.array_equal(stack, np.array([w.blocks[i] for w in want]))
 
 
 def test_a_failing_stacked_step_leaves_the_element_to_the_search(monkeypatch):

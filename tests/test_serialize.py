@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from apfp import (
     AlgebraDescriptor,
@@ -289,6 +290,32 @@ for _ in range(60):
 @example({"\u2603 snow": ["\x00\x1f\"\\/", "\U0001f600"], "": [[], {}, [[]]]})
 def test_report_writer_is_json_dumps(tree):
     assert report_to_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+SPECIAL_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-5, np.nan, np.inf, -np.inf]
+FLOAT64_ARRAYS = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3),
+    elements=st.floats() | st.sampled_from(SPECIAL_FLOATS),
+)
+
+
+def nested(leaf, depth: int):
+    """leaf at depth levels of {"k": [leaf, 0.5]}."""
+    for _ in range(depth):
+        leaf = {"k": [leaf, 0.5]}
+    return leaf
+
+
+@given(FLOAT64_ARRAYS, st.integers(min_value=0, max_value=3))
+@example(np.array([[-0.0, 5e-324], [1e16, 1e-5]]), 2)
+@example(np.array(SPECIAL_FLOATS), 0)
+@example(np.zeros((2, 0, 3)), 1)
+def test_report_writer_writes_an_array_as_its_list(arr, depth):
+    want = json.dumps(nested(arr.tolist(), depth), sort_keys=True, indent=2)
+    assert report_to_json(nested(arr, depth)) == want
+    # and the CSV flattening reads it as the same nested lists
+    assert payload_to_csv(nested(arr, depth)) == payload_to_csv(nested(arr.tolist(), depth))
 
 
 def test_report_writer_rejects_what_json_rejects():
