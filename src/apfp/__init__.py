@@ -15,19 +15,13 @@ from .algebra import (
     Element,
     TraceValue,
     adjoint,
-    add,
-    commutator,
     exp_element,
-    inverse,
     is_positive,
     log_positive,
     log_unitary_principal,
-    mul,
     op_norm,
     polar,
-    project_traceless,
     quotient_norm,
-    scale,
     universal_trace,
 )
 from .checker import (
@@ -90,7 +84,6 @@ from .factorization import (
     distance_to_closure,
     factor_positive_products,
     membership_test,
-    polar_path,
     residual_curve,
     split_into_exponentials,
 )

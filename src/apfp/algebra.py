@@ -93,21 +93,23 @@ class Element:
                 raise ValueError("non-finite entry in element")
         object.__setattr__(self, "blocks", blocks)
 
-    # arithmetic sugar; the named module functions below are the real API
+    # the operators are the one API of block arithmetic, one numpy expression per block
     def __add__(self, other):
-        return add(self, other)
+        _same_algebra(self, other)
+        return Element(self.algebra, tuple(a + b for a, b in zip(self.blocks, other.blocks)))
 
     def __sub__(self, other):
-        return add(self, scale(-1.0, other))
+        return self + (-1.0 * other)
 
     def __neg__(self):
-        return scale(-1.0, self)
+        return -1.0 * self
 
     def __matmul__(self, other):
-        return mul(self, other)
+        _same_algebra(self, other)
+        return Element(self.algebra, tuple(a @ b for a, b in zip(self.blocks, other.blocks)))
 
     def __rmul__(self, lam):
-        return scale(lam, self)
+        return self.map_blocks(lambda b: lam * b)
 
     def map_blocks(self, fn) -> "Element":
         return Element(self.algebra, tuple(fn(b) for b in self.blocks))
@@ -179,34 +181,6 @@ def _same_algebra(x, y):
 
 def adjoint(x: Element) -> Element:
     return x.map_blocks(lambda b: b.conj().T)
-
-
-def mul(x: Element, y: Element) -> Element:
-    _same_algebra(x, y)
-    return Element(x.algebra, tuple(a @ b for a, b in zip(x.blocks, y.blocks)))
-
-
-def add(x: Element, y: Element) -> Element:
-    _same_algebra(x, y)
-    return Element(x.algebra, tuple(a + b for a, b in zip(x.blocks, y.blocks)))
-
-
-def scale(lam: complex, x: Element) -> Element:
-    return x.map_blocks(lambda b: lam * b)
-
-
-def commutator(x: Element, y: Element) -> Element:
-    """xy - yx."""
-    _same_algebra(x, y)
-    return Element(
-        x.algebra, tuple(a @ b - b @ a for a, b in zip(x.blocks, y.blocks))
-    )
-
-
-def inverse(x: Element) -> Element:
-    """Blockwise inverse; SingularInput below the degeneracy threshold."""
-    _require_invertible(x)
-    return x.map_blocks(np.linalg.inv)
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +388,3 @@ def quotient_norm(v: TraceValue) -> float:
     return max(
         abs(c) / n for c, n in zip(v.coords, v.algebra.block_sizes)
     )
-
-
-def project_traceless(x: Element) -> Element:
-    """Nearest point of [A,A]-closure: subtract the normalized block trace."""
-    out = []
-    for b, n in zip(x.blocks, x.algebra.block_sizes):
-        out.append(b - (np.trace(b) / n) * np.eye(n))
-    return Element(x.algebra, tuple(out))

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .algebra import AffFunction, AlgebraDescriptor, Element
+from .algebra import AffFunction, AlgebraDescriptor
 from .determinant import delta_1_0
 from .errors import InconsistentFlags, RankMismatch, RankTooHighForDensity
 
@@ -36,22 +34,6 @@ class TraceSimplex:
     def rank(self) -> int:
         return self.algebra.rank
 
-    @property
-    def extreme_points(self):
-        # the i-th extreme state as its weight vector on block traces
-        k = self.rank
-        return tuple(
-            tuple(Fraction(1, n) if j == i else Fraction(0) for j in range(k))
-            for i, n in enumerate(self.algebra.block_sizes)
-        )
-
-    def evaluate(self, x: Element) -> tuple:
-        """Values of the extreme traces on x."""
-        return tuple(
-            complex(np.trace(b)) / n
-            for b, n in zip(x.blocks, self.algebra.block_sizes)
-        )
-
 
 @dataclass(frozen=True)
 class K0Data:
@@ -61,11 +43,6 @@ class K0Data:
 
     rank: int
     generators: Optional[tuple[tuple[Fraction, Fraction], ...]] = None
-
-    @classmethod
-    def from_generators(cls, gens) -> "K0Data":
-        pairs = tuple((Fraction(a), Fraction(b)) for a, b in gens)
-        return cls(rank=1, generators=pairs)
 
 
 @dataclass(frozen=True)

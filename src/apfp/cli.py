@@ -35,6 +35,7 @@ from .algebra import (
 from .checker import check_abstract, check_conditions, pairing_consistency
 from .determinant import (
     ExpLine,
+    ProductPolar,
     delta_1_0,
     evaluate,  # noqa: F401  (the tracer in perfbench/ wraps it here)
     evaluate_many,
@@ -58,7 +59,6 @@ from .factorization import (
     commutator_factor_su,
     factor_positive_products,
     membership_test,
-    polar_path,
     split_into_exponentials,
 )
 from .sampling import random_self_adjoint, random_special_unitary, rng_from
@@ -270,29 +270,12 @@ def _cmd_check(args, config: RunConfig):
 # demos: end-to-end scenarios with their invariants asserted
 
 
-def _demo_polar_path(config: RunConfig):
-    alg = AlgebraDescriptor((2, 3))
-    rng = rng_from((config.optimizer.seed, 101))
-    c = random_self_adjoint(alg, rng, norm=1.3)
-    d = random_self_adjoint(alg, rng, norm=1.1)
-    det = path_determinant(polar_path(c, d))
-    worst = max(abs(v) for v in det.coords)
-    if worst > 1e-7:
-        raise _DemoFailure(f"polar path determinant {worst:.3e} exceeds 1e-7")
-    return {
-        "algebra": list(alg.block_sizes),
-        "determinant": serialize.trace_value_to_obj(det),
-        "max_coordinate": worst,
-    }
-
-
 def _demo_splitting(config: RunConfig):
     alg = AlgebraDescriptor((2, 3))
     rng = rng_from((config.optimizer.seed, 202))
     c = random_self_adjoint(alg, rng, norm=1.4)
     d = random_self_adjoint(alg, rng, norm=0.9)
-    path = polar_path(c, d)
-    split = split_into_exponentials(path)
+    split = split_into_exponentials(ProductPolar(c, d))
     qn = quotient_norm(split.trace_sum())
     recon = op_norm(split.reconstruct() - split.endpoint)
     if qn > 1e-7:
@@ -338,7 +321,6 @@ def _demo_loop_lattice(config: RunConfig):
 
 
 DEMOS = {
-    "polar-path-determinant-zero": _demo_polar_path,
     "splitting-trace-zero": _demo_splitting,
     "commutator-witness": _demo_commutator,
     "loop-lattice": _demo_loop_lattice,

@@ -42,12 +42,11 @@ from .algebra import (
     is_positive,
     log_positive,
     log_unitary_principal,
-    mul,
     op_norm,
     polar,
     universal_trace,
 )
-from .determinant import InvertiblePath, ProductPolar, _block_log_dets, _unitary_blocks, evaluate_many, log_det
+from .determinant import InvertiblePath, _block_log_dets, _unitary_blocks, evaluate_many, log_det
 from .errors import (
     APFPError,
     DescriptorMismatch,
@@ -83,11 +82,6 @@ class OptimizerConfig:
 # polar paths and exponential splitting
 
 
-def polar_path(c: Element, d: Element) -> ProductPolar:
-    """The unitary-valued path t -> e^{tc} e^{td} |e^{tc} e^{td}|^{-1}."""
-    return ProductPolar(c, d)
-
-
 @dataclass(frozen=True)
 class ExponentialSplitting:
     """A partition 0 = t_0 < ... < t_N = 1 with self-adjoint logs h_k of
@@ -100,17 +94,14 @@ class ExponentialSplitting:
     def reconstruct(self) -> Element:
         out = self.endpoint.algebra.identity()
         for h in self.logs:
-            out = mul(out, exp_element(1j * h))
+            out = out @ exp_element(1j * h)
         return out
 
-    def log_sum(self) -> Element:
+    def trace_sum(self) -> TraceValue:
         total = self.endpoint.algebra.zero()
         for h in self.logs:
             total = total + h
-        return total
-
-    def trace_sum(self) -> TraceValue:
-        return universal_trace(self.log_sum())
+        return universal_trace(total)
 
 
 MAX_SPLIT_SEGMENTS = 2 ** 16
@@ -433,7 +424,7 @@ def _continuation_start(obj: _Objective, opt: OptimizerConfig):
     theta = _pack([[b / obj.m for b in c.blocks]] * obj.m, obj.alg)
     for step in range(1, _CONTINUATION_STEPS + 1):
         t = step / _CONTINUATION_STEPS
-        target = mul(exp_element(1j * t * h), exp_element(c))
+        target = exp_element(1j * t * h) @ exp_element(c)
         stage = _Objective(target, obj.m)
         iters = _CONTINUATION_ITERS if step < _CONTINUATION_STEPS else opt.max_iterations
         theta = _lbfgs(stage.value_and_grad, theta, iters, opt.gradient_tolerance).x

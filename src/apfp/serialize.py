@@ -10,7 +10,6 @@ reconstruct the exact double.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -59,14 +58,6 @@ def element_from_obj(obj) -> Element:
         blocks.append(arr)
     alg = AlgebraDescriptor(tuple(len(b) for b in blocks))
     return Element(alg, tuple(blocks))
-
-
-def element_to_json(x: Element) -> str:
-    return json.dumps(element_to_obj(x))
-
-
-def element_from_json(text: str) -> Element:
-    return element_from_obj(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +129,6 @@ def path_from_obj(obj) -> InvertiblePath:
     return cls(**parts)
 
 
-def path_to_json(path: InvertiblePath) -> str:
-    return json.dumps(path_to_obj(path))
-
-
-def path_from_json(text: str) -> InvertiblePath:
-    return path_from_obj(json.loads(text))
-
-
 # ---------------------------------------------------------------------------
 # descriptors and reports
 
@@ -213,17 +196,6 @@ def descriptor_from_obj(obj) -> AlgebraDescriptor | AbstractDescriptor:
         if not isinstance(v, bool) and not (name == "rho_dense" and v is None):
             raise ValueError(f"flag {name} must be true or false, got {v!r}")
     return AbstractDescriptor(K0Data(rank, gens), **flags)
-
-
-def abstract_descriptor_to_obj(desc: AbstractDescriptor):
-    obj = {"rank": desc.k0.rank}
-    if desc.k0.generators is not None:
-        obj["generators"] = [
-            {"a": str(a), "b": str(b)} for a, b in desc.k0.generators
-        ]
-    flags = {name: getattr(desc, name) for name in CONDITION_NAMES}
-    obj["flags"] = {name: v for name, v in flags.items() if v is not None}
-    return obj
 
 
 def condition_report_to_obj(report: ConditionReport):

@@ -179,7 +179,7 @@ def depth_first_split(path, max_step_norm: float = 0.5, max_segments: int = 2**1
     pointwise_value and is checked for unitarity when first read, and the
     logs are taken in a second pass over the accepted intervals.  Returns
     (partition, logs, endpoint), logs and endpoint as Elements."""
-    from apfp import Element, adjoint, log_unitary_principal, mul, op_norm
+    from apfp import Element, adjoint, log_unitary_principal, op_norm
     from apfp.errors import NotUnitaryPath, PartitionOverflow
 
     t1, t2 = path.domain
@@ -203,7 +203,7 @@ def depth_first_split(path, max_step_norm: float = 0.5, max_segments: int = 2**1
     count = 1
     while pending:
         a, b = pending.pop()
-        if op_norm(mul(adjoint(at(a)), at(b)) - path.algebra.identity()) <= max_step_norm:
+        if op_norm(adjoint(at(a)) @ at(b) - path.algebra.identity()) <= max_step_norm:
             accepted.append((a, b))
             continue
         count += 1
@@ -213,7 +213,7 @@ def depth_first_split(path, max_step_norm: float = 0.5, max_segments: int = 2**1
         pending.append((mid, b))
         pending.append((a, mid))
     accepted.sort()
-    logs = [log_unitary_principal(mul(adjoint(at(a)), at(b))) for a, b in accepted]
+    logs = [log_unitary_principal(adjoint(at(a)) @ at(b)) for a, b in accepted]
     partition = tuple(t1 + (t2 - t1) * s for s, _ in accepted) + (t2,)
     return partition, logs, at(1.0)
 
@@ -313,9 +313,20 @@ def element_residual(factors, target) -> float:
     taken from the identity one factor at a time, the difference as
     prod + (-1.0 * target).  The package reads the residual from one
     (m, n_i, n_i) stack per block; it must equal this bit for bit."""
-    from apfp import mul, op_norm
+    from apfp import op_norm
 
     prod = target.algebra.identity()
     for f in factors:
-        prod = mul(prod, f)
+        prod = prod @ f
     return op_norm(prod - target)
+
+
+def project_traceless(x):
+    """Nearest point of the traceless elements to x in the operator norm:
+    each block less its normalized trace times the identity."""
+    from apfp import Element
+
+    return Element(
+        x.algebra,
+        tuple(b - (np.trace(b) / n) * np.eye(n) for b, n in zip(x.blocks, x.algebra.block_sizes)),
+    )

@@ -16,11 +16,10 @@ from apfp import (
     adjoint,
     check_abstract,
     check_conditions,
-    commutator,
-    mul,
     pairing_consistency,
     rho,
     rho_image_distance,
+    universal_trace,
 )
 from apfp.determinant import ExpLine
 from apfp.errors import InconsistentFlags, RankMismatch, RankTooHighForDensity
@@ -40,24 +39,20 @@ SMALL_INTS = st.integers(min_value=-20, max_value=20)
 # trace simplex
 
 
-def test_extreme_points_are_states():
-    simplex = TraceSimplex(M23)
-    pts = simplex.extreme_points
-    assert len(pts) == 2
-    assert pts[0] == (Fraction(1, 2), Fraction(0))
-    assert pts[1] == (Fraction(0), Fraction(1, 3))
+def extreme_traces(x):
+    """The extreme tracial states at x: tr(x_i) / n_i, block by block."""
+    return [c / n for c, n in zip(universal_trace(x).coords, x.algebra.block_sizes)]
 
 
 def test_extreme_traces_are_tracial_and_unital():
-    simplex = TraceSimplex(M23)
     rng = rng_from(3)
     x = random_element(M23, rng)
     y = random_element(M23, rng)
-    for v in simplex.evaluate(M23.identity()):
+    for v in extreme_traces(M23.identity()):
         assert v == pytest.approx(1.0)
-    for v in simplex.evaluate(commutator(x, y)):
+    for v in extreme_traces(x @ y - y @ x):
         assert abs(v) <= 1e-12
-    for v in simplex.evaluate(mul(adjoint(x), x)):
+    for v in extreme_traces(adjoint(x) @ x):
         assert v.real >= -1e-12 and abs(v.imag) <= 1e-12
 
 
@@ -147,7 +142,7 @@ def dyadic_irrational_descriptor(**kwargs):
     # K0 image generated by 1 and theta (irrational): dense
     gens = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     return AbstractDescriptor(
-        k0=K0Data.from_generators(gens),
+        k0=K0Data(1, gens),
         no_findim_reps=True,
         stable_rank_one=True,
         k1_trivial=True,
@@ -165,7 +160,7 @@ def test_abstract_dense_group_passes():
 def test_abstract_rational_generators_are_cyclic():
     gens = ((Fraction(1, 2), Fraction(0)), (Fraction(1, 3), Fraction(0)))
     desc = AbstractDescriptor(
-        k0=K0Data.from_generators(gens),
+        k0=K0Data(1, gens),
         no_findim_reps=True,
         stable_rank_one=True,
         k1_trivial=True,
@@ -181,7 +176,7 @@ def test_abstract_parallel_irrationals_are_cyclic():
     gens = ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(2)))
     report = check_abstract(
         AbstractDescriptor(
-            k0=K0Data.from_generators(gens),
+            k0=K0Data(1, gens),
             no_findim_reps=True,
             stable_rank_one=True,
             k1_trivial=True,
@@ -202,10 +197,10 @@ def test_abstract_density_is_scale_invariant(a1, b1, a2, b2, scale):
     gens = ((a1, b1), (a2, b2))
     scaled = tuple((scale * a, scale * b) for a, b in gens)
     before = check_abstract(
-        AbstractDescriptor(K0Data.from_generators(gens), True, True, True)
+        AbstractDescriptor(K0Data(1, gens), True, True, True)
     )
     after = check_abstract(
-        AbstractDescriptor(K0Data.from_generators(scaled), True, True, True)
+        AbstractDescriptor(K0Data(1, scaled), True, True, True)
     )
     assert bool(before.rho_dense) == bool(after.rho_dense)
 
@@ -223,10 +218,10 @@ def test_abstract_density_ignores_redundant_generators(a1, b1, a2, b2, m, n):
     # an integer combination of existing generators adds nothing
     extra = (m * a1 + n * a2, m * b1 + n * b2)
     before = check_abstract(
-        AbstractDescriptor(K0Data.from_generators(gens), True, True, True)
+        AbstractDescriptor(K0Data(1, gens), True, True, True)
     )
     after = check_abstract(
-        AbstractDescriptor(K0Data.from_generators(gens + (extra,)), True, True, True)
+        AbstractDescriptor(K0Data(1, gens + (extra,)), True, True, True)
     )
     assert bool(before.rho_dense) == bool(after.rho_dense)
 

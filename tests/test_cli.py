@@ -29,6 +29,7 @@ from apfp import (
     Element,
     ExpLine,
     OptimizerConfig,
+    ProductPolar,
     Sampled,
     distance_to_closure,
     evaluate,
@@ -37,7 +38,6 @@ from apfp import (
     membership_test,
     op_norm,
     path_determinant,
-    polar_path,
 )
 from apfp.cli import (
     EXIT_DEMO_FAILURE,
@@ -215,7 +215,7 @@ def test_det_path_ill_conditioned_polar_path_is_unitary(tmp_path, capsys):
     rng = rng_from(1)
     c = random_self_adjoint(M23, rng, norm=5.0)
     d = random_self_adjoint(M23, rng, norm=4.0)
-    f = write_json(tmp_path, "polar.json", path_to_obj(polar_path(c, d)))
+    f = write_json(tmp_path, "polar.json", path_to_obj(ProductPolar(c, d)))
     code, report = run(capsys, "det-path", f)
     assert code == EXIT_OK
     assert report["results"]["is_unitary"] is True
@@ -1131,7 +1131,7 @@ def fresh_process_inputs(tmp_path):
     return {
         "membership": ["membership", element_file(tmp_path, "x.json", random_element(M23, rng))],
         "hermitian-exp-line": ["det-path", write_json(tmp_path, "h.json", path_to_obj(ExpLine(c)))],
-        "product-polar": ["det-path", write_json(tmp_path, "p.json", path_to_obj(polar_path(c, d)))],
+        "product-polar": ["det-path", write_json(tmp_path, "p.json", path_to_obj(ProductPolar(c, d)))],
         "loop": ["det-path", write_json(tmp_path, "l.json", path_to_obj(loop))],
         "general-exp-line": ["det-path", write_json(tmp_path, "g.json", path_to_obj(general))],
     }

@@ -21,7 +21,6 @@ from apfp import (
     exp_element,
     lattice_distance,
     lattice_reduce,
-    mul,
     op_norm,
     path_determinant,
     universal_trace,
@@ -35,7 +34,6 @@ from apfp.errors import (
     SingularInput,
     SingularValueOnPath,
 )
-from apfp.factorization import polar_path
 from apfp.sampling import random_element, random_self_adjoint, random_unitary, rng_from
 
 from oracles import logdet_along_path, pointwise_value
@@ -270,7 +268,7 @@ def sampled_product_path(c, d, points=65):
     ts = np.linspace(0.0, 1.0, points)
     samples = []
     for t in ts:
-        v = mul(exp_element(float(t) * c), exp_element(float(t) * d))
+        v = exp_element(float(t) * c) @ exp_element(float(t) * d)
         samples.append((float(t), v))
     return Sampled(tuple(samples))
 
@@ -280,8 +278,8 @@ def sampled_positive_part_path(c, d, points=65):
     ts = np.linspace(0.0, 1.0, points)
     samples = []
     for t in ts:
-        g = mul(exp_element(float(t) * c), exp_element(float(t) * d))
-        m = mul(adjointed(g), g)
+        g = exp_element(float(t) * c) @ exp_element(float(t) * d)
+        m = adjointed(g) @ g
         samples.append((float(t), m.map_blocks(_sqrtm_psd)))
     return Sampled(tuple(samples))
 
@@ -449,7 +447,7 @@ def test_polar_path_values_are_unitary():
     rng = rng_from(47)
     c = random_self_adjoint(M23, rng, norm=1.5)
     d = random_self_adjoint(M23, rng, norm=1.5)
-    path = polar_path(c, d)
+    path = ProductPolar(c, d)
     for t in np.linspace(0.0, 1.0, 9):
         v = evaluate(path, float(t))
         err = max(
@@ -464,7 +462,7 @@ def test_polar_path_determinant_vanishes():
     rng = rng_from(53)
     c = random_self_adjoint(M23, rng, norm=1.5)
     d = random_self_adjoint(M23, rng, norm=1.5)
-    det = path_determinant(polar_path(c, d))
+    det = path_determinant(ProductPolar(c, d))
     assert max(abs(v) for v in det.coords) <= 1e-7
 
 
@@ -472,7 +470,7 @@ def test_polar_path_rejects_non_selfadjoint():
     rng = rng_from(59)
     c = random_element(M23, rng)
     with pytest.raises(ValueError):
-        polar_path(c, c)
+        ProductPolar(c, c)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +582,7 @@ def test_determinant_is_multiplicative_mod_lattice(seed):
     rng = rng_from(seed)
     x = random_element(M23, rng)
     y = random_element(M23, rng)
-    lhs = determinant_mod_lattice(mul(x, y)).representative
+    lhs = determinant_mod_lattice(x @ y).representative
     rhs = determinant_mod_lattice(x).representative + determinant_mod_lattice(y).representative
     assert lattice_distance(lhs - rhs) <= 1e-9
 

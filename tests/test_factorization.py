@@ -23,6 +23,7 @@ from apfp import (
     Element,
     ExpLine,
     OptimizerConfig,
+    ProductPolar,
     adjoint,
     best_approx_distance,
     commutator_factor_su,
@@ -32,9 +33,7 @@ from apfp import (
     factor_positive_products,
     is_positive,
     membership_test,
-    mul,
     op_norm,
-    polar_path,
     quotient_norm,
     residual_curve,
     split_into_exponentials,
@@ -88,7 +87,7 @@ def test_split_polar_path_sums_to_zero_trace():
     rng = rng_from(3)
     c = random_self_adjoint(M23, rng, norm=1.5)
     d = random_self_adjoint(M23, rng, norm=1.5)
-    path = polar_path(c, d)
+    path = ProductPolar(c, d)
     split = split_into_exponentials(path)
     assert quotient_norm(split.trace_sum()) <= 1e-7
     assert op_norm(split.reconstruct() - evaluate(path, 1.0)) <= 1e-8
@@ -100,7 +99,7 @@ def test_split_ill_conditioned_polar_path():
     rng = rng_from(1)
     c = random_self_adjoint(M23, rng, norm=5.0)
     d = random_self_adjoint(M23, rng, norm=4.0)
-    path = polar_path(c, d)
+    path = ProductPolar(c, d)
     split = split_into_exponentials(path)
     assert quotient_norm(split.trace_sum()) <= 1e-7
     assert op_norm(split.reconstruct() - evaluate(path, 1.0)) <= 1e-8
@@ -110,7 +109,7 @@ def test_split_partition_is_increasing_and_spans_domain():
     rng = rng_from(5)
     c = random_self_adjoint(M2, rng, norm=2.0)
     d = random_self_adjoint(M2, rng, norm=2.0)
-    split = split_into_exponentials(polar_path(c, d), max_step_norm=0.2)
+    split = split_into_exponentials(ProductPolar(c, d), max_step_norm=0.2)
     ts = split.partition
     assert ts[0] == 0.0 and ts[-1] == 1.0
     assert all(b > a for a, b in zip(ts, ts[1:]))
@@ -166,12 +165,12 @@ def split_reference_paths():
     for _ in range(12):
         c = random_self_adjoint(M23, rng, norm=float(rng.uniform(1.0, 2.0)))
         d = random_self_adjoint(M23, rng, norm=float(rng.uniform(1.0, 2.0)))
-        yield polar_path(c, d), 0.5
-    yield polar_path(c, d), 0.1
+        yield ProductPolar(c, d), 0.5
+    yield ProductPolar(c, d), 0.1
     # the ill-conditioned path of test_split_ill_conditioned_polar_path
     rng = rng_from(1)
     c = random_self_adjoint(M23, rng, norm=5.0)
-    yield polar_path(c, random_self_adjoint(M23, rng, norm=4.0)), 0.5
+    yield ProductPolar(c, random_self_adjoint(M23, rng, norm=4.0)), 0.5
 
 
 def test_split_matches_depth_first_reference_bitwise():
@@ -199,7 +198,7 @@ def test_commutator_closed_pair():
     theta = 0.7
     u = elem(M2, [[np.exp(1j * theta), 0], [0, np.exp(-1j * theta)]])
     v, w = commutator_factor_su(u)
-    recon = mul(mul(v, w), mul(adjoint(v), adjoint(w)))
+    recon = (v @ w) @ (adjoint(v) @ adjoint(w))
     assert op_norm(recon - u) <= 1e-10
 
 
@@ -213,7 +212,7 @@ def test_commutator_degenerate_spectrum():
     u = elem(M3, [[1j, 0, 0], [0, 1j, 0], [0, 0, -1.0]])
     assert abs(np.linalg.det(u.blocks[0]) - 1.0) <= 1e-12
     v, w = commutator_factor_su(u)
-    recon = mul(mul(v, w), mul(adjoint(v), adjoint(w)))
+    recon = (v @ w) @ (adjoint(v) @ adjoint(w))
     assert op_norm(recon - u) <= 1e-8
 
 
@@ -223,10 +222,10 @@ def test_commutator_on_random_special_unitaries(seed, n):
     alg = AlgebraDescriptor((n,))
     u = random_special_unitary(alg, rng_from(seed))
     v, w = commutator_factor_su(u)
-    recon = mul(mul(v, w), mul(adjoint(v), adjoint(w)))
+    recon = (v @ w) @ (adjoint(v) @ adjoint(w))
     assert op_norm(recon - u) <= 1e-8
     for factor in (v, w):
-        assert op_norm(mul(adjoint(factor), factor) - alg.identity()) <= 1e-10
+        assert op_norm(adjoint(factor) @ factor - alg.identity()) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +238,7 @@ def test_membership_of_positives_and_products():
     assert membership_test(a)
     b = random_positive(M23, rng)
     c = random_positive(M23, rng)
-    assert membership_test(mul(a, mul(b, c)))
+    assert membership_test(a @ (b @ c))
 
 
 def test_membership_rejects_negative_determinant_phase():
@@ -261,7 +260,7 @@ def test_members_form_a_semigroup(s1, s2):
     y = random_member(M23, rng_from(s2))
     assert membership_test(x)
     assert membership_test(y)
-    assert membership_test(mul(x, y))
+    assert membership_test(x @ y)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +316,7 @@ def test_factor_member_of_m2():
     prod = M2.identity()
     for f in got.factors:
         assert is_positive(f, 1e-10)
-        prod = mul(prod, f)
+        prod = prod @ f
     assert op_norm(prod - x) == got.residual
     assert 1 <= got.restarts_used <= 8
     assert got.route == "search"

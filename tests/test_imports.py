@@ -1,5 +1,5 @@
-"""No module of apfp imports a name it never uses, and no private
-definition of apfp goes unread.
+"""No module of apfp imports a name it never uses, no private
+definition of apfp goes unread, and no public one is read by tests alone.
 
 A name kept on purpose (for instance for a tracer that wraps it by its
 module attribute) carries `# noqa: F401` on its line.  __init__.py is
@@ -80,3 +80,72 @@ def test_the_scan_finds_an_unread_private_definition():
 def test_every_private_definition_is_read():
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert unread_private_definitions(sources) == []
+
+
+ROOT = SRC.parents[1]
+UNREAD_PUBLIC = {"rho"}  # the paper's pairing of K0 with the trace simplex, kept as its exact closed form
+
+
+def _reads(node, inside: frozenset, read: set) -> None:
+    """Add to read every name, attribute and string constant under node
+    (string constants are how a tracer names what it wraps), except one
+    read inside a definition of that same name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        inside = inside | {node.name}
+    if isinstance(node, ast.Name):
+        name = node.id
+    elif isinstance(node, ast.Attribute):
+        name = node.attr
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        name = node.value
+    else:
+        name = None
+    if name is not None and name not in inside:
+        read.add(name)
+    for child in ast.iter_child_nodes(node):
+        _reads(child, inside, read)
+
+
+def unread_public_definitions(sources: list[str], readers: list[str]) -> list[str]:
+    """The public functions and classes at the top level of sources, and
+    the public methods of those classes (as Class.method), that no reader
+    reads outside their own definition."""
+    read = set()
+    for r in readers:
+        _reads(ast.parse(r), frozenset(), read)
+    unread = []
+    for s in sources:
+        for node in ast.parse(s).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if node.name not in read:
+                unread.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                unread += [
+                    f"{node.name}.{f.name}"
+                    for f in node.body
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not f.name.startswith("_")
+                    and f.name not in read
+                ]
+    return unread
+
+
+def test_the_scan_finds_an_unread_public_definition():
+    source = (
+        "class Kept:\n    def used(self): return self.used\n    def unused(self): return Kept\n"
+        "def helper(): return 'named'\ndef named(): pass\ndef dead(): return dead()\ndef _private(): pass\n"
+        "helper(Kept().used)\n"
+    )
+    assert unread_public_definitions([source], [source]) == ["Kept.unused", "dead"]
+
+
+def test_every_public_definition_is_read():
+    readers = [
+        p.read_text()
+        for d in (SRC, ROOT / "scripts", ROOT / "perfbench")
+        for p in sorted(d.glob("*.py"))
+    ]
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    unread = unread_public_definitions(sources, readers)
+    assert [name for name in unread if name not in UNREAD_PUBLIC] == []
