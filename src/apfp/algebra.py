@@ -26,7 +26,8 @@ from .errors import (
     SingularInput,
 )
 
-DEFAULT_BRANCH_GAP = 1e-6
+# log_unitary_principal rejects an eigenvalue phase this close to the cut at -1
+BRANCH_GAP = 1e-6
 SINGULARITY_RTOL = 1e-12
 POSITIVITY_RTOL = 1e-12
 # a value v with ||v*v - 1|| at or below this is unitary
@@ -348,25 +349,23 @@ def _unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, np.angle(np.diag(t))
 
 
-def _log_unitary_block(u: np.ndarray, branch_gap: float) -> np.ndarray:
+def _log_unitary_block(u: np.ndarray) -> np.ndarray:
     """Principal log of a unitary block: self-adjoint h, e^{ih} = u,
     eigenvalue phases inside (-pi, pi)."""
     q, phases = _unitary_eig(u)
-    if np.any(np.abs(phases) >= np.pi - branch_gap):
+    if np.any(np.abs(phases) >= np.pi - BRANCH_GAP):
         raise BranchCut(
-            f"eigenvalue phase within {branch_gap:.1e} of the cut at -1"
+            f"eigenvalue phase within {BRANCH_GAP:.1e} of the cut at -1"
         )
     return _herm((q * phases) @ q.conj().T)
 
 
-def log_unitary_principal(u: Element, branch_gap: float = DEFAULT_BRANCH_GAP) -> Element:
+def log_unitary_principal(u: Element) -> Element:
     """Self-adjoint h with e^{ih} = u and spectrum in (-pi, pi).
 
-    BranchCut if any eigenvalue phase comes within branch_gap of -1.
+    BranchCut if any eigenvalue phase comes within BRANCH_GAP of -1.
     """
-    return Element(
-        u.algebra, tuple(_log_unitary_block(b, branch_gap) for b in u.blocks)
-    )
+    return Element(u.algebra, tuple(_log_unitary_block(b) for b in u.blocks))
 
 
 # ---------------------------------------------------------------------------

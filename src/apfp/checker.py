@@ -238,9 +238,13 @@ class PairingCheck:
         return self.consistent
 
 
-def pairing_consistency(alg: AlgebraDescriptor, loop, tol: float = 1e-6) -> PairingCheck:
-    """Check that the loop invariant lands on the pairing range of K0,
-    with the exact distance and nearest vector of rho_image_distance."""
+PAIRING_TOL = 1e-6
+
+
+def pairing_consistency(alg: AlgebraDescriptor, loop) -> PairingCheck:
+    """Check that the loop invariant lands within PAIRING_TOL of the
+    pairing range of K0, with the exact distance and nearest vector of
+    rho_image_distance."""
     f = delta_1_0(loop)
     dist, nearest = rho_image_distance(f, alg)
-    return PairingCheck(dist <= tol, nearest, float(dist), f)
+    return PairingCheck(dist <= PAIRING_TOL, nearest, float(dist), f)

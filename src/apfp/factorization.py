@@ -10,9 +10,9 @@ the positive side (the unitary polar path of e^{tc} e^{td}, its
 exponential splitting with trace-zero log sums, explicit commutator
 factorizations of determinant-one unitaries), exact factorizations of
 members into m >= 4 positive factors in closed form, an optimizer that
-produces factorizations for every m, and the distance from elements
-outside the closure to it, in closed form, with a search only for
-products of fewer than four positives.
+produces factorizations for every m one block at a time, and the distance
+from elements outside the closure to it, in closed form, with a search,
+block by block, only for products of fewer than four positives.
 """
 
 from __future__ import annotations
@@ -173,9 +173,13 @@ def _balanced_phases(u_block: np.ndarray):
     return q, phases
 
 
-def commutator_factor_su(u: Element, tol: float = 1e-8) -> tuple[Element, Element]:
+COMMUTATOR_DET_TOL = 1e-8
+
+
+def commutator_factor_su(u: Element) -> tuple[Element, Element]:
     """Write a blockwise determinant-one unitary as a single multiplicative
-    commutator u = v w v* w*.
+    commutator u = v w v* w*; DeterminantNotOne when a block determinant
+    is off 1 by more than COMMUTATOR_DET_TOL.
 
     Per block: with u = Q diag(e^{i theta_j}) Q* and the phases balanced
     to sum to zero, set phi_j as the running sums, M = diag(e^{i phi_j})
@@ -186,7 +190,7 @@ def commutator_factor_su(u: Element, tol: float = 1e-8) -> tuple[Element, Elemen
     for b in u.blocks:
         n = len(b)
         det = np.linalg.det(b)
-        if abs(det - 1.0) > tol:
+        if abs(det - 1.0) > COMMUTATOR_DET_TOL:
             raise DeterminantNotOne(f"block determinant {det:.6f} is not 1")
         q, phases = _balanced_phases(b)
         if n == 1 or np.max(np.abs(phases)) <= 1e-12:
@@ -229,19 +233,18 @@ def membership_test(x: Element, tol: float = MEMBERSHIP_TOL) -> MembershipResult
 # ---------------------------------------------------------------------------
 # the positive-product optimizer
 #
-# Factors are parameterized as p_j = exp(h_j) with h_j self-adjoint, in
-# unconstrained coordinates: per factor and then per block, the real
-# diagonal, the real parts and the imaginary parts of the strict upper
-# triangle.  The objective works on one block at a time and holds block i
-# of all m factors as one (m, n, n) stack, gathered from theta through an
-# (m, n*n) index array made once per objective.  One batched eigh then
-# gives every exp(h_j) of the block, and the gradient of a residual goes
-# back through one batched Daleckii-Krein kernel for the Frechet
-# derivative of exp; only the prefix and suffix products of the factors
-# remain a loop over m.  Coordinates are scattered and gathered by index,
-# not through a basis-matrix product, so each entry takes the same scalar
-# arithmetic however the factors are batched, and a non-finite coordinate
-# cannot spread into other entries.
+# Products of positives in a direct sum are products per block, so the
+# search runs on one block at a time and d_m(x) = max_i d_m(x_i).  The m
+# factors of a block are p_j = exp(h_j) with h_j self-adjoint, and theta
+# holds, per factor, the real diagonal, the real parts and the imaginary
+# parts of the strict upper triangle: theta.reshape(m, n*n).  One batched
+# eigh gives every exp(h_j), and the gradient of a residual goes back
+# through one batched Daleckii-Krein kernel for the Frechet derivative of
+# exp; only the prefix and suffix products remain a loop over m.
+# Coordinates are gathered by index, not through a basis-matrix product,
+# so a non-finite coordinate cannot spread into other entries.  Overflow
+# in these kernels warns of nothing: PositiveFactorization rejects a
+# restart whose factors or product are not finite.
 
 # PositiveFactorization's positivity tolerance on each factor; a restart
 # whose factors miss it cannot become a factorization.
@@ -252,18 +255,6 @@ FACTOR_POSITIVITY_TOL = 1e-10
 def _upper(n: int):
     """Row and column indices of the strict upper triangle of n x n."""
     return np.triu_indices(n, 1)
-
-
-def _coord_count(alg: AlgebraDescriptor) -> int:
-    return sum(n * n for n in alg.block_sizes)
-
-
-def _layout(alg: AlgebraDescriptor, m: int) -> list[np.ndarray]:
-    """Per block i, the (m, n_i^2) positions of its coordinates in theta,
-    one row per factor."""
-    ends = np.cumsum([n * n for n in alg.block_sizes])
-    rows = _coord_count(alg) * np.arange(m)[:, None]
-    return [rows + np.arange(end - n * n, end) for n, end in zip(alg.block_sizes, ends)]
 
 
 def _ct(a: np.ndarray) -> np.ndarray:
@@ -290,20 +281,16 @@ def _coordinates(h: np.ndarray) -> np.ndarray:
     return np.concatenate([np.real(diag), np.real(upper), np.imag(upper)], axis=1)
 
 
-def _pack(hs, alg: AlgebraDescriptor) -> np.ndarray:
-    """Coordinates of factors given as a list (factor) of lists (block)
-    of hermitian matrices."""
-    theta = np.zeros(len(hs) * _coord_count(alg))
-    for i, idx in enumerate(_layout(alg, len(hs))):
-        theta[idx] = _coordinates(np.array([blocks[i] for blocks in hs]))
-    return theta
+def _block_elements(x: Element) -> list[Element]:
+    """Each block of x as an element of its own one-block algebra."""
+    return [Element(AlgebraDescriptor((len(b),)), (b,)) for b in x.blocks]
 
 
 class _Block(NamedTuple):
-    """Block i of the m factors at one theta: eigenpairs (w, q) of the
-    h_j, the factors p_j, prefix products pre[j] = p_0 ... p_{j-1} (pre[m]
-    is the product), suffix products suf[j] = p_j ... p_{m-1}, and the
-    residual r = pre[m] - x_i; all but r are stacked along axis 0."""
+    """The m factors at one theta: eigenpairs (w, q) of the h_j, the
+    factors p_j, prefix products pre[j] = p_0 ... p_{j-1} (pre[m] is the
+    product), suffix products suf[j] = p_j ... p_{m-1}, and the residual
+    r = pre[m] - x; all but r are stacked along axis 0."""
 
     w: np.ndarray
     q: np.ndarray
@@ -314,17 +301,17 @@ class _Block(NamedTuple):
 
 
 class _Objective:
-    """Frobenius-squared residual of prod_j exp(h_j) - x and its gradient."""
+    """Frobenius-squared residual of prod_j exp(h_j) - x, x in M_n, and its gradient."""
 
     def __init__(self, x: Element, m: int):
         self.x = x
-        self.alg = x.algebra
+        (self.n,) = x.algebra.block_sizes
         self.m = m
-        self.layout = _layout(self.alg, m)
 
-    def _block(self, theta, i) -> _Block:
-        n, m = self.alg.block_sizes[i], self.m
-        w, q = np.linalg.eigh(_hermitian(theta[self.layout[i]], n))
+    @np.errstate(over="ignore", invalid="ignore")
+    def _block(self, theta) -> _Block:
+        n, m = self.n, self.m
+        w, q = np.linalg.eigh(_hermitian(theta.reshape(m, n * n), n))
         p = (q * np.exp(w)[:, None, :]) @ _ct(q)
         pre = np.empty((m + 1, n, n), dtype=complex)
         suf = np.empty_like(pre)
@@ -332,16 +319,14 @@ class _Objective:
         for j in range(m):
             np.matmul(pre[j], p[j], out=pre[j + 1])
             np.matmul(p[m - 1 - j], suf[m - j], out=suf[m - 1 - j])
-        return _Block(w, q, p, pre, suf, pre[m] - self.x.blocks[i])
-
-    def _blocks(self, theta) -> list[_Block]:
-        return [self._block(theta, i) for i in range(self.alg.rank)]
+        return _Block(w, q, p, pre, suf, pre[m] - self.x.blocks[0])
 
     @staticmethod
+    @np.errstate(over="ignore", invalid="ignore")
     def _gradient(b: _Block, e: np.ndarray, scale: float) -> np.ndarray:
-        """(m, n^2) gradient coordinates of scale * Re tr(e* prod) in the
-        h_j: e pulled back through the prefix and suffix products, then
-        through the Frechet derivative of exp at h_j, which in the
+        """Raveled (m, n^2) gradient coordinates of scale * Re tr(e* prod)
+        in the h_j: e pulled back through the prefix and suffix products,
+        then through the Frechet derivative of exp at h_j, which in the
         eigenbasis is the kernel exp((wa+wb)/2) * sinhc((wa-wb)/2)."""
         w, q = b.w, b.q
         qh = _ct(q)
@@ -355,38 +340,29 @@ class _Objective:
         g = scale * (q @ (phi * (qh @ c @ q)) @ qh)
         coords = _coordinates(0.5 * (g + _ct(g)))
         coords[:, w.shape[-1] :] *= 2.0  # each off-diagonal coordinate sits in two entries
-        return coords
+        return coords.ravel()
 
+    @np.errstate(over="ignore")
     def value_and_grad(self, theta):
-        blocks = self._blocks(theta)
-        val = sum(float(np.linalg.norm(b.r, "fro") ** 2) for b in blocks)
-        grad = np.empty(len(theta))
-        for idx, b in zip(self.layout, blocks):
-            grad[idx] = self._gradient(b, b.r, 2.0)
-        return val, grad
+        b = self._block(theta)
+        return float(np.linalg.norm(b.r, "fro") ** 2), self._gradient(b, b.r, 2.0)
 
     def factorization(self, theta, restarts_used: int) -> PositiveFactorization | None:
-        """The factors at theta, each block's stack b.p, as a
-        PositiveFactorization of x, or None unless the factors and their
-        product are finite and every factor is positive within
-        FACTOR_POSITIVITY_TOL."""
-        stacks = tuple(b.p for b in self._blocks(theta))
+        """The factors at theta, the stack b.p, as a PositiveFactorization
+        of x, or None unless the factors and their product are finite and
+        every factor is positive within FACTOR_POSITIVITY_TOL."""
         try:
-            return PositiveFactorization(stacks, self.x, restarts_used=restarts_used)
+            return PositiveFactorization((self._block(theta).p,), self.x, restarts_used=restarts_used)
         except (NonFiniteValue, NotPositive):
             return None
 
     def opnorm_value_and_grad(self, theta):
-        """Largest-singular-value residual over blocks; gradient flows
-        through the top singular pair of the worst block only."""
-        blocks = self._blocks(theta)
-        svds = [np.linalg.svd(b.r) for b in blocks]
-        worst = max(range(self.alg.rank), key=lambda i: svds[i][1][0])
-        uu, ss, vvh = svds[worst]
-        grad = np.zeros(len(theta))
+        """Largest singular value of the residual; the gradient flows
+        through its top singular pair."""
+        b = self._block(theta)
+        uu, ss, vvh = np.linalg.svd(b.r)
         wmat = np.outer(uu[:, 0], vvh[0, :].conj())
-        grad[self.layout[worst]] = self._gradient(blocks[worst], wmat, 1.0)
-        return float(ss[0]), grad
+        return float(ss[0]), self._gradient(b, wmat, 1.0)
 
 
 def _lbfgs(fun, x0, maxiter, gtol):
@@ -421,7 +397,7 @@ def _continuation_start(obj: _Objective, opt: OptimizerConfig):
     """Deterministic warm start: follow targets e^{i t h} |x| from the
     positive part (t=0, exactly factorable) up to x (t=1)."""
     c, h = obj.x._once(_polar_logs)
-    theta = _pack([[b / obj.m for b in c.blocks]] * obj.m, obj.alg)
+    theta = _coordinates(np.array([c.blocks[0] / obj.m] * obj.m)).ravel()
     for step in range(1, _CONTINUATION_STEPS + 1):
         t = step / _CONTINUATION_STEPS
         target = exp_element(1j * t * h) @ exp_element(c)
@@ -433,22 +409,20 @@ def _continuation_start(obj: _Objective, opt: OptimizerConfig):
 
 def _gaussian_start(obj: _Objective, opt: OptimizerConfig, index: int):
     rng = np.random.default_rng((opt.seed, index))
+    n = obj.n
     try:
         c, h = obj.x._once(_polar_logs)
         base = op_norm(c) + op_norm(h) + 0.3
-        center = [b / obj.m for b in c.blocks]
+        center = c.blocks[0] / obj.m
     except (APFPError, ValueError):  # LinAlgError is a ValueError
         base = op_norm(obj.x) + 0.3
-        center = [np.zeros((n, n), dtype=complex) for n in obj.alg.block_sizes]
+        center = np.zeros((n, n), dtype=complex)
     sigma = base / obj.m * _GAUSSIAN_SCALES[index % len(_GAUSSIAN_SCALES)]
     hs = []
     for _ in range(obj.m):
-        blocks = []
-        for cb, n in zip(center, obj.alg.block_sizes):
-            noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            blocks.append(cb + sigma * _herm(noise))
-        hs.append(blocks)
-    return _pack(hs, obj.alg)
+        noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        hs.append(center + sigma * _herm(noise))
+    return _coordinates(np.array(hs)).ravel()
 
 
 def _run_restart(obj, opt, index, polish):
@@ -737,13 +711,15 @@ def factor_positive_products(
     constructed in closed form (Sourour, then Wu; see above) and returned
     when they pass PositiveFactorization's checks and reach the target,
     with restarts_used 0.  Otherwise a multi-start quasi-Newton search
-    runs: restart 0 is a deterministic continuation from the positive
-    part of x; later restarts are seeded Gaussian perturbations.  Success
-    is a residual within opt.target_residual * op_norm(x); otherwise
-    NoConvergence carries the best run found, or best=None and
-    best_residual=inf when no restart gave finite positive factors or
-    the search raised LinAlgError (an eigh or SVD that failed).  A
-    non-positive x with max_i n_i * op_norm(x) beyond the float range
+    runs on each block x_i: restart 0 is a deterministic continuation
+    from the positive part of x_i; restart k > 0 is a Gaussian
+    perturbation seeded by (opt.seed, k) in every block.  Each block stops
+    at its first restart within opt.target_residual * op_norm(x), and the
+    blocks' factors, with restarts_used the largest, are the answer if
+    they reach it; otherwise NoConvergence carries them, or best=None and
+    best_residual=inf when no restart of a block gave finite positive
+    factors or a search raised LinAlgError (an eigh or SVD that failed).
+    A non-positive x with max_i n_i * op_norm(x) beyond the float range
     raises NonFiniteValue before either route runs.
     """
     if m < 1:
@@ -774,15 +750,18 @@ def factor_positive_products(
         except (np.linalg.LinAlgError, NonFiniteValue, NotPositive):
             pass  # the search below decides
     try:
-        result = _search(_Objective(x, m), opt, polish=False, stop_at=target)
+        found = [_search(_Objective(b, m), opt, polish=False, stop_at=target) for b in _block_elements(x)]
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"the search failed: LinAlgError: {exc}", best_residual=np.inf, best=None) from exc
-    if result is None:
+    if any(f is None for f in found):
         raise NoConvergence(
-            f"no restart of {opt.restarts} gave finite positive factors",
+            f"no restart of {opt.restarts} gave finite positive factors of a block",
             best_residual=np.inf,
             best=None,
         )
+    result = PositiveFactorization(
+        tuple(f.stacks[0] for f in found), x, restarts_used=max(f.restarts_used for f in found)
+    )
     if result.residual > target:
         raise NoConvergence(
             f"best residual {result.residual:.3e} above target {target:.3e} "
@@ -817,10 +796,12 @@ def factor_positive_products(
 class ClosureDistance(NamedTuple):
     """The operator-norm distance from x to {y : det y_i >= 0 in every
     block}, the closure of P(A) for m >= 4 factors, and a witness at that
-    distance, with det witness_i real and >= 0 in every block."""
+    distance, with det witness_i real and >= 0 in every block; witness_i
+    lies at block_distances[i] from x_i, and distance is the largest."""
 
     distance: float
     witness: Element
+    block_distances: tuple[float, ...]
 
 
 def _singular_split(b):
@@ -918,26 +899,27 @@ def distance_to_closure(x: Element) -> ClosureDistance:
     closed form, from one SVD (eigh for a hermitian block) per block and
     the phases of its block log dets, 0 for a singular block (see above)."""
     blocks = [_closure_block(b, c.imag) for b, c in zip(x.blocks, x._once(_block_log_dets))]
-    return ClosureDistance(
-        max(d for d, _ in blocks), Element(x.algebra, tuple(y for _, y in blocks))
-    )
+    distances = tuple(d for d, _ in blocks)
+    return ClosureDistance(max(distances), Element(x.algebra, tuple(y for _, y in blocks)), distances)
 
 
 def best_approx_distance(x: Element, m: int = 5, opt: OptimizerConfig | None = None) -> float:
     """Operator-norm distance from x to products of m positive factors,
     from above, and never below distance_to_closure(x).distance.
     Positive x returns 0.  For m >= 4 the answer is
-    distance_to_closure(x).distance, exact and with no search; for m < 4
-    too when that witness is positive.  Otherwise the multi-start search
-    runs with the op-norm polish and its value is the answer; a
-    LinAlgError in the search propagates.  An x whose closed form
+    distance_to_closure(x).distance, exact and with no search.  For m < 4
+    it is the largest over blocks: a block whose witness is positive
+    answers with its own closed-form distance, every other block with
+    the multi-start search with the op-norm polish on that block alone;
+    a LinAlgError in a search propagates.  An x whose closed form
     overflows returns inf."""
     return _distance_probe(x, m, opt or OptimizerConfig())[0]
 
 
 def _distance_probe(x: Element, m: int, opt: OptimizerConfig):
     """best_approx_distance(x, m, opt), distance_to_closure(x) (None where
-    it overflows) and the route of the first: "closed_form" or "search"."""
+    it overflows) and the route of the first: "search" when some block
+    searched, else "closed_form"."""
     if m < 1:
         raise ValueError("need at least one factor")
     try:
@@ -948,10 +930,15 @@ def _distance_probe(x: Element, m: int, opt: OptimizerConfig):
         return 0.0, closure, "closed_form"
     if closure is None:  # inf is the one upper bound left
         return np.inf, None, "closed_form"
-    if m >= 4 or is_positive(closure.witness):
+    if m >= 4:
         return closure.distance, closure, "closed_form"
-    found = _search(_Objective(x, m), opt, polish=True)
-    return (np.inf if found is None else found.residual), closure, "search"
+    answers, route = [], "closed_form"
+    for xb, yb, r in zip(_block_elements(x), _block_elements(closure.witness), closure.block_distances):
+        if not is_positive(yb):
+            found = _search(_Objective(xb, m), opt, polish=True)
+            r, route = (np.inf if found is None else found.residual), "search"
+        answers.append(r)
+    return max(answers), closure, route
 
 
 def residual_curve(x: Element, ms, opt: OptimizerConfig | None = None):

@@ -182,7 +182,7 @@ def test_pairing_consistency_of_loops():
             gen = np.zeros((n, n), dtype=complex)
             gen[0, 0] = TWO_PI * 1j * w
             loop = ExpLine(Element(alg, (gen,)))
-            check = pairing_consistency(alg, loop, tol=1e-6)
+            check = pairing_consistency(alg, loop)
             assert check.consistent
             assert check.nearest_vector == (w,)
             assert check.distance <= 1e-6

@@ -256,7 +256,7 @@ def test_log_unitary_branch_cut():
 
 
 def test_log_unitary_near_cut_gap():
-    # an eigenvalue within the configured gap of -1 must also raise
+    # an eigenvalue within BRANCH_GAP of -1 must also raise
     u = elem(M1, [[np.exp(1j * (np.pi - 1e-8))]])
     with pytest.raises(BranchCut):
         log_unitary_principal(u)

@@ -1163,9 +1163,18 @@ def test_search_linalgerror_exits_3_without_a_traceback(tmp_path, capsys, monkey
     assert captured.err == "error: LinAlgError: SVD did not converge\n"
 
 
-def test_member_search_linalgerror_exits_5(tmp_path, capsys):
-    # an eigh in this member's search does not converge: the member route
-    # reports NoConvergence with no best run, not a numeric failure
+def test_member_search_linalgerror_exits_5(tmp_path, capsys, monkeypatch):
+    # an eigh or SVD in the M3 block's search does not converge: the
+    # member route reports NoConvergence with no best run, though the M2
+    # block's search ran, not a numeric failure
+    search = apfp.factorization._search
+
+    def failing_on_m3(obj, *args, **kwargs):
+        if obj.n == 3:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return search(obj, *args, **kwargs)
+
+    monkeypatch.setattr(apfp.factorization, "_search", failing_on_m3)
     x = random_member(M23, rng_from((901, 2, 2)))
     f = element_file(tmp_path, "member.json", x)
     code, report = run(capsys, "factor", f, "--factors", "1", "--restarts", "3")

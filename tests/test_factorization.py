@@ -416,10 +416,13 @@ def built_factorizations(monkeypatch) -> list:
 
 
 def test_a_converged_search_returns_its_restarts_factorization(monkeypatch):
+    # the block's first restart converges; x's factorization is its stack
     built = built_factorizations(monkeypatch)
     x = random_member(M2, rng_from(17))
     got = factor_positive_products(x, m=3, opt=OptimizerConfig(restarts=8))
-    assert len(built) == 1 and built[0] is got
+    assert len(built) == 2 and built[1] is got
+    assert got.stacks[0].tobytes() == built[0].stacks[0].tobytes()
+    assert got.residual == built[0].residual
     assert (got.route, got.restarts_used) == ("search", 1)
 
 
@@ -429,10 +432,13 @@ def test_no_convergence_carries_the_best_restarts_factorization(monkeypatch):
     opt = OptimizerConfig(restarts=3, max_iterations=5, target_residual=0.0)
     with pytest.raises(NoConvergence) as err:
         factor_positive_products(x, m=3, opt=opt)
-    assert len(built) == 3  # one per restart
-    assert [f.restarts_used for f in built] == [1, 2, 3]
-    best = err.value.best
-    assert best is min(built, key=lambda f: f.residual)
+    assert len(built) == 4  # one per restart, then x's from the best
+    restarts = built[:3]
+    assert [f.restarts_used for f in restarts] == [1, 2, 3]
+    best, want = err.value.best, min(restarts, key=lambda f: f.residual)
+    assert best is built[3]
+    assert best.stacks[0].tobytes() == want.stacks[0].tobytes()
+    assert (best.residual, best.restarts_used) == (want.residual, want.restarts_used)
     assert best.route == "search"
     assert err.value.best_residual == best.residual
 
@@ -513,8 +519,9 @@ def test_construction_route_stacks_the_reference_factors(monkeypatch, alg):
 
 @pytest.mark.parametrize("alg", [M2, M23])
 def test_search_route_stacks_the_restarts_factors(monkeypatch, alg):
-    # the factors are the restart's b.p, factor j of block i at b.p[j]; a
-    # short Gaussian restart in place of the continuation keeps this fast
+    # each block runs its own restart; factor j of block i is that
+    # restart's b.p[j].  A short Gaussian restart in place of the
+    # continuation keeps this fast
     seen = []
     real = factorization._Objective.factorization
 
@@ -533,8 +540,8 @@ def test_search_route_stacks_the_restarts_factors(monkeypatch, alg):
         factor_positive_products(x, m=3, opt=opt)
     got = err.value.best
     assert (got.route, got.restarts_used) == ("search", 1)
-    [(obj, theta)] = seen
-    blocks = obj._blocks(theta)
+    assert [obj.x.blocks[0].tobytes() for obj, _ in seen] == [b.tobytes() for b in x.blocks]
+    blocks = [obj._block(theta) for obj, theta in seen]
     want = [Element(alg, tuple(b.p[j] for b in blocks)) for j in range(3)]
     assert_stacks_are_the_factors(got, want, x)
 
@@ -674,7 +681,7 @@ def test_construction_leaves_non_positive_scalars_to_the_search_at_m4(monkeypatc
             assert got.route == "search"
         except NoConvergence:
             pass
-        assert searched[-1] is x
+        assert np.array_equal(searched[-1].blocks[0], x.blocks[0])
     assert len(searched) == 2
 
 
@@ -840,12 +847,30 @@ def test_distance_witness_checked_independently():
 
 @pytest.mark.parametrize("m", [3, 5])
 def test_distance_lower_bound_below_the_search(m):
+    # block by block: r*_i bounds the distance of x_i, which the search reaches from above
     opt = OptimizerConfig(restarts=1, max_iterations=300)
     for x in seeded_non_members((M2, M3, M23), count=2):
-        found = factorization._search(factorization._Objective(x, m), opt, polish=False)
-        assert found is not None
-        assert np.isfinite(found.residual)
-        assert distance_to_closure(x).distance <= found.residual * (1 + 1e-12)
+        closure = distance_to_closure(x)
+        assert closure.distance == max(closure.block_distances)
+        for xb, r in zip(factorization._block_elements(x), closure.block_distances):
+            found = factorization._search(factorization._Objective(xb, m), opt, polish=False)
+            assert found is not None
+            assert np.isfinite(found.residual)
+            assert r <= found.residual * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_the_search_sees_one_block(monkeypatch, m):
+    # products of positives in a direct sum are products per block, so
+    # the distance of x + y is the larger of theirs, to the bit.  Seed
+    # (77, 5), whose searches do not raise; a continuation of 40
+    # iterations a stage keeps this fast, and the identity holds at any
+    monkeypatch.setattr(factorization, "_CONTINUATION_ITERS", 40)
+    opt = OptimizerConfig(restarts=2, max_iterations=100)
+    x = random_element(M2, rng_from((77, 5)))
+    y = random_element(M3, rng_from((77, 5)))
+    both = best_approx_distance(Element(M23, x.blocks + y.blocks), m, opt)
+    assert both == max(best_approx_distance(x, m, opt), best_approx_distance(y, m, opt))
 
 
 @pytest.mark.parametrize("m", [1, 3, 5])
@@ -969,16 +994,18 @@ def test_residual_curve_is_monotone_enough():
 
 
 def test_pack_inverts_the_stacked_unpack():
+    # theta is the block's (m, n^2) coordinates raveled: factor 0 leads,
+    # its diagonal, then the real and the imaginary upper part
     m = 3
-    theta = np.random.default_rng(43).normal(size=m * 13)
-    layout = factorization._layout(M23, m)
-    stacks = [factorization._hermitian(theta[idx], n) for idx, n in zip(layout, (2, 3))]
-    # factor 0's M2 block leads: diagonal, then real and imaginary upper part
-    upper = theta[2] + 1j * theta[3]
-    assert np.array_equal(stacks[0][0], [[theta[0], upper], [np.conj(upper), theta[1]]])
-    assert all(np.array_equal(h, h.conj().swapaxes(-1, -2)) for h in stacks)
-    hs = [[stack[j] for stack in stacks] for j in range(m)]
-    assert np.array_equal(factorization._pack(hs, M23), theta)
+    for n in (2, 3):
+        theta = np.random.default_rng(43).normal(size=m * n * n)
+        stack = factorization._hermitian(theta.reshape(m, n * n), n)
+        assert np.array_equal(stack, stack.conj().swapaxes(-1, -2))
+        assert np.array_equal(factorization._coordinates(stack).ravel(), theta)
+        if n == 2:
+            upper = theta[2] + 1j * theta[3]
+            assert np.array_equal(stack[0], [[theta[0], upper], [np.conj(upper), theta[1]]])
+            assert stack[1][0, 0] == theta[4]
 
 
 def central_differences(f, theta, eps=1e-5):
@@ -986,12 +1013,19 @@ def central_differences(f, theta, eps=1e-5):
     return np.array([(f(theta + e)[0] - f(theta - e)[0]) / (2 * eps) for e in steps])
 
 
+def block_objectives(m):
+    """The objective of each block of a seeded M2 + M3 member, each with a
+    seeded theta."""
+    rng = np.random.default_rng(41)
+    for xb in factorization._block_elements(random_member(M23, rng_from(41))):
+        yield factorization._Objective(xb, m), 0.3 * rng.normal(size=m * xb.algebra.block_sizes[0] ** 2)
+
+
 def test_frobenius_gradient_matches_central_differences():
-    obj = factorization._Objective(random_member(M23, rng_from(41)), 3)
-    theta = 0.3 * np.random.default_rng(41).normal(size=3 * 13)
-    _, grad = obj.value_and_grad(theta)
-    fd = central_differences(obj.value_and_grad, theta)
-    assert np.linalg.norm(fd - grad) <= 1e-6 * np.linalg.norm(grad)
+    for obj, theta in block_objectives(3):
+        _, grad = obj.value_and_grad(theta)
+        fd = central_differences(obj.value_and_grad, theta)
+        assert np.linalg.norm(fd - grad) <= 1e-6 * np.linalg.norm(grad)
 
 
 @pytest.mark.xfail(
@@ -1000,11 +1034,10 @@ def test_frobenius_gradient_matches_central_differences():
     "pair of the residual gives u v*; see CHANGES.md",
 )
 def test_operator_norm_gradient_matches_central_differences():
-    obj = factorization._Objective(random_member(M23, rng_from(41)), 3)
-    theta = 0.3 * np.random.default_rng(41).normal(size=3 * 13)
-    # the worst block's top singular value is simple and clear of the rest
-    s = sorted(np.linalg.svd(b.r, compute_uv=False)[0] for b in obj._blocks(theta))
-    assert s[-1] > 1.2 * s[-2]
-    _, grad = obj.opnorm_value_and_grad(theta)
-    fd = central_differences(obj.opnorm_value_and_grad, theta)
-    assert np.linalg.norm(fd - grad) <= 1e-6 * np.linalg.norm(grad)
+    for obj, theta in block_objectives(3):
+        # the top singular value of the residual is simple and clear of the rest
+        s = np.linalg.svd(obj._block(theta).r, compute_uv=False)
+        assert s[0] > 1.2 * s[1]
+        _, grad = obj.opnorm_value_and_grad(theta)
+        fd = central_differences(obj.opnorm_value_and_grad, theta)
+        assert np.linalg.norm(fd - grad) <= 1e-6 * np.linalg.norm(grad)
