@@ -105,13 +105,14 @@ class ExponentialSplitting:
 
 
 MAX_SPLIT_SEGMENTS = 2 ** 16
+# each step of a splitting lies within this operator-norm distance of the
+# identity, which keeps its eigenvalues off the logarithm's cut
+MAX_STEP_NORM = 0.5
 
 
-def split_into_exponentials(
-    path: InvertiblePath, max_step_norm: float = 0.5
-) -> ExponentialSplitting:
+def split_into_exponentials(path: InvertiblePath) -> ExponentialSplitting:
     """Coarsest dyadic partition with every unitary increment within
-    max_step_norm of the identity; only offending sub-intervals are
+    MAX_STEP_NORM of the identity; only offending sub-intervals are
     refined.
 
     The refinement runs one dyadic level at a time: the steps
@@ -131,8 +132,8 @@ def split_into_exponentials(
         raise ValueError("split_into_exponentials needs a path starting at the identity")
     while True:
         steps = tuple(v[:-1].conj().swapaxes(-1, -2) @ v[1:] for v in vals)
-        # not "> max_step_norm": a NaN threshold accepts no step
-        over = np.flatnonzero(~(_identity_distances(steps) <= max_step_norm))
+        # not "> MAX_STEP_NORM": a NaN threshold accepts no step
+        over = np.flatnonzero(~(_identity_distances(steps) <= MAX_STEP_NORM))
         if not over.size:
             break
         if len(s) - 1 + over.size > MAX_SPLIT_SEGMENTS:
@@ -242,9 +243,7 @@ def membership_test(x: Element, tol: float = MEMBERSHIP_TOL) -> MembershipResult
 # through one batched Daleckii-Krein kernel for the Frechet derivative of
 # exp; only the prefix and suffix products remain a loop over m.
 # Coordinates are gathered by index, not through a basis-matrix product,
-# so a non-finite coordinate cannot spread into other entries.  Overflow
-# in these kernels warns of nothing: PositiveFactorization rejects a
-# restart whose factors or product are not finite.
+# so a non-finite coordinate cannot spread into other entries.
 
 # PositiveFactorization's positivity tolerance on each factor; a restart
 # whose factors miss it cannot become a factorization.
@@ -273,12 +272,20 @@ def _hermitian(coords: np.ndarray, n: int) -> np.ndarray:
     return h
 
 
+@functools.lru_cache(maxsize=None)
+def _coordinate_index(n: int) -> np.ndarray:
+    """Where the n^2 coordinates sit in the 2 n^2 floats of a row-major
+    complex n x n matrix: the real diagonal, then the real and the
+    imaginary parts of the strict upper triangle."""
+    rows, cols = _upper(n)
+    at = 2 * (rows * n + cols)
+    return np.concatenate([2 * (n + 1) * np.arange(n), at, at + 1])
+
+
 def _coordinates(h: np.ndarray) -> np.ndarray:
     """(m, n, n) stack of hermitian matrices -> (m, n^2) coordinates."""
-    rows, cols = _upper(h.shape[-1])
-    upper = h[:, rows, cols]
-    diag = np.diagonal(h, axis1=1, axis2=2)
-    return np.concatenate([np.real(diag), np.real(upper), np.imag(upper)], axis=1)
+    floats = np.ascontiguousarray(h, dtype=complex).view(np.float64).reshape(len(h), -1)
+    return floats.take(_coordinate_index(h.shape[-1]), axis=1)
 
 
 def _block_elements(x: Element) -> list[Element]:
@@ -307,22 +314,21 @@ class _Objective:
         self.x = x
         (self.n,) = x.algebra.block_sizes
         self.m = m
+        self.eye = np.eye(self.n)
 
-    @np.errstate(over="ignore", invalid="ignore")
     def _block(self, theta) -> _Block:
         n, m = self.n, self.m
         w, q = np.linalg.eigh(_hermitian(theta.reshape(m, n * n), n))
         p = (q * np.exp(w)[:, None, :]) @ _ct(q)
         pre = np.empty((m + 1, n, n), dtype=complex)
         suf = np.empty_like(pre)
-        pre[0] = suf[m] = np.eye(n)
+        pre[0] = suf[m] = self.eye
         for j in range(m):
             np.matmul(pre[j], p[j], out=pre[j + 1])
             np.matmul(p[m - 1 - j], suf[m - j], out=suf[m - 1 - j])
         return _Block(w, q, p, pre, suf, pre[m] - self.x.blocks[0])
 
     @staticmethod
-    @np.errstate(over="ignore", invalid="ignore")
     def _gradient(b: _Block, e: np.ndarray, scale: float) -> np.ndarray:
         """Raveled (m, n^2) gradient coordinates of scale * Re tr(e* prod)
         in the h_j: e pulled back through the prefix and suffix products,
@@ -342,7 +348,6 @@ class _Objective:
         coords[:, w.shape[-1] :] *= 2.0  # each off-diagonal coordinate sits in two entries
         return coords.ravel()
 
-    @np.errstate(over="ignore")
     def value_and_grad(self, theta):
         b = self._block(theta)
         return float(np.linalg.norm(b.r, "fro") ** 2), self._gradient(b, b.r, 2.0)
@@ -351,8 +356,10 @@ class _Objective:
         """The factors at theta, the stack b.p, as a PositiveFactorization
         of x, or None unless the factors and their product are finite and
         every factor is positive within FACTOR_POSITIVITY_TOL."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = self._block(theta).p
         try:
-            return PositiveFactorization((self._block(theta).p,), self.x, restarts_used=restarts_used)
+            return PositiveFactorization((p,), self.x, restarts_used=restarts_used)
         except (NonFiniteValue, NotPositive):
             return None
 
@@ -365,14 +372,31 @@ class _Objective:
         return float(ss[0]), self._gradient(b, wmat, 1.0)
 
 
-def _lbfgs(fun, x0, maxiter, gtol):
-    return scipy.optimize.minimize(
-        fun,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        options=dict(maxiter=maxiter, maxcor=50, maxls=60, ftol=1e-18, gtol=gtol),
-    )
+def _lbfgs(value_and_grad, x0, maxiter, gtol):
+    """L-BFGS-B from x0 on value_and_grad(theta) -> (value, gradient).
+    scipy reads the value and the gradient through two callables that
+    share one evaluation: value_and_grad runs again unless theta equals
+    the last theta entrywise, the rule of scipy's MemoizeJac (jac=True),
+    so the thetas and the result are those of jac=True, bit for bit.
+    Overflow in the objective's kernels warns of nothing:
+    PositiveFactorization rejects a restart whose factors or product are
+    not finite."""
+    last = [None, None]  # the last theta and its (value, gradient)
+
+    def evaluated(theta):
+        if last[1] is None or not (theta == last[0]).all():
+            last[0] = theta.copy()
+            last[1] = value_and_grad(theta)
+        return last[1]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return scipy.optimize.minimize(
+            lambda theta: evaluated(theta)[0],
+            x0,
+            jac=lambda theta: evaluated(theta)[1],
+            method="L-BFGS-B",
+            options=dict(maxiter=maxiter, maxcor=50, maxls=60, ftol=1e-18, gtol=gtol),
+        )
 
 
 def _polar_logs(x: Element):

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
 
 
 def power_iteration_norm(mat, iters: int = 500, seed: int = 7) -> float:
@@ -330,3 +330,28 @@ def project_traceless(x):
         x.algebra,
         tuple(b - (np.trace(b) / n) * np.eye(n) for b, n in zip(x.blocks, x.algebra.block_sizes)),
     )
+
+
+def memoized_lbfgs(value_and_grad, x0, maxiter, gtol):
+    """L-BFGS-B through scipy's own route for an objective that returns
+    (value, gradient): jac=True, which wraps it in scipy's MemoizeJac,
+    with the package's options.  The package hands scipy two callables
+    that share one evaluation; its runs must equal these bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return minimize(
+            value_and_grad,
+            x0,
+            jac=True,
+            method="L-BFGS-B",
+            options=dict(maxiter=maxiter, maxcor=50, maxls=60, ftol=1e-18, gtol=gtol),
+        )
+
+
+def concatenated_coordinates(h):
+    """(m, n, n) stack of hermitian matrices -> (m, n^2) coordinates, as
+    three pieces joined: the real diagonal, then the real and the
+    imaginary parts of the strict upper triangle in row-major order."""
+    rows, cols = np.triu_indices(h.shape[-1], 1)
+    upper = h[:, rows, cols]
+    diag = np.diagonal(h, axis1=1, axis2=2)
+    return np.concatenate([np.real(diag), np.real(upper), np.imag(upper)], axis=1)

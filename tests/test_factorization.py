@@ -1,6 +1,7 @@
 """Splitting, commutator witnesses, membership, and the positive-factor
 optimizer."""
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,8 +10,10 @@ import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 from oracles import (
     closure_distance,
+    concatenated_coordinates,
     depth_first_split,
     element_residual,
+    memoized_lbfgs,
     per_candidate_construct,
     power_iteration_norm,
     turn_radius_by_bisection,
@@ -74,10 +77,11 @@ def elem(alg, *blocks):
 # exponential splitting
 
 
-def test_split_single_small_rotation():
+def test_split_single_small_rotation(monkeypatch):
+    monkeypatch.setattr(factorization, "MAX_STEP_NORM", 0.9)
     h = elem(M2, [[0.3, 0.1], [0.1, -0.2]])
     path = ExpLine(1j * h)
-    split = split_into_exponentials(path, max_step_norm=0.9)
+    split = split_into_exponentials(path)
     assert len(split.logs) == 1
     assert op_norm(split.logs[0] - h) <= 1e-10
     assert op_norm(split.reconstruct() - evaluate(path, 1.0)) <= 1e-10
@@ -105,11 +109,12 @@ def test_split_ill_conditioned_polar_path():
     assert op_norm(split.reconstruct() - evaluate(path, 1.0)) <= 1e-8
 
 
-def test_split_partition_is_increasing_and_spans_domain():
+def test_split_partition_is_increasing_and_spans_domain(monkeypatch):
+    monkeypatch.setattr(factorization, "MAX_STEP_NORM", 0.2)
     rng = rng_from(5)
     c = random_self_adjoint(M2, rng, norm=2.0)
     d = random_self_adjoint(M2, rng, norm=2.0)
-    split = split_into_exponentials(ProductPolar(c, d), max_step_norm=0.2)
+    split = split_into_exponentials(ProductPolar(c, d))
     ts = split.partition
     assert ts[0] == 0.0 and ts[-1] == 1.0
     assert all(b > a for a, b in zip(ts, ts[1:]))
@@ -123,11 +128,12 @@ def test_split_requires_identity_start():
         split_into_exponentials(shifted)
 
 
-def test_split_overflow():
+def test_split_overflow(monkeypatch):
+    monkeypatch.setattr(factorization, "MAX_STEP_NORM", 1e-7)
     h = elem(M1, [[1.0]])
     path = ExpLine(1j * h)
     with pytest.raises(PartitionOverflow):
-        split_into_exponentials(path, max_step_norm=1e-7)
+        split_into_exponentials(path)
 
 
 def test_split_rejects_non_unitary_path():
@@ -138,7 +144,7 @@ def test_split_rejects_non_unitary_path():
         split_into_exponentials(path)
 
 
-def test_split_overflow_boundary():
+def test_split_overflow_boundary(monkeypatch):
     # every step of e^{it} over 2^-k has the same gap, about 2^-k, so a
     # threshold the 2^16-segment partition meets stops there and one only
     # the 2^17-segment partition meets overflows
@@ -148,10 +154,12 @@ def test_split_overflow_boundary():
         (v,) = path._values(np.arange(2**level + 1) / 2**level)
         return _identity_distances([v[:-1].conj() * v[1:]])
 
-    split = split_into_exponentials(path, max_step_norm=float(gaps(16).max()))
+    monkeypatch.setattr(factorization, "MAX_STEP_NORM", float(gaps(16).max()))
+    split = split_into_exponentials(path)
     assert len(split.logs) == 2**16 == factorization.MAX_SPLIT_SEGMENTS
+    monkeypatch.setattr(factorization, "MAX_STEP_NORM", float(gaps(17).max()))
     with pytest.raises(PartitionOverflow):
-        split_into_exponentials(path, max_step_norm=float(gaps(17).max()))
+        split_into_exponentials(path)
 
 
 def test_split_non_finite_value_raises_non_finite():
@@ -173,9 +181,10 @@ def split_reference_paths():
     yield ProductPolar(c, random_self_adjoint(M23, rng, norm=4.0)), 0.5
 
 
-def test_split_matches_depth_first_reference_bitwise():
+def test_split_matches_depth_first_reference_bitwise(monkeypatch):
     for path, max_step_norm in split_reference_paths():
-        split = split_into_exponentials(path, max_step_norm)
+        monkeypatch.setattr(factorization, "MAX_STEP_NORM", max_step_norm)
+        split = split_into_exponentials(path)
         partition, logs, endpoint = depth_first_split(path, max_step_norm)
         assert split.partition == partition
         assert len(split.logs) == len(logs)
@@ -1006,6 +1015,59 @@ def test_pack_inverts_the_stacked_unpack():
             upper = theta[2] + 1j * theta[3]
             assert np.array_equal(stack[0], [[theta[0], upper], [np.conj(upper), theta[1]]])
             assert stack[1][0, 0] == theta[4]
+
+
+def test_coordinates_match_the_concatenating_reference():
+    # the same bits, NaN payloads and signed zeros included
+    rng = np.random.default_rng(44)
+    for n in (1, 2, 3, 4):
+        stack = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+        stack[1, 0, -1] = complex(np.inf, np.nan)
+        stack[1, -1, -1] = complex(-np.inf, -0.0)
+        stack[2, 0, 0] = complex(np.nan, np.inf)
+        stack[2, 0, -1] = complex(-0.0, -np.inf)
+        got = factorization._coordinates(stack)
+        assert got.shape == (3, n * n)
+        assert got.tobytes() == concatenated_coordinates(stack).tobytes()
+
+
+def lbfgs_outcome(run, fun, theta):
+    res = run(fun, theta, 100, 1e-10)
+    return res.x.tobytes(), np.float64(res.fun).tobytes(), res.nit, res.nfev
+
+
+@pytest.mark.parametrize("objective", ["value_and_grad", "opnorm_value_and_grad"])
+def test_lbfgs_matches_scipys_memoized_route(objective):
+    # two callables sharing one evaluation per theta must make scipy
+    # evaluate the thetas of jac=True, in the same order.  Seed 78, whose
+    # op-norm runs from these starts do not raise
+    opt = OptimizerConfig()
+    for n in (1, 2, 3):
+        x = random_element(AlgebraDescriptor((n,)), rng_from((78, n)))
+        for m in (1, 2, 3):
+            obj = factorization._Objective(x, m)
+            theta = factorization._gaussian_start(obj, opt, 1)
+            fun = getattr(obj, objective)
+            want = lbfgs_outcome(memoized_lbfgs, fun, theta)
+            assert lbfgs_outcome(factorization._lbfgs, fun, theta) == want
+
+
+def test_an_overflowing_search_warns_of_nothing():
+    # exp(800) overflows, so the value is not finite, and the run ends with no
+    # RuntimeWarning from the objective or from scipy's arithmetic on it
+    obj = factorization._Objective(elem(M1, [[-1.0]]), 1)
+    values = []
+
+    def recorded(theta):
+        value, grad = obj.value_and_grad(theta)
+        values.append(value)
+        return value, grad
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = factorization._lbfgs(recorded, np.array([800.0]), 20, 1e-10)
+    assert not np.isfinite(values[0])
+    assert not np.isfinite(res.fun)
 
 
 def central_differences(f, theta, eps=1e-5):
