@@ -289,7 +289,15 @@ class Sampled(InvertiblePath):
 
     @cached_property
     def _seg_logs(self):
-        return tuple(np.array([scipy.linalg.logm(g) for g in steps]) for steps in self._steps)
+        try:
+            return tuple(np.array([scipy.linalg.logm(g) for g in steps]) for steps in self._steps)
+        except Exception as exc:
+            if type(exc) is not Exception:
+                raise
+            # logm raises a bare Exception when a nan reaches its triangular
+            # factor, as on a step whose eigenvalues differ by a subnormal
+            # amount; evaluate_many reports a ValueError at the t that read it
+            raise ValueError(f"the logarithm of a step failed: {exc}") from exc
 
     def _values(self, ts):
         times = self._times

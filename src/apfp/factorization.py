@@ -569,9 +569,33 @@ _SCALAR_RTOL = 1e-12
 _NEAR_SCALAR_RTOL = 0.1
 
 
+# The constant arrays of the construction are built once per shape and
+# kept read-only; the draws once per seed, block index and block size.
+# Each is copied where it is written.
+
+
+@functools.lru_cache(maxsize=None)
 def _ramp(n: int) -> np.ndarray:
-    """n geometric steps of SPECTRUM_RATIO with product 1."""
-    return SPECTRUM_RATIO ** (np.arange(n) - (n - 1) / 2)
+    """n geometric steps of SPECTRUM_RATIO with product 1, read-only."""
+    ramp = SPECTRUM_RATIO ** (np.arange(n) - (n - 1) / 2)
+    ramp.setflags(write=False)
+    return ramp
+
+
+@functools.lru_cache(maxsize=64)
+def _identities(count: int, n: int) -> np.ndarray:
+    """A read-only (count, n, n) stack of complex identities."""
+    return _freeze(np.broadcast_to(np.eye(n), (count, n, n)))
+
+
+@functools.lru_cache(maxsize=64)
+def _draws(seed: int, i: int, n: int) -> np.ndarray:
+    """The first vectors of block i's candidates, read-only: from the
+    generator seeded by (seed, i), 2 (n - k) normals at each step k < n -
+    1, per candidate in turn."""
+    draws = np.random.default_rng((seed, i)).normal(size=(CONSTRUCTION_CANDIDATES, (n - 1) * (n + 2)))
+    draws.setflags(write=False)
+    return draws
 
 
 def _triangular_eigvecs(t: np.ndarray) -> np.ndarray:
@@ -579,19 +603,19 @@ def _triangular_eigvecs(t: np.ndarray) -> np.ndarray:
     upper-triangular t of a stack, with distinct diagonal."""
     n = t.shape[-1]
     d = np.diagonal(t, axis1=-2, axis2=-1)
-    v = np.broadcast_to(np.eye(n, dtype=complex), t.shape).copy()
+    v = _identities(len(t), n).copy()
     for i in range(n - 2, -1, -1):
         row = t[:, i, None, i + 1 :] @ v[:, i + 1 :, i + 1 :]
         v[:, i, i + 1 :] = row[:, 0] / (d[:, i + 1 :] - d[:, i, None])
     return v
 
 
-def _wu_pair(v: np.ndarray, lam: np.ndarray) -> list[np.ndarray]:
+def _wu_pair(v: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The positives (V L V*, (V V*)^-1) whose product is V L V^-1, with
     the columns of V scaled to unit norm, for each V of a stack."""
     v = v / np.linalg.norm(v, axis=-2, keepdims=True)
     vi = np.linalg.inv(v)
-    return [_herm((v * lam[..., None, :]) @ _ct(v)), _herm(_ct(vi) @ vi)]
+    return _herm((v * lam[..., None, :]) @ _ct(v)), _herm(_ct(vi) @ vi)
 
 
 def _sourour_wu(t: np.ndarray, logabs: float, draws: np.ndarray) -> list[np.ndarray]:
@@ -600,11 +624,13 @@ def _sourour_wu(t: np.ndarray, logabs: float, draws: np.ndarray) -> list[np.ndar
     0 and log |det t| = logabs: B's spectrum is beta = |det t|^(1/2n)
     _ramp(n), C's is |det t|^(1/n) / beta.  Row c of draws holds
     candidate c's first vectors, for each step k the real and then the
-    imaginary parts of its n - k entries."""
+    imaginary parts of its n - k entries.  The Schur complement is formed
+    for every step but the last, and both Wu pairs come from one call on
+    a (2, len(draws), n, n) stack, B's eigenvectors with beta first."""
     n = len(t)
     pivot = np.exp(logabs / n)
     beta = np.exp(logabs / (2 * n)) * _ramp(n)
-    x = np.broadcast_to(np.eye(n, dtype=complex), (len(draws), n, n)).copy()
+    x = _identities(len(draws), n).copy()
     s = t
     at = 0
     for k in range(n - 1):
@@ -613,16 +639,16 @@ def _sourour_wu(t: np.ndarray, logabs: float, draws: np.ndarray) -> list[np.ndar
         at += 2 * size
         g = np.stack([v, (s @ v[..., None])[..., 0]], axis=-1)
         w = g @ np.linalg.solve(_ct(g) @ g, [1.0, pivot])[..., None]
-        eye = np.broadcast_to(np.eye(size), (len(v), size, size))
-        q = np.linalg.qr(np.concatenate([w, eye], axis=-1))[0]
+        q = np.linalg.qr(np.concatenate([w, _identities(len(v), size)], axis=-1))[0]
         y = np.concatenate([v[..., None], q[..., 1:]], axis=-1)  # q[..., 1:] spans w-perp
         x[..., k:] = x[..., k:] @ y
-        a = np.linalg.solve(y, s @ y)
-        s = a[:, 1:, 1:] - a[:, 1:, :1] * a[:, None, 0, 1:] / a[:, :1, :1]
+        if k < n - 2:  # the LU below reads t, not the last complement
+            a = np.linalg.solve(y, s @ y)
+            s = a[:, 1:, 1:] - a[:, 1:, :1] * a[:, None, 0, 1:] / a[:, :1, :1]
     # LU of X^-1 t X without pivoting; its pivots are the chosen ones up
     # to rounding, except the last, which is det t / pivot^(n-1)
     u = np.linalg.solve(x, t @ x)
-    lower = np.broadcast_to(np.eye(n, dtype=complex), u.shape).copy()
+    lower = _identities(len(u), n).copy()
     for k in range(n - 1):
         lower[:, k + 1 :, k] = u[:, k + 1 :, k] / u[:, k, k, None]
         u[:, k + 1 :] -= lower[:, k + 1 :, k, None] * u[:, None, k]
@@ -632,7 +658,14 @@ def _sourour_wu(t: np.ndarray, logabs: float, draws: np.ndarray) -> list[np.ndar
     c = gamma[..., None] * (u / d[..., None])
     # B's eigenvectors from those of the flipped (upper-triangular) B
     vb = _triangular_eigvecs(b[:, ::-1, ::-1])[:, ::-1, ::-1]
-    return _wu_pair(x @ vb, beta) + _wu_pair(x @ _triangular_eigvecs(c), gamma)
+    # filled in place: two np.stack calls would take about 10 us more
+    v = np.empty((2,) + x.shape, dtype=complex)
+    np.matmul(x, vb, out=v[0])
+    np.matmul(x, _triangular_eigvecs(c), out=v[1])
+    lam = np.empty((2,) + gamma.shape)
+    lam[0], lam[1] = beta, gamma
+    pos, inv = _wu_pair(v, lam)
+    return [pos[0], inv[0], pos[1], inv[1]]
 
 
 def _balanced(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -669,25 +702,23 @@ def _lead(t: np.ndarray, m: int) -> tuple[list[np.ndarray], np.ndarray | None] |
     return [], t
 
 
-def _construct_block(t: np.ndarray, m: int, rng, logabs: float) -> np.ndarray | None:
-    """At most m positive factors with product t (det t > 0, log |det t|
-    = logabs, which a lead of determinant one keeps) as one stack, or None
-    when the block is a non-positive scalar and m < 5, or when no
-    candidate gave finite factors.  All CONSTRUCTION_CANDIDATES choices
-    of the first vectors run as one stack, and the one with the smallest
-    finite norm wins, ties to the lower index.  A LinAlgError in a
-    stacked step raises for the whole stack, so one failing candidate
-    leaves the element to the search."""
+def _construct_block(t: np.ndarray, m: int, seed: int, i: int, logabs: float) -> np.ndarray | None:
+    """At most m positive factors with product t, block i of its element
+    (det t > 0, log |det t| = logabs, which a lead of determinant one
+    keeps) as one stack, or None when the block is a non-positive scalar
+    and m < 5, or when no candidate gave finite factors.  All
+    CONSTRUCTION_CANDIDATES choices of the first vectors run as one
+    stack: their draws, _draws(seed, i, n), are made once and kept.  The
+    one with the smallest finite norm wins, ties to the lower index.  A
+    LinAlgError in a stacked step raises for the whole stack, so one
+    failing candidate leaves the element to the search."""
     route = _lead(t, m)
     if route is None:
         return None
     lead, t = route
     if t is None:
         return np.array(lead)
-    n = len(t)
-    # 2 (n - k) normals at each step k < n - 1, per candidate in turn
-    draws = rng.normal(size=(CONSTRUCTION_CANDIDATES, (n - 1) * (n + 2)))
-    factors = _sourour_wu(t, logabs, draws)
+    factors = _sourour_wu(t, logabs, _draws(seed, i, len(t)))
     lead = [np.broadcast_to(p, factors[0].shape) for p in lead]
     stack, norms = _balanced(np.stack(lead + factors, axis=1))
     finite = np.isfinite(norms)
@@ -698,11 +729,7 @@ def _construct_block(t: np.ndarray, m: int, rng, logabs: float) -> np.ndarray | 
 
 def _padded(stack: np.ndarray, m: int) -> np.ndarray:
     """An (f, n, n) stack followed by m - f identities."""
-    n = stack.shape[-1]
-    out = np.empty((m, n, n), dtype=complex)
-    out[: len(stack)] = stack
-    out[len(stack) :] = np.eye(n)
-    return out
+    return np.concatenate([stack, _identities(m - len(stack), stack.shape[-1])])
 
 
 def _construct(x: Element, m: int, seed: int) -> tuple[np.ndarray, ...] | None:
@@ -712,12 +739,13 @@ def _construct(x: Element, m: int, seed: int) -> tuple[np.ndarray, ...] | None:
     Each block x_i is divided by 2^e_i >= ||x_i|| (|e_i| <= 1022), which
     is exact, before it is factored: near 1e200 the steps overflow, and
     far below it they underflow.  2^e_i spread evenly over the block's
-    factors keeps their norms equal."""
+    factors keeps their norms equal.  The first vectors of block i's
+    candidates are drawn from the generator seeded by (seed, i), once per
+    (seed, i, n_i): later calls read the same read-only draws."""
     stacks = []
     for i, (t, s, c) in enumerate(zip(x.blocks, x._once(_singular_values), x._once(_block_log_dets))):
         e = min(max(math.frexp(s[0])[1], -1022), 1022)
-        rng = np.random.default_rng((seed, i))
-        factors = _construct_block(t * 2.0**-e, m, rng, c.real - len(t) * e * math.log(2))
+        factors = _construct_block(t * 2.0**-e, m, seed, i, c.real - len(t) * e * math.log(2))
         if factors is None:
             return None
         stacks.append(_padded(2.0 ** (e / len(factors)) * factors, m))

@@ -260,6 +260,18 @@ def nested_reversals(depth):
         ({"kind": "ExpLine", "c": {"blocks": [[[[1e300, 0.0]]]]}}, EXIT_NUMERIC),
         # unit-modulus values, but the trace 2e308 i overflows
         ({"kind": "ExpLine", "c": {"blocks": [[[[0.0, 1e308], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1e308]]]]}}, EXIT_NUMERIC),
+        # the step is about 1.1 I with eigenvalues a subnormal amount apart,
+        # where scipy's logm meets a nan and raises a bare Exception
+        (
+            {
+                "kind": "Sampled",
+                "samples": [
+                    [0.0, {"blocks": [[[[1e-300, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]]}],
+                    [1.0, {"blocks": [[[[1.1e-300, 1.1], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.1]]]]}],
+                ],
+            },
+            EXIT_NUMERIC,
+        ),
     ],
     ids=[
         "list",
@@ -269,6 +281,7 @@ def nested_reversals(depth):
         "nested-past-the-stack",
         "overflowing-value",
         "overflowing-determinant",
+        "subnormal-eigenvalue-gap",
     ],
 )
 def test_det_path_bad_input_exits_with_error_line(tmp_path, capsys, obj, expected):

@@ -749,21 +749,52 @@ def test_blocks_near_a_non_positive_scalar_are_constructed_at_m5(monkeypatch, al
 
 @pytest.mark.parametrize("m", [4, 5])
 def test_stacked_construction_matches_the_per_candidate_reference(m):
-    members = [random_member(a, rng_from((83, k))) for a in (M2, M3, M23, M4) for k in range(5)]
+    # M5 takes four Sourour steps, and M1 + M4 a positive scalar beside them
+    algebras = (M2, M3, M23, M4, AlgebraDescriptor((5,)), AlgebraDescriptor((1, 4)))
+    members = [random_member(a, rng_from((83, k))) for a in algebras for k in range(5)]
     # at m = 4 the near scalars go without the lead, and in M3 at eps =
     # 1e-11 one candidate is singular: the reference skips it, the stack
     # leaves the element to the search (the test below)
     near = [near_non_positive_scalar(a, eps) for a in (M2, M3, M23) for eps in NEAR_SCALAR_EPS]
-    for x in members + list(SCALARS) + (near if m == 5 else []):
-        got, want = factorization._construct(x, m, 0), per_candidate_construct(x, m, 0)
-        if want is None:
-            assert got is None
-            continue
-        # one (m, n_i, n_i) stack per block against the reference's m elements
-        assert len(want) == m
-        assert [s.shape for s in got] == [(m, n, n) for n in x.algebra.block_sizes]
-        for i, stack in enumerate(got):
-            assert np.array_equal(stack, np.array([w.blocks[i] for w in want]))
+    for seed in (0, 1):
+        for x in members + list(SCALARS) + (near if m == 5 else []):
+            got, want = factorization._construct(x, m, seed), per_candidate_construct(x, m, seed)
+            if want is None:
+                assert got is None
+                continue
+            # one (m, n_i, n_i) stack per block against the reference's m elements
+            assert len(want) == m
+            assert [s.shape for s in got] == [(m, n, n) for n in x.algebra.block_sizes]
+            for i, stack in enumerate(got):
+                assert np.array_equal(stack, np.array([w.blocks[i] for w in want]))
+
+
+CONSTRUCTION_CACHES = (factorization._draws, factorization._identities, factorization._ramp)
+
+
+def test_construction_caches_are_read_only_and_hold_the_seeded_draws():
+    for seed, i, n in [(0, 0, 2), (1, 2, 5)]:
+        want = np.random.default_rng((seed, i)).normal(
+            size=(factorization.CONSTRUCTION_CANDIDATES, (n - 1) * (n + 2))
+        )
+        assert factorization._draws(seed, i, n).tobytes() == want.tobytes()
+    assert factorization._identities(4, 3).tobytes() == np.array([np.eye(3, dtype=complex)] * 4).tobytes()
+    assert factorization._ramp(3).tobytes() == (3.0 ** np.array([-1.0, 0.0, 1.0])).tobytes()
+    for a in (factorization._draws(1, 2, 5), factorization._identities(4, 3), factorization._ramp(3)):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
+def test_construction_gives_the_same_bytes_from_cleared_caches():
+    for x, m, seed in [(random_member(M23, rng_from((83, 2))), 5, 1), (SCALARS[2], 4, 0)]:
+        runs = []
+        for _ in range(2):
+            for cache in CONSTRUCTION_CACHES:
+                cache.cache_clear()
+            runs.append(factorization._construct(x, m, seed))  # fills the caches
+            runs.append(factorization._construct(x, m, seed))  # reads them
+        assert len({b"".join(s.tobytes() for s in stacks) for stacks in runs}) == 1
 
 
 def test_a_failing_stacked_step_leaves_the_element_to_the_search(monkeypatch):
