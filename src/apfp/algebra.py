@@ -239,8 +239,25 @@ def _unitarity_defects(svals) -> np.ndarray:
     """||v*v - 1|| = max |s^2 - 1| at each point of a stack where it
     exceeds UNITARITY_TOL, and 0 where the point is unitary: from its
     singular values, without forming v*v, which may overflow."""
-    errs = functools.reduce(np.maximum, [np.abs(s**2 - 1).max(axis=-1) for s in svals])
+    with np.errstate(over="ignore"):  # s**2 = inf is the answer: not unitary
+        errs = functools.reduce(np.maximum, [np.abs(s**2 - 1).max(axis=-1) for s in svals])
     return np.where(errs <= UNITARITY_TOL, 0.0, errs)
+
+
+def _entry_above(stacks, tols) -> bool:
+    """Whether some matrix in the stacks has an entry of modulus above its
+    tol (tols broadcasts against each stack): then its op_norm is above
+    tol too, as |a_ij| <= ||a||, and no SVD is needed to say so.  One
+    pass per stack, stopping at the first stack that has one."""
+    return any((np.abs(s) > tols).any() for s in stacks)
+
+
+def _half_skews(blocks):
+    """v/2 - v*/2 at each point v of each stack, one stack at a time:
+    formed from halves, it cannot overflow."""
+    for b in blocks:
+        half = 0.5 * b
+        yield half - half.conj().swapaxes(-1, -2)
 
 
 def _herm(m: np.ndarray) -> np.ndarray:
@@ -267,7 +284,9 @@ def _positive_at(blocks, tols) -> np.ndarray:
     of (v + v*)/2, one batched call each per block while some point is
     left positive, the second only while some point is self-adjoint
     within its tol.  Both are formed from v/2 and v*/2, which cannot
-    overflow: the defect is compared at half scale."""
+    overflow: the defect is compared at half scale.  A stack whose
+    v/2 - v*/2 is exactly zero (the construction's factors) takes no
+    SVD: its norm is 0."""
     ok = np.ones(len(tols), dtype=bool)
     half_tols = 0.5 * tols
     for b in blocks:
@@ -275,7 +294,9 @@ def _positive_at(blocks, tols) -> np.ndarray:
             break
         half = 0.5 * b
         half_h = half.conj().swapaxes(-1, -2)
-        ok &= ~(np.linalg.svd(half - half_h, compute_uv=False)[:, 0] > half_tols)
+        skew = half - half_h
+        norms = np.linalg.svd(skew, compute_uv=False)[:, 0] if skew.any() else 0.0
+        ok &= ~(norms > half_tols)
         if np.count_nonzero(ok):
             ok &= ~(np.linalg.eigvalsh(half + half_h)[:, 0] < -tols)
     return ok

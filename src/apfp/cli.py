@@ -24,6 +24,8 @@ from .algebra import (
     MEMBERSHIP_TOL,
     AlgebraDescriptor,
     Element,
+    _entry_above,
+    _half_skews,
     _identity_distances,
     _op_norms,
     _positive_at,
@@ -193,13 +195,24 @@ def _cmd_det_path(args, config: RunConfig):
     reduced = lattice_reduce(det)
     t1, t2 = path.domain
     # one stack of the 9 values and their singular values decides the
-    # three flags; the first and last points are exactly t1 and t2
+    # three flags; the first and last points are exactly t1 and t2.  An
+    # entry bounds the norm: one of v - 1 above the tolerance says an
+    # endpoint is not the identity, one of v/2 - v*/2 above half its
+    # tolerance that a value is not positive, with no SVD.  The SVD route
+    # decides what no entry does.
     grid = evaluate_many(path, np.linspace(t1, t2, 9))
     endpoint_tol = config.tol("loop_endpoint")
-    endpoints = _identity_distances([b[[0, -1]] for b in grid.blocks])
-    endpoints_identity = (endpoints <= endpoint_tol).all()
+    ends = [b[[0, -1]] for b in grid.blocks]
+    endpoints_identity = (
+        not _entry_above((e - np.eye(e.shape[-1]) for e in ends), endpoint_tol)
+        and (_identity_distances(ends) <= endpoint_tol).all()
+    )
     unitary = not _unitarity_defects(grid.svals).any()
-    positive = _positive_at(grid.blocks, 1e-8 * np.maximum(1.0, _op_norms(grid.svals))).all()
+    tols = 1e-8 * np.maximum(1.0, _op_norms(grid.svals))
+    positive = (
+        not _entry_above(_half_skews(grid.blocks), 0.5 * tols[:, None, None])
+        and _positive_at(grid.blocks, tols).all()
+    )
     results = {
         "determinant": serialize.trace_value_to_obj(det),
         "canonical_representative": serialize.trace_value_to_obj(reduced.representative),

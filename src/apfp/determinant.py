@@ -204,9 +204,10 @@ class ProductPolar(InvertiblePath):
     def __post_init__(self):
         if self.c.algebra != self.d.algebra:
             raise DescriptorMismatch("ProductPolar needs c and d in one algebra")
-        for b in (*self.c.blocks, *self.d.blocks):
-            if not _is_herm(b, rtol=1e-10):
-                raise ValueError("ProductPolar needs self-adjoint c and d")
+        with np.errstate(over="ignore"):  # an overflow in b - b* is read, not warned about
+            herm = all(_is_herm(b, rtol=1e-10) for b in (*self.c.blocks, *self.d.blocks))
+        if not herm:
+            raise ValueError("ProductPolar needs self-adjoint c and d")
 
     @property
     def algebra(self):
@@ -420,7 +421,8 @@ class Reversal(InvertiblePath):
 def path_determinant(path: InvertiblePath) -> TraceValue:
     """The integral of T(a'(t) a(t)^{-1}) dt along the path, in the
     closed form of its kind.  NonFiniteValue when it overflows."""
-    det = path._det()
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is a failure, not a warning
+        det = path._det()
     if not np.isfinite(det).all():
         raise NonFiniteValue("path determinant is not finite")
     return TraceValue(path.algebra, tuple(det))

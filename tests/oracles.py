@@ -355,3 +355,38 @@ def concatenated_coordinates(h):
     upper = h[:, rows, cols]
     diag = np.diagonal(h, axis1=1, axis2=2)
     return np.concatenate([np.real(diag), np.real(upper), np.imag(upper)], axis=1)
+
+
+def positive_at_by_svd(blocks, tols):
+    """algebra._positive_at at each point of a stack with one SVD of the
+    skew part v/2 - v*/2 and one eigvalsh of (v + v*)/2 for every block
+    stack, exactly hermitian or not.  The package skips the SVD of an
+    exactly zero skew part and stops once no point is left positive; its
+    verdicts must equal these."""
+    ok = np.ones(len(tols), dtype=bool)
+    for b in blocks:
+        half = 0.5 * b
+        half_h = half.conj().swapaxes(-1, -2)
+        ok &= ~(np.linalg.svd(half - half_h, compute_uv=False)[:, 0] > 0.5 * tols)
+        ok &= ~(np.linalg.eigvalsh(half + half_h)[:, 0] < -tols)
+    return ok
+
+
+def det_path_flags(path, endpoint_tol: float) -> dict:
+    """det-path's three flags on its 9 equally spaced points by SVDs
+    alone: op_norm(v - 1) at both endpoints from one SVD per block,
+    unitarity from the singular values of the 9, positivity from
+    positive_at_by_svd.  The package lets one entry of v - 1 or of
+    v/2 - v*/2 decide first; its flags must equal these."""
+    from apfp.algebra import _identity_distances, _op_norms, _unitarity_defects
+    from apfp.determinant import evaluate_many
+
+    t1, t2 = path.domain
+    grid = evaluate_many(path, np.linspace(t1, t2, 9))
+    ends = _identity_distances([b[[0, -1]] for b in grid.blocks])
+    tols = 1e-8 * np.maximum(1.0, _op_norms(grid.svals))
+    return {
+        "is_loop": bool((ends <= endpoint_tol).all()),
+        "is_unitary": not _unitarity_defects(grid.svals).any(),
+        "is_positive": bool(positive_at_by_svd(grid.blocks, tols).all()),
+    }

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +27,13 @@ import apfp.factorization
 import apfp.serialize
 from apfp import (
     AlgebraDescriptor,
+    Concatenation,
     Element,
     ExpLine,
     OptimizerConfig,
+    PointwiseProduct,
     ProductPolar,
+    Reversal,
     Sampled,
     distance_to_closure,
     evaluate,
@@ -61,6 +65,7 @@ from apfp.sampling import (
     rng_from,
 )
 from apfp.serialize import element_to_obj, factorization_to_obj, path_to_obj, payload_to_csv, report_to_json
+from oracles import det_path_flags
 
 M2 = AlgebraDescriptor((2,))
 M23 = AlgebraDescriptor((2, 3))
@@ -144,10 +149,12 @@ def test_det_path_winding_loop_reports_delta(tmp_path, capsys, monkeypatch):
     # two stacked evaluations: the 9 points of det-path's own check, then
     # the 17 of delta_1_0's
     assert seen == np.linspace(0.0, 1.0, 9).tolist() + np.linspace(0.0, 1.0, 17).tolist()
-    # one SVD of each stack: the 9 values, the two endpoints minus 1, the
-    # hermitian defects of the 9; in delta_1_0 the 17 values and the two
-    # endpoints minus 1 again
-    assert svds == [(9, 2, 2), (2, 2, 2), (9, 2, 2), (17, 2, 2), (2, 2, 2)]
+    # one SVD of each stack: the 9 values and the two endpoints minus 1,
+    # whose entries are within the tolerance of 0; in delta_1_0 the 17
+    # values and the two endpoints minus 1 again.  The hermitian defects
+    # of the 9 take none: v/2 - v*/2 at t = 1/8 has an entry far above
+    # its tolerance, which decides is_positive with no SVD.
+    assert svds == [(9, 2, 2), (2, 2, 2), (17, 2, 2), (2, 2, 2)]
     res = report["results"]
     assert res["is_loop"] and res["is_unitary"]
     assert res["lattice_distance"] <= 1e-9
@@ -163,8 +170,38 @@ def test_det_path_evaluates_a_path_that_is_no_loop_at_9_points(tmp_path, capsys,
     assert code == EXIT_OK
     assert report["results"]["is_loop"] is False
     assert seen == np.linspace(0.0, 1.0, 9).tolist()
-    # per block: the 9 values, the two endpoints minus 1, the hermitian defects
-    assert svds == [(9, 2, 2), (9, 3, 3), (2, 2, 2), (2, 3, 3), (9, 2, 2), (9, 3, 3)]
+    # per block, the 9 values alone: an entry of v - 1 at an endpoint and
+    # one of v/2 - v*/2 decide is_loop and is_positive, with no SVD of
+    # the endpoints or of the hermitian defects
+    assert svds == [(9, 2, 2), (9, 3, 3)]
+
+
+def counted_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *rest, **kw):
+        calls.append(a.shape)
+        return eigvalsh(a, *rest, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def test_det_path_positive_path_still_takes_the_svd_route(tmp_path, capsys, monkeypatch):
+    # e^{tc} for a hermitian c: v/2 - v*/2 is rounding alone, no entry of
+    # it decides, and the SVD of the defects and the lowest eigenvalues
+    # decide is_positive; an entry of e^c - 1 decides is_loop
+    c = random_self_adjoint(M23, rng_from(8), norm=1.5)
+    f = write_json(tmp_path, "line.json", path_to_obj(ExpLine(c)))
+    svds = counted_svds(monkeypatch)
+    eigs = counted_eigvalsh(monkeypatch)
+    code, report = run(capsys, "det-path", f)
+    assert code == EXIT_OK
+    assert report["results"]["is_positive"] is True
+    assert report["results"]["is_loop"] is False
+    assert svds == [(9, 2, 2), (9, 3, 3), (9, 2, 2), (9, 3, 3)]
+    assert eigs == [(9, 2, 2), (9, 3, 3)]
 
 
 def test_det_path_positivity_survives_an_overflowing_defect(tmp_path, capsys):
@@ -175,6 +212,128 @@ def test_det_path_positivity_survives_an_overflowing_defect(tmp_path, capsys):
     code, report = run(capsys, "det-path", f)
     assert code == EXIT_OK
     assert report["results"]["is_positive"] is False
+
+
+HUGE_SKEW = {"blocks": [[[[0.0, 0.0], [1e308, 0.0]], [[-1e308, 0.0], [0.0, 0.0]]]]}
+
+
+@pytest.mark.parametrize(
+    "obj,expected,answer",
+    [
+        # ||v*v - 1|| overflows in s**2: not unitary
+        (
+            path_to_obj(ExpLine(Element(M2, (np.array([[709.5, np.pi / 2], [-np.pi / 2, 709.5]], dtype=complex),)))),
+            EXIT_OK,
+            {"is_loop": False, "is_unitary": False, "is_positive": False},
+        ),
+        # the trace 2e308 i overflows: the determinant is not finite
+        (
+            {"kind": "ExpLine", "c": {"blocks": [[[[0.0, 1e308], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1e308]]]]}},
+            EXIT_NUMERIC,
+            "error: NonFiniteValue: path determinant is not finite\n",
+        ),
+        # c - c* overflows in the hermitian check: c is not hermitian
+        (
+            {"kind": "ProductPolar", "c": HUGE_SKEW, "d": {"blocks": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}},
+            EXIT_PARSE,
+            "error: bad path file: ProductPolar needs self-adjoint c and d\n",
+        ),
+    ],
+    ids=["overflowing-defect", "overflowing-determinant", "overflowing-hermitian-check"],
+)
+def test_det_path_handled_overflow_warns_nothing(tmp_path, capsys, obj, expected, answer):
+    f = write_json(tmp_path, "path.json", obj)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["det-path", f])
+    out, err = capsys.readouterr()
+    assert code == expected
+    if code == EXIT_OK:
+        assert err == ""
+        assert {k: v for k, v in json.loads(out)["results"].items() if k in answer} == answer
+    else:
+        assert out == "" and err == answer
+
+
+def det_path_mix(rng):
+    """One path of each kind the determinants benchmark runs det-path on,
+    drawn the way it draws them, by kind name."""
+
+    def gen():
+        return random_element(M23, rng, scale=0.5)
+
+    def unit(v):
+        return (0.5 / op_norm(v)) * v
+
+    c, d = (random_self_adjoint(M23, rng, norm=float(rng.uniform(1.0, 2.0))) for _ in range(2))
+    paths = {"ProductPolar": ProductPolar(c, d), "ExpLine": ExpLine(gen())}
+    c, d = unit(gen()), unit(gen())
+    samples = []
+    for t in np.linspace(0.0, 1.0, 9):
+        g = [sla.expm(t * cb) @ sla.expm(t * db) for cb, db in zip(c.blocks, d.blocks)]
+        samples.append((float(t), Element(M23, tuple(g))))
+    paths["Sampled"] = Sampled(tuple(samples))
+    paths["PointwiseProduct"] = PointwiseProduct(ExpLine(gen()), ExpLine(gen()))
+    paths["Concatenation"] = Concatenation(ExpLine(gen()), ExpLine(gen()))
+    paths["Reversal"] = Reversal(ExpLine(gen()))
+    gens = []
+    for w, n in zip(rng.integers(-3, 4, size=2), (2, 3)):
+        g = np.zeros((n, n), dtype=complex)
+        g[0, 0] = 2j * np.pi * w
+        gens.append(g)
+    paths["loop"] = ExpLine(Element(M23, tuple(gens)))
+    return paths
+
+
+def det_path_report_flags(tmp_path, capsys, path, *flags):
+    f = write_json(tmp_path, "path.json", path_to_obj(path))
+    code, report = run(capsys, "det-path", f, *flags)
+    assert code == EXIT_OK
+    return {k: report["results"][k] for k in ("is_loop", "is_unitary", "is_positive")}
+
+
+def test_det_path_flags_match_the_svd_route_on_the_benchmark_kinds(tmp_path, capsys):
+    seen = set()
+    for seed in range(20):
+        for kind, path in det_path_mix(rng_from((25, seed))).items():
+            want = det_path_flags(path, TOLERANCES["loop_endpoint"])
+            assert det_path_report_flags(tmp_path, capsys, path) == want, (kind, seed)
+            seen.add(tuple(want.values()))
+    # loops, unitary paths that are no loop, and paths that are neither
+    assert seen == {(True, True, False), (False, True, False), (False, False, False)}
+
+
+@pytest.mark.parametrize("factor", [0.5, 0.9, 1.1, 2.0])
+def test_det_path_endpoint_entry_straddles_the_loop_tolerance(tmp_path, capsys, factor):
+    # the winding loop with its endpoint turned by about factor * tol: its
+    # entry of v - 1 is about factor * tol, and the loop holds below 1 only
+    tol = 1e-6
+    path = ExpLine(Element(M2, (np.array([[1j * (2 * np.pi + factor * tol), 0], [0, 0]]),)))
+    got = det_path_report_flags(tmp_path, capsys, path, "--tol", f"loop_endpoint={tol}")
+    assert got == det_path_flags(path, tol)
+    assert got["is_loop"] is (factor < 1)
+
+
+@pytest.mark.parametrize("factor", [0.5, 0.9, 1.1, 2.0])
+def test_det_path_skew_entry_straddles_the_positivity_tolerance(tmp_path, capsys, factor):
+    # rotations by t a: ||v|| = 1, and v/2 - v*/2 has entries +-sin(t a),
+    # at t = 1 factor times the half tolerance 5e-9, while (v + v*)/2 =
+    # cos(t a) 1 is positive
+    a = factor * 5e-9
+    path = ExpLine(Element(M2, (np.array([[0.0, a], [-a, 0.0]], dtype=complex),)))
+    got = det_path_report_flags(tmp_path, capsys, path)
+    assert got == det_path_flags(path, TOLERANCES["loop_endpoint"])
+    assert got["is_positive"] is (factor < 1)
+
+
+@pytest.mark.parametrize("generator,loop", [(0.0, True), (2j * np.pi, False)], ids=["identity", "winding"])
+def test_det_path_loop_at_tolerance_zero(tmp_path, capsys, generator, loop):
+    # at tolerance 0 the constant identity path is a loop, and the winding
+    # loop, whose endpoint misses 1 by rounding, is not
+    path = ExpLine(Element(M2, (np.array([[generator, 0], [0, 0]]),)))
+    got = det_path_report_flags(tmp_path, capsys, path, "--tol", "loop_endpoint=0")
+    assert got == det_path_flags(path, 0.0)
+    assert got["is_loop"] is loop
 
 
 def test_det_path_loop_tolerance_reaches_delta(tmp_path, capsys):

@@ -15,12 +15,13 @@ from oracles import (
     element_residual,
     memoized_lbfgs,
     per_candidate_construct,
+    positive_at_by_svd,
     power_iteration_norm,
     turn_radius_by_bisection,
 )
 
 import apfp.factorization as factorization
-from apfp.algebra import _identity_distances
+from apfp.algebra import _identity_distances, _positive_at
 from apfp import (
     AlgebraDescriptor,
     Element,
@@ -767,6 +768,42 @@ def test_stacked_construction_matches_the_per_candidate_reference(m):
             assert [s.shape for s in got] == [(m, n, n) for n in x.algebra.block_sizes]
             for i, stack in enumerate(got):
                 assert np.array_equal(stack, np.array([w.blocks[i] for w in want]))
+
+
+@pytest.mark.parametrize("alg", [M2, M3, M23], ids=str)
+def test_positive_check_of_constructed_factors_takes_no_skew_svd(monkeypatch, alg):
+    svds = []
+    svd = np.linalg.svd
+
+    def counted(a, *rest, **kw):
+        svds.append(a.shape)
+        return svd(a, *rest, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    tols = np.full(5, factorization.FACTOR_POSITIVITY_TOL)
+    for k in range(3):
+        x = random_member(alg, rng_from((901, alg.rank, k)))
+        fac = factor_positive_products(x, m=5)
+        assert fac.route == "construction"
+        # the construction's factors are exactly hermitian: no SVD
+        svds.clear()
+        assert _positive_at(fac.stacks, tols).tolist() == [True] * 5
+        assert svds == []
+        assert positive_at_by_svd(fac.stacks, tols).tolist() == [True] * 5
+        # one point off hermitian by an ulp-sized entry brings back the SVD
+        # of its block stack, and of that one alone
+        stacks = [s.copy() for s in fac.stacks]
+        stacks[-1][2, 0, 1] += 1e-15
+        svds.clear()
+        got = _positive_at(stacks, tols)
+        n = alg.block_sizes[-1]
+        assert svds == [(5, n, n)]
+        assert got.tolist() == positive_at_by_svd(stacks, tols).tolist()
+        # the positivity check and residual of the former route, bit for bit
+        with monkeypatch.context() as patched:
+            patched.setattr(factorization, "_positive_at", positive_at_by_svd)
+            former = factorization.PositiveFactorization(fac.stacks, x)
+        assert former.residual.hex() == fac.residual.hex()
 
 
 CONSTRUCTION_CACHES = (factorization._draws, factorization._identities, factorization._ramp)
