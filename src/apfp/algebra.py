@@ -14,6 +14,7 @@ kept.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -245,19 +246,18 @@ def _unitarity_defects(svals) -> np.ndarray:
 
 
 def _entry_above(stacks, tols) -> bool:
-    """Whether some matrix in the stacks has an entry of modulus above its
-    tol (tols broadcasts against each stack): then its op_norm is above
-    tol too, as |a_ij| <= ||a||, and no SVD is needed to say so.  One
-    pass per stack, stopping at the first stack that has one."""
-    return any((np.abs(s) > tols).any() for s in stacks)
+    """Whether some matrix in the stacks has a NaN entry or one of modulus
+    above its tol (tols broadcasts against each stack): then its op_norm
+    is above tol too, as |a_ij| <= ||a||, with no SVD to say so."""
+    return any(not (np.abs(s) <= tols).all() for s in stacks)
 
 
-def _half_skews(blocks):
-    """v/2 - v*/2 at each point v of each stack, one stack at a time:
-    formed from halves, it cannot overflow."""
-    for b in blocks:
-        half = 0.5 * b
-        yield half - half.conj().swapaxes(-1, -2)
+def _identity_at(blocks, tol) -> bool:
+    """Whether every value v of a stack has op_norm(v - 1) <= tol: no by
+    an entry of some v - 1 (_entry_above), else by _identity_distances."""
+    if _entry_above((b - np.eye(b.shape[-1]) for b in blocks), tol):
+        return False
+    return bool((_identity_distances(blocks) <= tol).all())
 
 
 def _herm(m: np.ndarray) -> np.ndarray:
@@ -266,7 +266,8 @@ def _herm(m: np.ndarray) -> np.ndarray:
 
 
 def is_positive(x: Element, tol: float | None = None) -> bool:
-    """Self-adjoint up to tol with spectrum bounded below by -tol.
+    """Self-adjoint up to tol with spectrum bounded below by -tol, by
+    _positive_at (an entry of x/2 - x*/2 above tol/2 says no).
 
     tol=None uses the relative default 1e-12 * op_norm(x), and an x whose
     op_norm overflows is not positive.
@@ -275,31 +276,32 @@ def is_positive(x: Element, tol: float | None = None) -> bool:
         tol = POSITIVITY_RTOL * op_norm(x)
         if not np.isfinite(tol):
             return False
-    return bool(_positive_at(tuple(b[None] for b in x.blocks), np.array([tol]))[0])
+    return _positive_at(tuple(b[None] for b in x.blocks), tol)
 
 
-def _positive_at(blocks, tols) -> np.ndarray:
-    """is_positive(v, tol) at each point v of a stack, tol from tols: the
-    norm of v - v* (its largest singular value) and the lowest eigenvalue
-    of (v + v*)/2, one batched call each per block while some point is
-    left positive, the second only while some point is self-adjoint
-    within its tol.  Both are formed from v/2 and v*/2, which cannot
-    overflow: the defect is compared at half scale.  A stack whose
-    v/2 - v*/2 is exactly zero (the construction's factors) takes no
-    SVD: its norm is 0."""
-    ok = np.ones(len(tols), dtype=bool)
+def _positive_at(blocks, tols) -> bool:
+    """Whether every value v of a stack is positive within its tol, tols
+    a scalar or one per point: ||v - v*|| <= tol and (v + v*)/2 >= -tol,
+    read at half scale from v/2 and v*/2, which cannot overflow.  An
+    entry of some v/2 - v*/2 above tol/2 says no (_entry_above); else,
+    block by block, the largest singular value of v/2 - v*/2 (none for
+    an exactly zero stack, as the construction's factors) and the
+    lowest eigenvalue of (v + v*)/2 decide."""
     half_tols = 0.5 * tols
+    entry_tols = np.reshape(half_tols, (-1, 1, 1))
+    parts = []
     for b in blocks:
-        if not np.count_nonzero(ok):
-            break
         half = 0.5 * b
-        half_h = half.conj().swapaxes(-1, -2)
-        skew = half - half_h
-        norms = np.linalg.svd(skew, compute_uv=False)[:, 0] if skew.any() else 0.0
-        ok &= ~(norms > half_tols)
-        if np.count_nonzero(ok):
-            ok &= ~(np.linalg.eigvalsh(half + half_h)[:, 0] < -tols)
-    return ok
+        skew = half - half.conj().swapaxes(-1, -2)
+        if _entry_above([skew], entry_tols):
+            return False
+        parts.append((half, skew))
+    for half, skew in parts:
+        if skew.any() and (np.linalg.svd(skew, compute_uv=False)[:, 0] > half_tols).any():
+            return False
+        if (np.linalg.eigvalsh(half + half.conj().swapaxes(-1, -2))[:, 0] < -tols).any():
+            return False
+    return True
 
 
 def polar(x: Element) -> tuple[Element, Element]:
@@ -325,9 +327,18 @@ def _expm_herm(h: np.ndarray) -> np.ndarray:
     return (q * np.exp(w)) @ q.conj().T
 
 
-def _is_herm(m, rtol=1e-13):
-    scale_ = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
-    return float(np.abs(m - m.conj().T).max()) <= rtol * scale_
+def _symmetry(m, rtol=1e-13) -> str:
+    """"h" (hermitian) when every entry of m - m* is within rtol max(1,
+    max |m_ij|), else "s" when every entry of m + m* is, else "g"; read at
+    half scale, from m/2 and m*/2, which cannot overflow (inf scale: "g")."""
+    half = 0.5 * m
+    half_h = half.conj().T
+    bound = rtol * max(0.5, float(np.abs(half).max()))
+    if not math.isfinite(bound):
+        return "g"
+    if float(np.abs(half - half_h).max()) <= bound:
+        return "h"
+    return "s" if float(np.abs(half + half_h).max()) <= bound else "g"
 
 
 def exp_element(h: Element) -> Element:
@@ -338,7 +349,7 @@ def exp_element(h: Element) -> Element:
     """
     out = []
     for b in h.blocks:
-        if _is_herm(b):
+        if _symmetry(b) == "h":
             out.append(_expm_herm(_herm(b)))
         else:
             out.append(scipy.linalg.expm(b))

@@ -33,11 +33,12 @@ from .algebra import (
     Element,
     TraceValue,
     _herm,
+    _identity_at,
     _identity_distances,
-    _is_herm,
     _require_invertible,
     _singular_at,
     _singular_values,
+    _symmetry,
     _unitarity_defects,
 )
 from .errors import (
@@ -162,18 +163,17 @@ class ExpLine(InvertiblePath):
 
     @cached_property
     def _modes(self):
-        # hermitian and skew-hermitian generators exponentiate through a
-        # single eigendecomposition; anything else falls back to expm
+        # hermitian and skew-hermitian generators (one _symmetry per
+        # block tells which) exponentiate through a single
+        # eigendecomposition; anything else falls back to expm
         modes = []
         for b in self.c.blocks:
-            if _is_herm(b):
-                w, q = np.linalg.eigh(_herm(b))
-                modes.append(("h", w, q))
-            elif _is_herm(-1j * b):
-                w, q = np.linalg.eigh(_herm(-1j * b))
-                modes.append(("s", w, q))
+            kind = _symmetry(b)
+            if kind == "g":
+                modes.append((kind, None, None))
             else:
-                modes.append(("g", None, None))
+                w, q = np.linalg.eigh(_herm(b if kind == "h" else -1j * b))
+                modes.append((kind, w, q))
         return modes
 
     def _values(self, ts):
@@ -204,9 +204,7 @@ class ProductPolar(InvertiblePath):
     def __post_init__(self):
         if self.c.algebra != self.d.algebra:
             raise DescriptorMismatch("ProductPolar needs c and d in one algebra")
-        with np.errstate(over="ignore"):  # an overflow in b - b* is read, not warned about
-            herm = all(_is_herm(b, rtol=1e-10) for b in (*self.c.blocks, *self.d.blocks))
-        if not herm:
+        if any(_symmetry(b, rtol=1e-10) != "h" for b in (*self.c.blocks, *self.d.blocks)):
             raise ValueError("ProductPolar needs self-adjoint c and d")
 
     @property
@@ -503,9 +501,10 @@ def delta_1_0(loop: InvertiblePath, endpoint_tol: float = LOOP_ENDPOINT_TOL) -> 
     t1, t2 = loop.domain
     ts = np.linspace(t1, t2, 17)
     got = evaluate_many(loop, ts)
-    for t, dist in zip((t1, t2), _identity_distances([b[[0, -1]] for b in got.blocks])):
-        if dist > endpoint_tol:
-            raise NotALoop(f"endpoint at t={t} is not the identity")
+    ends = [b[[0, -1]] for b in got.blocks]
+    if not _identity_at(ends, endpoint_tol):
+        t = t2 if _identity_at([e[:1] for e in ends], endpoint_tol) else t1
+        raise NotALoop(f"endpoint at t={t} is not the identity")
     _unitary_blocks(ts, got)
     h = [complex(c) / (2j * np.pi) for c in loop._det()]
     return AffFunction(tuple(c.real / n for c, n in zip(h, loop.algebra.block_sizes)))

@@ -34,6 +34,7 @@ from .algebra import (
     TraceValue,
     _freeze,
     _herm,
+    _identity_at,
     _identity_distances,
     _positive_at,
     _singular_values,
@@ -128,7 +129,7 @@ def split_into_exponentials(path: InvertiblePath) -> ExponentialSplitting:
     s = np.array([0.0, 1.0])  # the cuts, normalized to [0, 1]
     ts = t1 + (t2 - t1) * s
     vals = _unitary_blocks(ts, evaluate_many(path, ts))
-    if _identity_distances([v[:1] for v in vals])[0] > LOOP_ENDPOINT_TOL:
+    if not _identity_at([v[:1] for v in vals], LOOP_ENDPOINT_TOL):
         raise ValueError("split_into_exponentials needs a path starting at the identity")
     while True:
         steps = tuple(v[:-1].conj().swapaxes(-1, -2) @ v[1:] for v in vals)
@@ -513,7 +514,7 @@ class PositiveFactorization:
         object.__setattr__(self, "stacks", stacks)
         if not all(np.isfinite(s).all() for s in stacks):
             raise NonFiniteValue("a factor is not finite")
-        if not _positive_at(stacks, np.full(m, FACTOR_POSITIVITY_TOL)).all():
+        if not _positive_at(stacks, FACTOR_POSITIVITY_TOL):
             raise NotPositive("factorization contains a non-positive factor")
         # prod - x_i is, bit for bit, prod + (-1.0 * x_i) as an Element difference
         misses = [

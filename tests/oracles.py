@@ -121,6 +121,17 @@ def nearest_lattice_point(values, generators, radius: int = 6):
     return best, best_coeffs
 
 
+def hermitian_at_full_scale(m, rtol=1e-13) -> bool:
+    """Whether every entry of m - m* is within rtol max(1, max |m_ij|),
+    compared at full scale, where m - m* and |m_ij| may overflow: a
+    matrix whose moduli overflow reads as hermitian.  algebra._symmetry
+    compares at half scale; on every m whose moduli do not overflow, its
+    "h" must agree with this, and its "s" with this on -1j m."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = max(1.0, float(np.abs(m).max()))
+        return float(np.abs(m - m.conj().T).max()) <= rtol * scale
+
+
 def pointwise_value(path, t: float):
     """A path's value at one t, one matrix per block, by the per-point
     formula of its kind: one exponential, SVD or logarithm per block and
@@ -128,16 +139,16 @@ def pointwise_value(path, t: float):
     calls; those must give these values bit for bit."""
     import scipy.linalg as sla
 
-    from apfp.algebra import _herm, _is_herm
+    from apfp.algebra import _herm
 
     kind = type(path).__name__
     if kind == "ExpLine":
         out = []
         for b in path.c.blocks:
-            if _is_herm(b):
+            if hermitian_at_full_scale(b):
                 w, q = np.linalg.eigh(_herm(b))
                 out.append((q * np.exp(t * w)) @ q.conj().T)
-            elif _is_herm(-1j * b):
+            elif hermitian_at_full_scale(-1j * b):
                 w, q = np.linalg.eigh(_herm(-1j * b))
                 out.append((q * np.exp(1j * t * w)) @ q.conj().T)
             else:
@@ -358,12 +369,13 @@ def concatenated_coordinates(h):
 
 
 def positive_at_by_svd(blocks, tols):
-    """algebra._positive_at at each point of a stack with one SVD of the
-    skew part v/2 - v*/2 and one eigvalsh of (v + v*)/2 for every block
-    stack, exactly hermitian or not.  The package skips the SVD of an
-    exactly zero skew part and stops once no point is left positive; its
-    verdicts must equal these."""
-    ok = np.ones(len(tols), dtype=bool)
+    """is_positive(v, tol) at each point v of a stack, tols a scalar or
+    one per point, with one SVD of the skew part v/2 - v*/2 and one
+    eigvalsh of (v + v*)/2 for every block stack, exactly hermitian or
+    not.  algebra._positive_at lets an entry of v/2 - v*/2 decide first,
+    skips the SVD of an exactly zero skew part and stops at the first
+    block that says no; its verdict must equal .all() of these."""
+    ok = np.ones(len(blocks[0]), dtype=bool)
     for b in blocks:
         half = 0.5 * b
         half_h = half.conj().swapaxes(-1, -2)
@@ -372,21 +384,66 @@ def positive_at_by_svd(blocks, tols):
     return ok
 
 
+def identity_at_by_svd(blocks, tol):
+    """op_norm(v - 1) <= tol at each point v of a stack, from one
+    2-norm (an SVD) per block and point.  algebra._identity_at lets an
+    entry of v - 1 decide first; its verdict must equal .all() of these."""
+    return np.array(
+        [max(np.linalg.norm(b[k] - np.eye(len(b[k])), 2) for b in blocks) for k in range(len(blocks[0]))]
+    ) <= tol
+
+
 def det_path_flags(path, endpoint_tol: float) -> dict:
     """det-path's three flags on its 9 equally spaced points by SVDs
-    alone: op_norm(v - 1) at both endpoints from one SVD per block,
-    unitarity from the singular values of the 9, positivity from
-    positive_at_by_svd.  The package lets one entry of v - 1 or of
-    v/2 - v*/2 decide first; its flags must equal these."""
-    from apfp.algebra import _identity_distances, _op_norms, _unitarity_defects
+    alone: identity_at_by_svd at both endpoints, unitarity from the
+    singular values of the 9, positivity from positive_at_by_svd.  The
+    package lets one entry of v - 1 or of v/2 - v*/2 decide first; its
+    flags must equal these."""
+    from apfp.algebra import _op_norms, _unitarity_defects
     from apfp.determinant import evaluate_many
 
     t1, t2 = path.domain
     grid = evaluate_many(path, np.linspace(t1, t2, 9))
-    ends = _identity_distances([b[[0, -1]] for b in grid.blocks])
     tols = 1e-8 * np.maximum(1.0, _op_norms(grid.svals))
     return {
-        "is_loop": bool((ends <= endpoint_tol).all()),
+        "is_loop": bool(identity_at_by_svd([b[[0, -1]] for b in grid.blocks], endpoint_tol).all()),
         "is_unitary": not _unitarity_defects(grid.svals).any(),
         "is_positive": bool(positive_at_by_svd(grid.blocks, tols).all()),
     }
+
+
+def det_path_mix(rng):
+    """One path of each kind the determinants benchmark runs det-path on,
+    drawn the way it draws them, by kind name."""
+    import scipy.linalg as sla
+
+    from apfp import AlgebraDescriptor, Concatenation, Element, ExpLine, PointwiseProduct, ProductPolar
+    from apfp import Reversal, Sampled, op_norm
+    from apfp.sampling import random_element, random_self_adjoint
+
+    M23 = AlgebraDescriptor((2, 3))
+
+    def gen():
+        return random_element(M23, rng, scale=0.5)
+
+    def unit(v):
+        return (0.5 / op_norm(v)) * v
+
+    c, d = (random_self_adjoint(M23, rng, norm=float(rng.uniform(1.0, 2.0))) for _ in range(2))
+    paths = {"ProductPolar": ProductPolar(c, d), "ExpLine": ExpLine(gen())}
+    c, d = unit(gen()), unit(gen())
+    samples = []
+    for t in np.linspace(0.0, 1.0, 9):
+        g = [sla.expm(t * cb) @ sla.expm(t * db) for cb, db in zip(c.blocks, d.blocks)]
+        samples.append((float(t), Element(M23, tuple(g))))
+    paths["Sampled"] = Sampled(tuple(samples))
+    paths["PointwiseProduct"] = PointwiseProduct(ExpLine(gen()), ExpLine(gen()))
+    paths["Concatenation"] = Concatenation(ExpLine(gen()), ExpLine(gen()))
+    paths["Reversal"] = Reversal(ExpLine(gen()))
+    gens = []
+    for w, n in zip(rng.integers(-3, 4, size=2), (2, 3)):
+        g = np.zeros((n, n), dtype=complex)
+        g[0, 0] = 2j * np.pi * w
+        gens.append(g)
+    paths["loop"] = ExpLine(Element(M23, tuple(gens)))
+    return paths

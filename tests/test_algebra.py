@@ -1,5 +1,7 @@
 """Block-algebra arithmetic against independent oracles and closed forms."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,9 +9,13 @@ from hypothesis import given, strategies as st
 from apfp import (
     AlgebraDescriptor,
     Element,
+    OptimizerConfig,
     TraceValue,
     adjoint,
+    distance_to_closure,
+    evaluate_many,
     exp_element,
+    factor_positive_products,
     is_positive,
     log_positive,
     log_unitary_principal,
@@ -18,16 +24,27 @@ from apfp import (
     quotient_norm,
     universal_trace,
 )
+from apfp.algebra import POSITIVITY_RTOL, _identity_at, _positive_at, _symmetry
 from apfp.errors import BranchCut, DescriptorMismatch, NotPositive, SingularInput
+from apfp.factorization import FACTOR_POSITIVITY_TOL
 from apfp.sampling import (
     random_element,
+    random_member,
     random_positive,
     random_self_adjoint,
     random_unitary,
     rng_from,
 )
 
-from oracles import power_iteration_norm, project_traceless, taylor_expm
+from oracles import (
+    det_path_mix,
+    hermitian_at_full_scale,
+    identity_at_by_svd,
+    positive_at_by_svd,
+    power_iteration_norm,
+    project_traceless,
+    taylor_expm,
+)
 
 M1 = AlgebraDescriptor((1,))
 M2 = AlgebraDescriptor((2,))
@@ -164,6 +181,187 @@ def test_is_positive_near_overflow():
     # x + x* would overflow; the hermitian part x/2 + x*/2 does not
     assert is_positive(elem(M2, [[big, 0], [0, big]]))
     assert not is_positive(elem(M2, [[big, 0], [0, -big]]))
+
+
+# The two owners of the block predicates, _positive_at and _identity_at,
+# against the SVD routes of tests/oracles.py.  A verdict may differ from
+# the oracle's only where the deciding entry lies within a few ulps of its
+# tol, as the entry and the SVD's largest singular value round apart; no
+# stack below comes that close.
+
+
+@functools.cache
+def seeded_stacks():
+    """Stacks of the kinds the benchmark reads, by name: det-path's 9
+    points on each path kind, the factors of a construction (m = 5) and
+    of a search (m = 3, one restart) for seeded members, and the closure
+    witness of a seeded non-member as a stack of one."""
+    out = []
+    for seed in range(3):
+        for kind, path in det_path_mix(rng_from((26, seed))).items():
+            out.append((kind, evaluate_many(path, np.linspace(*path.domain, 9)).blocks))
+        out.append(("construction", factor_positive_products(random_member(M23, rng_from((901, 2, seed))), 5).stacks))
+        witness = distance_to_closure(random_element(M23, rng_from((77, seed)))).witness
+        out.append(("witness", tuple(b[None] for b in witness.blocks)))
+    search = factor_positive_products(random_member(M2, rng_from((901, 1, 4))), 3, OptimizerConfig(restarts=1))
+    assert search.route == "search"
+    out.append(("search", search.stacks))
+    return out
+
+
+def test_positive_at_matches_the_svd_route_on_seeded_stacks():
+    seen = set()
+    for name, blocks in seeded_stacks():
+        norms = np.max([np.linalg.svd(b, compute_uv=False)[:, 0] for b in blocks], axis=0)
+        for tols in (1e-8 * np.maximum(1.0, norms), FACTOR_POSITIVITY_TOL, POSITIVITY_RTOL * norms):
+            want = bool(positive_at_by_svd(blocks, tols).all())
+            assert _positive_at(blocks, tols) is want, name
+            seen.add((name, want))
+    assert {want for _, want in seen} == {True, False}
+    assert ("construction", True) in seen and ("search", True) in seen and ("ExpLine", False) in seen
+
+
+def test_identity_at_matches_the_svd_route_on_seeded_stacks():
+    seen = set()
+    for name, blocks in seeded_stacks():
+        dist = max(np.linalg.norm(b[k] - np.eye(len(b[k])), 2) for b in blocks for k in range(len(b)))
+        ends = [b[[0, -1]] for b in blocks]
+        # fixed tols, and tols a hair either side of the stack's distance,
+        # where no entry decides and the SVD route must
+        for tol in (1e-8, 0.5, dist * (1 - 1e-9), dist * (1 + 1e-9)):
+            for stack in (blocks, ends):
+                want = bool(identity_at_by_svd(stack, tol).all())
+                assert _identity_at(stack, tol) is want, name
+                seen.add(want)
+    assert seen == {True, False}
+
+
+def counted_calls(monkeypatch, module, *names):
+    """The shapes passed to module.<name> for each name, in call order."""
+    calls = []
+    for name in names:
+        fn = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda a, *rest, fn=fn, name=name, **kw: calls.append((name, a.shape)) or fn(a, *rest, **kw)
+        )
+    return calls
+
+
+@pytest.mark.parametrize("factor", [0.5, 0.9, 1.1, 2.0])
+def test_positive_at_skew_entry_straddles_the_tolerance(monkeypatch, factor):
+    # 9 points of M2 + M3, positive but for one point whose M3 block is
+    # 1 + a E_02 - conj(a) E_20: v/2 - v*/2 has entries of modulus |a|,
+    # its norm is |a|, and ||v - v*|| <= tol holds for |a| <= tol / 2
+    tols = np.linspace(1e-9, 1e-7, 9)
+    blocks = [np.array([np.eye(n, dtype=complex)] * 9) for n in (2, 3)]
+    a = factor * 0.5 * tols[4] * np.exp(0.3j)
+    blocks[1][4, 0, 2], blocks[1][4, 2, 0] = a, -np.conj(a)
+    calls = counted_calls(monkeypatch, np.linalg, "svd", "eigvalsh")
+    assert _positive_at(blocks, tols) is (factor < 1)
+    # above the tolerance the entry decides: no SVD, no eigenvalue
+    assert calls == ([] if factor > 1 else [("eigvalsh", (9, 2, 2)), ("svd", (9, 3, 3)), ("eigvalsh", (9, 3, 3))])
+    monkeypatch.undo()
+    assert positive_at_by_svd(blocks, tols).all() == (factor < 1)
+    x = Element(M23, tuple(b[4] for b in blocks))
+    assert is_positive(x, tols[4]) is (factor < 1)
+
+
+@pytest.mark.parametrize("factor", [0.5, 0.9, 1.1, 2.0])
+def test_identity_at_entry_straddles_the_tolerance(monkeypatch, factor):
+    # the identity at 9 points of M2 + M3, but for one point whose M2
+    # block is 1 + a E_10: ||v - 1|| = |a|
+    tol = 1e-6
+    blocks = [np.array([np.eye(n, dtype=complex)] * 9) for n in (2, 3)]
+    blocks[0][7, 1, 0] = factor * tol * np.exp(2.0j)
+    calls = counted_calls(monkeypatch, np.linalg, "svd")
+    assert _identity_at(blocks, tol) is (factor < 1)
+    assert calls == ([] if factor > 1 else [("svd", (9, 2, 2)), ("svd", (9, 3, 3))])
+    monkeypatch.undo()
+    assert identity_at_by_svd(blocks, tol).all() == (factor < 1)
+
+
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan, complex(np.inf, 1.0), complex(0.0, np.nan)])
+@pytest.mark.parametrize("where", [(0, 0), (1, 2)])
+def test_owners_say_no_to_a_non_finite_entry_with_no_svd(monkeypatch, entry, where):
+    # no caller passes one (Element and evaluate_many reject them), but an
+    # infinite or NaN entry leaves a NaN or infinite entry in v - 1 and in
+    # v/2 - v*/2, which decides no before any SVD; halving an infinite
+    # complex entry reads 0 * inf, which numpy warns of as invalid
+    blocks = [np.array([np.eye(n, dtype=complex)] * 3) for n in (2, 3)]
+    blocks[1][2][where] = entry
+    calls = counted_calls(monkeypatch, np.linalg, "svd", "eigvalsh")
+    with np.errstate(invalid="ignore" if np.isinf(entry) else "raise"):
+        assert _positive_at(blocks, 1e-8) is False
+    assert _identity_at(blocks, 1e-8) is False
+    assert calls == []
+
+
+def test_owners_near_overflow_agree_with_the_svd_route():
+    big = 1.3e308
+    cases = [
+        # hermitian and positive semidefinite: eigenvalues 0 and 2 big
+        np.array([[big, big], [big, big]], dtype=complex),
+        # x - x* would overflow; x/2 - x*/2 does not
+        np.array([[0, big], [-big, 0]], dtype=complex),
+        # |x_00| overflows
+        np.array([[big + big * 1j, 1e308], [-1e308, 0]]),
+        np.array([[big, 0], [0, -big]], dtype=complex),
+    ]
+    for m in cases:
+        blocks = [m[None]]
+        for tol in (1e-8, 1e300):
+            assert _positive_at(blocks, tol) is bool(positive_at_by_svd(blocks, tol).all())
+        assert _identity_at(blocks, 1e-8) is False
+    assert _positive_at([cases[0][None]], 1e-8) is True
+
+
+@pytest.mark.parametrize(
+    "x",
+    [random_member(M2, rng_from((901, 1, 0))), elem(M1, [[0.3 + 0.8j]])],
+    ids=["non-hermitian M2 member", "complex M1 scalar"],
+)
+def test_is_positive_lets_an_entry_decide_with_no_svd(monkeypatch, x):
+    tol = POSITIVITY_RTOL * op_norm(x)  # the default tol's SVD, kept on x
+    calls = counted_calls(monkeypatch, np.linalg, "svd", "eigvalsh")
+    assert is_positive(x) is False
+    assert is_positive(x, tol) is False
+    assert is_positive(x, FACTOR_POSITIVITY_TOL) is False
+    assert calls == []
+
+
+def test_symmetry_agrees_with_the_full_scale_check():
+    # seeded hermitian, skew-hermitian, real symmetric and general
+    # matrices over the whole exponent range, with one entry moved by
+    # 0.5 to 2 times the tolerance: where no modulus overflows, _symmetry
+    # reads each as the full-scale check reads it and its -1j multiple
+    rng = rng_from(26)
+    kinds = set()
+    for trial in range(3000):
+        n = int(rng.integers(1, 4))
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        a = [a + a.conj().T, a - a.conj().T, (a + a.conj().T).real + 0j, a][trial % 4]
+        a = a * 10.0 ** rng.uniform(-310, 307)
+        i, j = rng.integers(0, n, size=2)
+        step = rng.choice([0.0, 0.5, 0.99, 1.01, 2.0]) * 1e-13 * max(1.0, np.abs(a).max())
+        a[i, j] += step * np.exp(2j * np.pi * rng.uniform())
+        if not np.isfinite(np.abs(a)).all():
+            continue
+        want = "h" if hermitian_at_full_scale(a) else "s" if hermitian_at_full_scale(-1j * a) else "g"
+        assert _symmetry(a) == want
+        assert (_symmetry(a, 1e-10) == "h") is hermitian_at_full_scale(a, 1e-10)
+        kinds.add(want)
+    assert kinds == {"h", "s", "g"}
+
+
+def test_symmetry_reads_an_overflowing_modulus_as_not_hermitian():
+    # |m_00| overflows: at full scale the scale is inf, and any defect passes
+    m = np.array([[1.3e308 + 1.3e308j, 1e308], [-1e308, 0]])
+    assert hermitian_at_full_scale(m, 1e-10)
+    assert _symmetry(m, 1e-10) == _symmetry(m) == "g"
+    assert _symmetry(np.array([[np.nan]])) == "g"
+    with np.errstate(invalid="ignore"):  # halving an infinite entry reads 0 * inf
+        for bad in (np.inf, complex(0.0, np.inf)):
+            assert _symmetry(np.array([[bad]], dtype=complex)) == "g"
 
 
 def test_polar_of_positive_is_trivial():

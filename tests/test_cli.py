@@ -27,11 +27,9 @@ import apfp.factorization
 import apfp.serialize
 from apfp import (
     AlgebraDescriptor,
-    Concatenation,
     Element,
     ExpLine,
     OptimizerConfig,
-    PointwiseProduct,
     ProductPolar,
     Reversal,
     Sampled,
@@ -65,7 +63,7 @@ from apfp.sampling import (
     rng_from,
 )
 from apfp.serialize import element_to_obj, factorization_to_obj, path_to_obj, payload_to_csv, report_to_json
-from oracles import det_path_flags
+from oracles import det_path_flags, det_path_mix
 
 M2 = AlgebraDescriptor((2,))
 M23 = AlgebraDescriptor((2, 3))
@@ -215,6 +213,8 @@ def test_det_path_positivity_survives_an_overflowing_defect(tmp_path, capsys):
 
 
 HUGE_SKEW = {"blocks": [[[[0.0, 0.0], [1e308, 0.0]], [[-1e308, 0.0], [0.0, 0.0]]]]}
+# |c_11| = 1.84e308 overflows, and c is not hermitian
+HUGE_MODULUS = {"blocks": [[[[1.3e308, 1.3e308], [1e308, 0.0]], [[-1e308, 0.0], [0.0, 0.0]]]]}
 
 
 @pytest.mark.parametrize(
@@ -232,14 +232,21 @@ HUGE_SKEW = {"blocks": [[[[0.0, 0.0], [1e308, 0.0]], [[-1e308, 0.0], [0.0, 0.0]]
             EXIT_NUMERIC,
             "error: NonFiniteValue: path determinant is not finite\n",
         ),
-        # c - c* overflows in the hermitian check: c is not hermitian
+        # c - c* would overflow in the hermitian check: c is not hermitian
         (
             {"kind": "ProductPolar", "c": HUGE_SKEW, "d": {"blocks": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}},
             EXIT_PARSE,
             "error: bad path file: ProductPolar needs self-adjoint c and d\n",
         ),
+        # the scale max |c_ij| would overflow to inf, which would pass any
+        # defect: read at half scale, c is not hermitian
+        (
+            {"kind": "ProductPolar", "c": HUGE_MODULUS, "d": {"blocks": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}},
+            EXIT_PARSE,
+            "error: bad path file: ProductPolar needs self-adjoint c and d\n",
+        ),
     ],
-    ids=["overflowing-defect", "overflowing-determinant", "overflowing-hermitian-check"],
+    ids=["overflowing-defect", "overflowing-determinant", "overflowing-hermitian-check", "overflowing-hermitian-scale"],
 )
 def test_det_path_handled_overflow_warns_nothing(tmp_path, capsys, obj, expected, answer):
     f = write_json(tmp_path, "path.json", obj)
@@ -253,36 +260,6 @@ def test_det_path_handled_overflow_warns_nothing(tmp_path, capsys, obj, expected
         assert {k: v for k, v in json.loads(out)["results"].items() if k in answer} == answer
     else:
         assert out == "" and err == answer
-
-
-def det_path_mix(rng):
-    """One path of each kind the determinants benchmark runs det-path on,
-    drawn the way it draws them, by kind name."""
-
-    def gen():
-        return random_element(M23, rng, scale=0.5)
-
-    def unit(v):
-        return (0.5 / op_norm(v)) * v
-
-    c, d = (random_self_adjoint(M23, rng, norm=float(rng.uniform(1.0, 2.0))) for _ in range(2))
-    paths = {"ProductPolar": ProductPolar(c, d), "ExpLine": ExpLine(gen())}
-    c, d = unit(gen()), unit(gen())
-    samples = []
-    for t in np.linspace(0.0, 1.0, 9):
-        g = [sla.expm(t * cb) @ sla.expm(t * db) for cb, db in zip(c.blocks, d.blocks)]
-        samples.append((float(t), Element(M23, tuple(g))))
-    paths["Sampled"] = Sampled(tuple(samples))
-    paths["PointwiseProduct"] = PointwiseProduct(ExpLine(gen()), ExpLine(gen()))
-    paths["Concatenation"] = Concatenation(ExpLine(gen()), ExpLine(gen()))
-    paths["Reversal"] = Reversal(ExpLine(gen()))
-    gens = []
-    for w, n in zip(rng.integers(-3, 4, size=2), (2, 3)):
-        g = np.zeros((n, n), dtype=complex)
-        g[0, 0] = 2j * np.pi * w
-        gens.append(g)
-    paths["loop"] = ExpLine(Element(M23, tuple(gens)))
-    return paths
 
 
 def det_path_report_flags(tmp_path, capsys, path, *flags):

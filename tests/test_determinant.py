@@ -36,7 +36,7 @@ from apfp.errors import (
 )
 from apfp.sampling import random_element, random_self_adjoint, random_unitary, rng_from
 
-from oracles import logdet_along_path, pointwise_value
+from oracles import det_path_mix, hermitian_at_full_scale, logdet_along_path, pointwise_value
 
 M1 = AlgebraDescriptor((1,))
 M2 = AlgebraDescriptor((2,))
@@ -168,6 +168,34 @@ def test_stacked_values_equal_pointwise_values_bitwise(name):
         one = evaluate(path, float(t)).blocks
         for block, b, w in zip(stack.blocks, one, want):
             assert np.array_equal(block[i], w) and np.array_equal(b, w)
+
+
+def exp_lines(path):
+    """The ExpLines a path is made of."""
+    if isinstance(path, ExpLine):
+        return [path]
+    parts = [getattr(path, a) for a in ("first", "second", "inner") if hasattr(path, a)]
+    return [line for part in parts for line in exp_lines(part)]
+
+
+def test_exp_line_modes_and_values_on_the_benchmark_kinds():
+    # one _symmetry per block picks the mode the two full-scale checks
+    # picked, and the 9 and 17 values of det-path and delta_1_0 are those
+    # of one exponential per block and point, bit for bit
+    modes = set()
+    for seed in range(20):
+        for kind, path in det_path_mix(rng_from((25, seed))).items():
+            for line in exp_lines(path):
+                for b, (mode, _, _) in zip(line.c.blocks, line._modes):
+                    want = "h" if hermitian_at_full_scale(b) else "s" if hermitian_at_full_scale(-1j * b) else "g"
+                    assert mode == want, (kind, seed)
+                    modes.add(mode)
+            for ts in (np.linspace(*path.domain, 9), np.linspace(*path.domain, 17)):
+                got = evaluate_many(path, ts).blocks
+                for i, t in enumerate(ts):
+                    want = pointwise_value(path, float(t))
+                    assert all(g[i].tobytes() == w.tobytes() for g, w in zip(got, want)), (kind, seed)
+    assert modes == {"h", "s", "g"}
 
 
 def test_sampled_stack_at_sample_times_is_the_samples(monkeypatch):
@@ -628,6 +656,26 @@ def test_delta_rejects_non_loop():
     c = elem(M2, [[1.0, 0], [0, 1.0]])
     with pytest.raises(NotALoop):
         delta_1_0(ExpLine(c))
+
+
+@pytest.mark.parametrize(
+    "domain,tol,bad",
+    [
+        ((0.0, 0.75), 1e-8, 0.75),
+        ((0.25, 1.0), 1e-8, 0.25),
+        ((0.25, 0.75), 1e-8, 0.25),
+        # e^c - 1 = a (E_00 + E_01 + E_10 + E_11): every entry a is within
+        # tol, its norm 2a is not, and the SVD route decides
+        ((0.0, 1.0), 1.5e-7, 1.0),
+    ],
+)
+def test_delta_names_the_endpoint_that_is_not_the_identity(domain, tol, bad):
+    if tol == 1e-8:
+        c = winding_loop(M2, 0, 1).c
+    else:
+        c = elem(M2, sla.logm(np.eye(2) + 1e-7 * np.ones((2, 2))))
+    with pytest.raises(NotALoop, match=rf"^endpoint at t={bad} is not the identity$"):
+        delta_1_0(ExpLine(c, domain), endpoint_tol=tol)
 
 
 def unitary_on_the_grid_only():
