@@ -30,7 +30,6 @@ from .checker import (
     ConditionReport,
     K0Data,
     PairingCheck,
-    TraceSimplex,
     check_abstract,
     check_conditions,
     pairing_consistency,
@@ -41,7 +40,6 @@ from .determinant import (
     Concatenation,
     ExpLine,
     InvertiblePath,
-    LatticeQuotientValue,
     PointwiseProduct,
     ProductPolar,
     Reversal,

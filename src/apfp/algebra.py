@@ -148,9 +148,6 @@ class TraceValue:
         _same_algebra(self, other)
         return TraceValue(self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
-    def __neg__(self):
-        return TraceValue(self.algebra, tuple(-a for a in self.coords))
-
     def __rmul__(self, lam):
         return TraceValue(self.algebra, tuple(lam * a for a in self.coords))
 
@@ -168,9 +165,6 @@ class AffFunction:
     def __add__(self, other):
         return AffFunction(tuple(a + b for a, b in zip(self.values, other.values)))
 
-    def __sub__(self, other):
-        return AffFunction(tuple(a - b for a, b in zip(self.values, other.values)))
-
 
 def _same_algebra(x, y):
     if x.algebra != y.algebra:
@@ -181,8 +175,14 @@ def _same_algebra(x, y):
 # arithmetic
 
 
+def _ct(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix in a stack: the
+    one spelling of it in the package."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def adjoint(x: Element) -> Element:
-    return x.map_blocks(lambda b: b.conj().T)
+    return x.map_blocks(_ct)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +262,7 @@ def _identity_at(blocks, tol) -> bool:
 
 def _herm(m: np.ndarray) -> np.ndarray:
     """Hermitian part of a matrix, or of each matrix in a stack."""
-    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+    return 0.5 * (m + _ct(m))
 
 
 def is_positive(x: Element, tol: float | None = None) -> bool:
@@ -292,14 +292,14 @@ def _positive_at(blocks, tols) -> bool:
     parts = []
     for b in blocks:
         half = 0.5 * b
-        skew = half - half.conj().swapaxes(-1, -2)
+        skew = half - _ct(half)
         if _entry_above([skew], entry_tols):
             return False
         parts.append((half, skew))
     for half, skew in parts:
         if skew.any() and (np.linalg.svd(skew, compute_uv=False)[:, 0] > half_tols).any():
             return False
-        if (np.linalg.eigvalsh(half + half.conj().swapaxes(-1, -2))[:, 0] < -tols).any():
+        if (np.linalg.eigvalsh(half + _ct(half))[:, 0] < -tols).any():
             return False
     return True
 
@@ -314,7 +314,7 @@ def polar(x: Element) -> tuple[Element, Element]:
     for b in x.blocks:
         v, s, wt = np.linalg.svd(b)  # the vectors make u and p
         us.append(v @ wt)
-        ps.append(_herm(wt.conj().T @ (s[:, None] * wt)))
+        ps.append(_herm(_ct(wt) @ (s[:, None] * wt)))
     return Element(x.algebra, tuple(us)), Element(x.algebra, tuple(ps))
 
 
@@ -322,17 +322,12 @@ def polar(x: Element) -> tuple[Element, Element]:
 # exp and log
 
 
-def _expm_herm(h: np.ndarray) -> np.ndarray:
-    w, q = np.linalg.eigh(h)
-    return (q * np.exp(w)) @ q.conj().T
-
-
 def _symmetry(m, rtol=1e-13) -> str:
     """"h" (hermitian) when every entry of m - m* is within rtol max(1,
     max |m_ij|), else "s" when every entry of m + m* is, else "g"; read at
     half scale, from m/2 and m*/2, which cannot overflow (inf scale: "g")."""
     half = 0.5 * m
-    half_h = half.conj().T
+    half_h = _ct(half)
     bound = rtol * max(0.5, float(np.abs(half).max()))
     if not math.isfinite(bound):
         return "g"
@@ -341,19 +336,49 @@ def _symmetry(m, rtol=1e-13) -> str:
     return "s" if float(np.abs(half + half_h).max()) <= bound else "g"
 
 
-def exp_element(h: Element) -> Element:
-    """Blockwise matrix exponential.
+# Every exponential in the package is formed here: e^{tb} of a block b
+# by _exp_mode and _exp_values, q diag(f) q* by _spectral, and the Pade
+# route for a block neither hermitian nor skew-hermitian by _expm alone.
 
-    Hermitian blocks go through the eigendecomposition (keeps the result
-    exactly self-adjoint); general blocks use the Pade route.
-    """
-    out = []
-    for b in h.blocks:
-        if _symmetry(b) == "h":
-            out.append(_expm_herm(_herm(b)))
-        else:
-            out.append(scipy.linalg.expm(b))
-    return Element(h.algebra, tuple(out))
+
+def _spectral(q: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """q diag(f) q*, or q_j diag(f_j) q_j* for each row f_j of a stack of
+    vectors, q one matrix or a stack of them."""
+    return (q * f[..., None, :]) @ _ct(q)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """e^a by scipy's scaling and squaring Pade, for a matrix or each
+    matrix of a stack."""
+    return scipy.linalg.expm(a)
+
+
+def _exp_mode(b: np.ndarray) -> tuple:
+    """How e^{tb} is formed, from one _symmetry(b): ("h", w, q) with b =
+    q diag(w) q* hermitian, ("s", w, q) with b = i q diag(w) q*
+    skew-hermitian, each from one eigh, else ("g", None, None)."""
+    kind = _symmetry(b)
+    if kind == "g":
+        return kind, None, None
+    return (kind, *np.linalg.eigh(_herm(b if kind == "h" else -1j * b)))
+
+
+def _exp_values(b: np.ndarray, mode: tuple, ts: np.ndarray) -> np.ndarray:
+    """e^{tb} for each t of the array ts (one matrix for a 0-d ts, a
+    stack for a 1-d one) on the route mode = _exp_mode(b) picked:
+    q diag(e^{tw}) q*, q diag(e^{itw}) q*, or _expm(tb)."""
+    kind, w, q = mode
+    if kind == "g":
+        return _expm(ts[..., None, None] * b)
+    return _spectral(q, np.exp(ts[..., None] * w if kind == "h" else 1j * ts[..., None] * w))
+
+
+def exp_element(h: Element) -> Element:
+    """Blockwise matrix exponential, on the route of _exp_mode: hermitian
+    and skew-hermitian blocks through one eigendecomposition (a hermitian
+    block's exponential is then exactly self-adjoint), any other block
+    through _expm."""
+    return h.map_blocks(lambda b: _exp_values(b, _exp_mode(b), np.float64(1.0)))
 
 
 def log_positive(a: Element) -> Element:
@@ -369,7 +394,7 @@ def log_positive(a: Element) -> Element:
             raise NotPositive(
                 f"log_positive needs an invertible element (eigenvalue {w[0]:.3e})"
             )
-        out.append(_herm((q * np.log(w)) @ q.conj().T))
+        out.append(_herm(_spectral(q, np.log(w))))
     return Element(a.algebra, tuple(out))
 
 
@@ -389,7 +414,7 @@ def _log_unitary_block(u: np.ndarray) -> np.ndarray:
         raise BranchCut(
             f"eigenvalue phase within {BRANCH_GAP:.1e} of the cut at -1"
         )
-    return _herm((q * phases) @ q.conj().T)
+    return _herm(_spectral(q, phases))
 
 
 def log_unitary_principal(u: Element) -> Element:

@@ -24,18 +24,6 @@ CONDITION_NAMES = ("no_findim_reps", "stable_rank_one", "k1_trivial", "rho_dense
 
 
 @dataclass(frozen=True)
-class TraceSimplex:
-    """Tracial states of a block algebra; the extreme points are the
-    normalized block traces tr(x_i)/n_i."""
-
-    algebra: AlgebraDescriptor
-
-    @property
-    def rank(self) -> int:
-        return self.algebra.rank
-
-
-@dataclass(frozen=True)
 class K0Data:
     """K0 pairing data of an abstract descriptor: its rank and, when
     known, a finite list of generator images a + b*theta with exact
@@ -88,15 +76,14 @@ def _report(no_findim, sr1, k1, dense) -> ConditionReport:
 # the pairing
 
 
-def rho(g: Sequence[int], simplex: TraceSimplex) -> AffFunction:
-    """The pairing of an integer K0 vector with the extreme traces:
-    value g_i / n_i at the i-th extreme point, exactly."""
+def rho(g: Sequence[int], alg: AlgebraDescriptor) -> AffFunction:
+    """The pairing of an integer K0 vector with the extreme traces of
+    alg's trace simplex, the normalized block traces tr(x_i)/n_i: value
+    g_i / n_i at the i-th extreme point, exactly."""
     g = tuple(int(v) for v in g)
-    if len(g) != simplex.rank:
-        raise RankMismatch(f"vector length {len(g)} != rank {simplex.rank}")
-    return AffFunction(
-        tuple(Fraction(gi, n) for gi, n in zip(g, simplex.algebra.block_sizes))
-    )
+    if len(g) != alg.rank:
+        raise RankMismatch(f"vector length {len(g)} != rank {alg.rank}")
+    return AffFunction(tuple(Fraction(gi, n) for gi, n in zip(g, alg.block_sizes)))
 
 
 def rho_image_distance(f: AffFunction, alg: AlgebraDescriptor):

@@ -49,7 +49,6 @@ from .errors import (
     InconsistentFlags,
     NoConvergence,
     NonFiniteValue,
-    NotInClosure,
     RankTooHighForDensity,
 )
 from .factorization import (
@@ -190,7 +189,6 @@ def _load(path, from_obj, what):
 def _cmd_det_path(args, config: RunConfig):
     path = _load(args.path_file, serialize.path_from_obj, "path")
     det = path_determinant(path)
-    reduced = lattice_reduce(det)
     t1, t2 = path.domain
     # one stack of the 9 values and their singular values decides the
     # three flags; the first and last points are exactly t1 and t2
@@ -201,8 +199,8 @@ def _cmd_det_path(args, config: RunConfig):
     positive = _positive_at(grid.blocks, 1e-8 * np.maximum(1.0, _op_norms(grid.svals)))
     results = {
         "determinant": serialize.trace_value_to_obj(det),
-        "canonical_representative": serialize.trace_value_to_obj(reduced.representative),
-        "lattice_rank": reduced.lattice_rank,
+        "canonical_representative": serialize.trace_value_to_obj(lattice_reduce(det)),
+        "lattice_rank": path.algebra.rank,
         "lattice_distance": lattice_distance(det),
         "is_loop": endpoints_identity,
         "is_unitary": unitary,
@@ -379,9 +377,6 @@ def main(argv=None) -> int:
     except RankTooHighForDensity as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_RANK_TOO_HIGH
-    except NotInClosure as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NOT_IN_CLOSURE
     except (APFPError, np.linalg.LinAlgError) as exc:
         # the search lets LinAlgError through: exp can overflow in its polish
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")

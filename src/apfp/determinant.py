@@ -32,12 +32,16 @@ from .algebra import (
     AlgebraDescriptor,
     Element,
     TraceValue,
+    _exp_mode,
+    _exp_values,
+    _expm,
     _herm,
     _identity_at,
     _identity_distances,
     _require_invertible,
     _singular_at,
     _singular_values,
+    _spectral,
     _symmetry,
     _unitarity_defects,
 )
@@ -81,11 +85,6 @@ def _traces(blocks) -> np.ndarray:
 
 def _empty(algebra, k):
     return tuple(np.empty((k, n, n), dtype=complex) for n in algebra.block_sizes)
-
-
-def _exp_stack(q, z):
-    """q diag(e^{z_j}) q* for each row z_j of z, one (k, n, n) stack."""
-    return (q * np.exp(z)[:, None, :]) @ q.conj().T
 
 
 @dataclass(frozen=True)
@@ -163,29 +162,10 @@ class ExpLine(InvertiblePath):
 
     @cached_property
     def _modes(self):
-        # hermitian and skew-hermitian generators (one _symmetry per
-        # block tells which) exponentiate through a single
-        # eigendecomposition; anything else falls back to expm
-        modes = []
-        for b in self.c.blocks:
-            kind = _symmetry(b)
-            if kind == "g":
-                modes.append((kind, None, None))
-            else:
-                w, q = np.linalg.eigh(_herm(b if kind == "h" else -1j * b))
-                modes.append((kind, w, q))
-        return modes
+        return tuple(_exp_mode(b) for b in self.c.blocks)
 
     def _values(self, ts):
-        out = []
-        for b, (kind, w, q) in zip(self.c.blocks, self._modes):
-            if kind == "h":
-                out.append(_exp_stack(q, ts[:, None] * w))
-            elif kind == "s":
-                out.append(_exp_stack(q, 1j * ts[:, None] * w))
-            else:
-                out.append(scipy.linalg.expm(ts[:, None, None] * b))
-        return tuple(out)
+        return tuple(_exp_values(b, mode, ts) for b, mode in zip(self.c.blocks, self._modes))
 
     def _det(self):
         # a'(t) a(t)^{-1} = c for every t
@@ -223,7 +203,7 @@ class ProductPolar(InvertiblePath):
         # forming (g*g)^{-1/2} would square the condition number of g
         out = []
         for (wc, qc), (wd, qd) in self._eigs:
-            g = _exp_stack(qc, ts[:, None] * wc) @ _exp_stack(qd, ts[:, None] * wd)
+            g = _spectral(qc, np.exp(ts[:, None] * wc)) @ _spectral(qd, np.exp(ts[:, None] * wd))
             v, _, wh = np.linalg.svd(g)
             out.append(v @ wh)
         return tuple(out)
@@ -312,7 +292,7 @@ class Sampled(InvertiblePath):
             mask = seg == k
             s = (ts[mask] - times[k]) / (times[k + 1] - times[k])
             for o, a, logs in zip(out, self._stacks, self._seg_logs):
-                o[mask] = a[k] @ scipy.linalg.expm(s[:, None, None] * logs[k])
+                o[mask] = a[k] @ _expm(s[:, None, None] * logs[k])
         return out
 
     def _det(self):
@@ -430,26 +410,17 @@ def path_determinant(path: InvertiblePath) -> TraceValue:
 # the lattice quotient
 
 
-@dataclass(frozen=True)
-class LatticeQuotientValue:
-    """A trace value modulo the lattice 2 pi i Z^k, stored through its
-    canonical representative (imaginary parts in [0, 2 pi))."""
-
-    representative: TraceValue
-    lattice_rank: int
-
-    @property
-    def coords(self):
-        return self.representative.coords
-
-
-def lattice_reduce(v: TraceValue) -> LatticeQuotientValue:
-    """Canonical representative modulo 2 pi i Z^k."""
+def lattice_reduce(v: TraceValue) -> TraceValue:
+    """The canonical representative of v modulo 2 pi i Z^k: imaginary
+    parts in [0, TWO_PI)."""
     coords = []
     for c in v.coords:
-        m = np.floor(c.imag / TWO_PI)
-        coords.append(complex(c.real, c.imag - TWO_PI * m))
-    return LatticeQuotientValue(TraceValue(v.algebra, tuple(coords)), v.algebra.rank)
+        y = c.imag - TWO_PI * np.floor(c.imag / TWO_PI)
+        if not 0.0 <= y < TWO_PI:  # the quotient rounded across an integer
+            y %= TWO_PI  # a tiny negative y rounds up to TWO_PI here
+            y = 0.0 if y == TWO_PI else y
+        coords.append(complex(c.real, y))
+    return TraceValue(v.algebra, tuple(coords))
 
 
 def lattice_distance(v: TraceValue) -> float:
@@ -486,8 +457,9 @@ def _block_log_dets(x: Element) -> tuple[complex, ...]:
     return tuple(out)
 
 
-def determinant_mod_lattice(x: Element) -> LatticeQuotientValue:
-    """Determinant of an element modulo 2 pi i Z^k: blockwise log det."""
+def determinant_mod_lattice(x: Element) -> TraceValue:
+    """Determinant of an element modulo 2 pi i Z^k: blockwise log det,
+    reduced by lattice_reduce."""
     return lattice_reduce(log_det(x))
 
 

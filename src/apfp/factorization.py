@@ -32,12 +32,15 @@ from .algebra import (
     AlgebraDescriptor,
     Element,
     TraceValue,
+    _ct,
+    _expm,
     _freeze,
     _herm,
     _identity_at,
     _identity_distances,
     _positive_at,
     _singular_values,
+    _spectral,
     _unitary_eig,
     exp_element,
     is_positive,
@@ -132,7 +135,7 @@ def split_into_exponentials(path: InvertiblePath) -> ExponentialSplitting:
     if not _identity_at([v[:1] for v in vals], LOOP_ENDPOINT_TOL):
         raise ValueError("split_into_exponentials needs a path starting at the identity")
     while True:
-        steps = tuple(v[:-1].conj().swapaxes(-1, -2) @ v[1:] for v in vals)
+        steps = tuple(_ct(v[:-1]) @ v[1:] for v in vals)
         # not "> MAX_STEP_NORM": a NaN threshold accepts no step
         over = np.flatnonzero(~(_identity_distances(steps) <= MAX_STEP_NORM))
         if not over.size:
@@ -199,12 +202,8 @@ def commutator_factor_su(u: Element) -> tuple[Element, Element]:
             vs.append(np.eye(n, dtype=complex))
             ws.append(np.eye(n, dtype=complex))
             continue
-        phi = np.cumsum(phases)
-        mm = np.diag(np.exp(1j * phi))
-        shift = np.zeros((n, n), dtype=complex)
-        shift[np.arange(n), np.arange(-1, n - 1)] = 1.0
-        vs.append(q @ mm @ q.conj().T)
-        ws.append(q @ shift @ q.conj().T)
+        vs.append(_spectral(q, np.exp(1j * np.cumsum(phases))))
+        ws.append(np.roll(q, -1, axis=1) @ _ct(q))  # Q S: column j + 1 of Q moves to j
     return Element(u.algebra, tuple(vs)), Element(u.algebra, tuple(ws))
 
 
@@ -255,11 +254,6 @@ FACTOR_POSITIVITY_TOL = 1e-10
 def _upper(n: int):
     """Row and column indices of the strict upper triangle of n x n."""
     return np.triu_indices(n, 1)
-
-
-def _ct(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of each matrix in a stack."""
-    return a.conj().swapaxes(-1, -2)
 
 
 def _hermitian(coords: np.ndarray, n: int) -> np.ndarray:
@@ -320,7 +314,7 @@ class _Objective:
     def _block(self, theta) -> _Block:
         n, m = self.n, self.m
         w, q = np.linalg.eigh(_hermitian(theta.reshape(m, n * n), n))
-        p = (q * np.exp(w)[:, None, :]) @ _ct(q)
+        p = _spectral(q, np.exp(w))
         pre = np.empty((m + 1, n, n), dtype=complex)
         suf = np.empty_like(pre)
         pre[0] = suf[m] = self.eye
@@ -409,7 +403,7 @@ def _polar_logs(x: Element):
     hb = []
     for b in u.blocks:
         q, phases = _balanced_phases(b)
-        hb.append(_herm((q * phases) @ q.conj().T))
+        hb.append(_herm(_spectral(q, phases)))
     return c, Element(x.algebra, tuple(hb))
 
 
@@ -425,7 +419,10 @@ def _continuation_start(obj: _Objective, opt: OptimizerConfig):
     theta = _coordinates(np.array([c.blocks[0] / obj.m] * obj.m)).ravel()
     for step in range(1, _CONTINUATION_STEPS + 1):
         t = step / _CONTINUATION_STEPS
-        target = exp_element(1j * t * h) @ exp_element(c)
+        # e^{ith} through _expm, not exp_element's eigh route: any change
+        # to the search's bits can flip the one distance-probe job that
+        # perfbench's test_smoke pins as failed (ROADMAP item 1)
+        target = Element(obj.x.algebra, (_expm(1j * t * h.blocks[0]),)) @ exp_element(c)
         stage = _Objective(target, obj.m)
         iters = _CONTINUATION_ITERS if step < _CONTINUATION_STEPS else opt.max_iterations
         theta = _lbfgs(stage.value_and_grad, theta, iters, opt.gradient_tolerance).x
@@ -516,11 +513,13 @@ class PositiveFactorization:
             raise NonFiniteValue("a factor is not finite")
         if not _positive_at(stacks, FACTOR_POSITIVITY_TOL):
             raise NotPositive("factorization contains a non-positive factor")
-        # prod - x_i is, bit for bit, prod + (-1.0 * x_i) as an Element difference
-        misses = [
-            functools.reduce(np.matmul, s, np.eye(n, dtype=complex)) - t
-            for s, n, t in zip(stacks, sizes, self.target.blocks)
-        ]
+        # prod - x_i is, bit for bit, prod + (-1.0 * x_i) as an Element
+        # difference; a product that overflows is the failure below, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            misses = [
+                functools.reduce(np.matmul, s, np.eye(n, dtype=complex)) - t
+                for s, n, t in zip(stacks, sizes, self.target.blocks)
+            ]
         if not all(np.isfinite(d).all() for d in misses):
             raise NonFiniteValue("the product of the factors is not finite")
         residual = max(float(np.linalg.svd(d, compute_uv=False)[0]) for d in misses)
@@ -616,7 +615,7 @@ def _wu_pair(v: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the columns of V scaled to unit norm, for each V of a stack."""
     v = v / np.linalg.norm(v, axis=-2, keepdims=True)
     vi = np.linalg.inv(v)
-    return _herm((v * lam[..., None, :]) @ _ct(v)), _herm(_ct(vi) @ vi)
+    return _herm(_spectral(v, lam)), _herm(_ct(vi) @ vi)
 
 
 def _sourour_wu(t: np.ndarray, logabs: float, draws: np.ndarray) -> list[np.ndarray]:
@@ -863,12 +862,12 @@ def _singular_split(b):
     any positive one whose |lambda| is within 1e-12 of its own, so a
     witness that zeroes the last singular value drops the negative
     eigenvalue where the two tie; LAPACK's SVD leaves ties in any order."""
-    if not np.array_equal(b, b.conj().T):
+    if not np.array_equal(b, _ct(b)):
         return np.linalg.svd(b)
     lam, q = np.linalg.eigh(b)
     order = np.argsort(-abs(lam) * np.where(lam < 0, 1 - 1e-12, 1.0), kind="stable")
     lam, q = lam[order], q[:, order]
-    return q * np.where(lam < 0, -1.0, 1.0), abs(lam), q.conj().T
+    return q * np.where(lam < 0, -1.0, 1.0), abs(lam), _ct(q)
 
 
 def _turn(sv, r: float) -> float:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraDescriptor, Element, _herm, op_norm
+from .algebra import AlgebraDescriptor, Element, _herm, exp_element, op_norm
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -53,12 +53,7 @@ def random_special_unitary(alg: AlgebraDescriptor, rng) -> Element:
 
 def random_positive(alg: AlgebraDescriptor, rng, spread: float = 1.0) -> Element:
     """exp of a random self-adjoint: positive definite, well conditioned."""
-    blocks = []
-    for n in alg.block_sizes:
-        h = spread * _herm(_gaussian(rng, n))
-        w, q = np.linalg.eigh(h)
-        blocks.append((q * np.exp(w)) @ q.conj().T)
-    return Element(alg, tuple(blocks))
+    return exp_element(spread * random_self_adjoint(alg, rng))
 
 
 def random_member(alg: AlgebraDescriptor, rng, spread: float = 0.7) -> Element:

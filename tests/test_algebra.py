@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from apfp import (
     AlgebraDescriptor,
     Element,
+    ExpLine,
     OptimizerConfig,
     TraceValue,
     adjoint,
@@ -24,6 +25,7 @@ from apfp import (
     quotient_norm,
     universal_trace,
 )
+import apfp.algebra
 from apfp.algebra import POSITIVITY_RTOL, _identity_at, _positive_at, _symmetry
 from apfp.errors import BranchCut, DescriptorMismatch, NotPositive, SingularInput
 from apfp.factorization import FACTOR_POSITIVITY_TOL
@@ -266,6 +268,21 @@ def test_positive_at_skew_entry_straddles_the_tolerance(monkeypatch, factor):
     assert is_positive(x, tols[4]) is (factor < 1)
 
 
+def test_positive_at_says_no_through_the_skew_svd(monkeypatch):
+    # 1 + a i (J - 1) in M3, J the all-ones matrix: v/2 - v*/2 = a i (J - 1)
+    # has entries of modulus a = 0.9 tol / 2, below tol / 2, so no entry
+    # decides, but its norm is 2a = 0.9 tol, above tol / 2
+    tol = 1e-8
+    a = 0.9 * tol / 2
+    v = np.eye(3) + 1j * a * (np.ones((3, 3)) - np.eye(3))
+    calls = counted_calls(monkeypatch, np.linalg, "svd", "eigvalsh")
+    assert _positive_at([v[None]], tol) is False
+    assert calls == [("svd", (1, 3, 3))]
+    monkeypatch.undo()
+    assert not positive_at_by_svd([v[None]], tol).any()
+    assert is_positive(Element(M3, (v,)), tol) is False
+
+
 @pytest.mark.parametrize("factor", [0.5, 0.9, 1.1, 2.0])
 def test_identity_at_entry_straddles_the_tolerance(monkeypatch, factor):
     # the identity at 9 points of M2 + M3, but for one point whose M2
@@ -430,6 +447,42 @@ def test_log_positive_closed_form():
 def test_log_positive_rejects_indefinite():
     with pytest.raises(NotPositive):
         log_positive(elem(M2, [[1, 0], [0, -1]]))
+
+
+def test_log_positive_rejects_a_singular_eigenvalue():
+    # positive within is_positive's 1e-10, but the lowest eigenvalue is at
+    # most 1e-12 op_norm: singular by the invertibility rule
+    for low in (0.0, 1e-13):
+        with pytest.raises(NotPositive, match="needs an invertible element"):
+            log_positive(elem(M2, [[1, 0], [0, low]]))
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "skew-hermitian", "general"])
+def test_exp_element_is_the_exp_line_at_one(monkeypatch, kind):
+    # one route decision: exp_element(c) is ExpLine(c) at t = 1 bit for
+    # bit, and only a block neither hermitian nor skew-hermitian takes the
+    # Pade route of _expm
+    calls = []
+    expm = apfp.algebra._expm
+    monkeypatch.setattr(apfp.algebra, "_expm", lambda a: calls.append(a.shape) or expm(a))
+    for seed in range(10):
+        rng = rng_from((27, seed))
+        c = {
+            "hermitian": lambda: random_self_adjoint(M23, rng),
+            "skew-hermitian": lambda: 1j * random_self_adjoint(M23, rng),
+            "general": lambda: random_element(M23, rng),
+        }[kind]()
+        line = evaluate_many(ExpLine(c), [1.0]).blocks
+        assert all(e.tobytes() == v[0].tobytes() for e, v in zip(exp_element(c).blocks, line))
+    assert calls == ([] if kind != "general" else [(1, 2, 2), (1, 3, 3), (2, 2), (3, 3)] * 10)
+
+
+def test_exp_element_of_a_skew_hermitian_block_is_unitary():
+    for seed in range(20):
+        h = random_self_adjoint(M23, rng_from((28, seed)), norm=10.0)
+        for u, hb in zip(exp_element(1j * h).blocks, h.blocks):
+            assert np.linalg.norm(u.conj().T @ u - np.eye(len(u)), 2) <= 1e-14
+            assert np.linalg.norm(u - taylor_expm(1j * hb), 2) <= 1e-12
 
 
 @given(SEEDS, ALGEBRAS, st.floats(min_value=0.1, max_value=5.0))

@@ -12,7 +12,6 @@ from apfp import (
     AffFunction,
     AlgebraDescriptor,
     K0Data,
-    TraceSimplex,
     adjoint,
     check_abstract,
     check_conditions,
@@ -61,28 +60,25 @@ def test_extreme_traces_are_tracial_and_unital():
 
 
 def test_rho_closed_form():
-    simplex = TraceSimplex(M23)
-    assert rho((0, 0), simplex).values == (Fraction(0), Fraction(0))
-    assert rho((1, 0), simplex).values == (Fraction(1, 2), Fraction(0))
-    assert rho((3, -2), simplex).values == (Fraction(3, 2), Fraction(-2, 3))
+    assert rho((0, 0), M23).values == (Fraction(0), Fraction(0))
+    assert rho((1, 0), M23).values == (Fraction(1, 2), Fraction(0))
+    assert rho((3, -2), M23).values == (Fraction(3, 2), Fraction(-2, 3))
 
 
 def test_rho_rank_check():
     with pytest.raises(RankMismatch):
-        rho((1,), TraceSimplex(M23))
+        rho((1,), M23)
 
 
 @given(st.tuples(SMALL_INTS, SMALL_INTS), st.tuples(SMALL_INTS, SMALL_INTS))
 def test_rho_is_additive_exactly(g, h):
-    simplex = TraceSimplex(M23)
     total = tuple(a + b for a, b in zip(g, h))
-    assert rho(total, simplex).values == (rho(g, simplex) + rho(h, simplex)).values
+    assert rho(total, M23).values == (rho(g, M23) + rho(h, M23)).values
 
 
 @given(st.tuples(SMALL_INTS, SMALL_INTS))
 def test_image_distance_of_lattice_points_is_zero(g):
-    simplex = TraceSimplex(M23)
-    dist, nearest = rho_image_distance(rho(g, simplex), M23)
+    dist, nearest = rho_image_distance(rho(g, M23), M23)
     assert dist == 0
     assert nearest == g
 

@@ -13,6 +13,7 @@ import sys
 import tempfile
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,16 @@ def test_det_path_exp_line(tmp_path, capsys):
     assert report["results"]["is_loop"] is False
     assert "delta_1_0" not in report["results"]
     assert report["provenance"]["command"] == "det-path"
+
+
+def test_det_path_canonical_representative_stays_in_the_strip(tmp_path, capsys):
+    # T(c) = 0.5 - 1e-17 i lies within rounding below the lattice point 0
+    c = Element(AlgebraDescriptor((1,)), (np.array([[0.5 - 1e-17j]]),))
+    f = write_json(tmp_path, "line.json", path_to_obj(ExpLine(c)))
+    code, report = run(capsys, "det-path", f)
+    assert code == EXIT_OK
+    assert report["results"]["determinant"]["coords"] == [[0.5, -1e-17]]
+    assert report["results"]["canonical_representative"]["coords"] == [[0.5, 0.0]]
 
 
 def counted_values(monkeypatch, kind):
@@ -995,6 +1006,25 @@ def test_check_refuses_a_large_exponent_before_expanding_it(tmp_path):
     code, seconds = out.stdout.split()
     assert int(code) == EXIT_PARSE and float(seconds) < 1.0
     assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+
+
+def test_check_reads_a_large_exponent_before_fraction_does(tmp_path, capsys, monkeypatch):
+    # in process, with a Fraction that records its input in place of the
+    # one serialize calls: a missing guard fails here, not by expanding
+    seen = []
+
+    def fraction(v):
+        seen.append(v)
+        if v == "1e1000000000":
+            raise ValueError("expanded")
+        return Fraction(v)
+
+    monkeypatch.setattr(apfp.serialize, "Fraction", fraction)
+    obj = {"rank": 1, "generators": [{"a": "1e1000000000"}], "flags": TRUE_FLAGS}
+    assert main(["check", write_json(tmp_path, "desc.json", obj)]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == "" and "has more than 6000 bits" in err
+    assert seen == []
 
 
 RATIONALS = st.one_of(st.sampled_from(["0", "1", "-2", "1/2", "-1/3", "2/4", "1/0", "x"]), NUMBERS, JUNK)

@@ -276,6 +276,25 @@ def test_lattice_reduce_examples():
     assert max(abs(c) for c in lattice_reduce(whole).coords) <= 1e-12
 
 
+def test_lattice_reduce_keeps_the_strip_at_its_ends():
+    # -1e-17 / 2 pi floors to -1, and -1e-17 + 2 pi rounds to 2 pi; -5e-324
+    # / 2 pi underflows to -0.0, which floors to itself: both lie within
+    # rounding of the lattice point 0
+    v = TraceValue(M23, (complex(0.5, -1e-17), complex(0.0, -5e-324)))
+    assert lattice_reduce(v).coords == (0.5 + 0j, 0j)
+
+
+def test_lattice_reduce_keeps_the_bits_of_an_in_strip_result():
+    rng = rng_from(81)
+    ys = np.concatenate([rng.normal(scale=s, size=400) for s in (1e-15, 1.0, 10.0, 1e6)])
+    for y in ys:
+        old = y - TWO_PI * np.floor(y / TWO_PI)
+        got = lattice_reduce(TraceValue(M1, (complex(1.0, y),))).coords[0].imag
+        assert 0.0 <= got < TWO_PI
+        if 0.0 <= old < TWO_PI:
+            assert got == old
+
+
 @given(SEEDS, st.integers(min_value=-5, max_value=5), st.integers(min_value=-5, max_value=5))
 def test_lattice_distance_invariant_under_shifts(seed, m1, m2):
     rng = rng_from(seed)
@@ -411,6 +430,18 @@ def test_sampled_validation():
     zero = elem(M2, [[1, 0], [0, 0]])
     with pytest.raises(SingularValueOnPath, match=r"^singular sample at t=0\.0$"):
         Sampled(((0.0, zero), (1.0, zero)))
+
+
+def test_composite_paths_need_one_algebra_and_a_common_domain():
+    one, other = ExpLine(M1.zero()), ExpLine(M2.zero())
+    with pytest.raises(ValueError, match="samples share one algebra"):
+        Sampled(((0.0, M1.identity()), (1.0, M2.identity())))
+    with pytest.raises(ValueError, match="pointwise product needs a common algebra"):
+        PointwiseProduct(one, other)
+    with pytest.raises(ValueError, match="pointwise product needs a common domain"):
+        PointwiseProduct(one, ExpLine(M1.zero(), (0.0, 2.0)))
+    with pytest.raises(ValueError, match="concatenation needs a common algebra"):
+        Concatenation(one, other)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +615,7 @@ def schur_path(x, samples=65):
 def assert_matches_schur_path_oracle(x):
     val = determinant_mod_lattice(x)
     oracle = path_determinant(schur_path(x))
-    assert lattice_distance(oracle - val.representative) <= 1e-6
+    assert lattice_distance(oracle - val) <= 1e-6
 
 
 def test_determinant_agrees_with_schur_path_on_random_invertibles():
@@ -610,8 +641,8 @@ def test_determinant_is_multiplicative_mod_lattice(seed):
     rng = rng_from(seed)
     x = random_element(M23, rng)
     y = random_element(M23, rng)
-    lhs = determinant_mod_lattice(x @ y).representative
-    rhs = determinant_mod_lattice(x).representative + determinant_mod_lattice(y).representative
+    lhs = determinant_mod_lattice(x @ y)
+    rhs = determinant_mod_lattice(x) + determinant_mod_lattice(y)
     assert lattice_distance(lhs - rhs) <= 1e-9
 
 
@@ -626,7 +657,7 @@ def test_determinant_canonical_strip():
     x = random_element(M23, rng) + 2.5 * M23.identity()
     val = determinant_mod_lattice(x)
     for c in val.coords:
-        assert 0.0 <= c.imag < TWO_PI + 1e-12
+        assert 0.0 <= c.imag < TWO_PI
 
 
 # ---------------------------------------------------------------------------

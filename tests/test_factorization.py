@@ -566,6 +566,10 @@ def test_factorization_rejects_stacks_that_do_not_fit():
     bad = (good[0], np.full((2, 3, 3), np.nan))
     with pytest.raises(NonFiniteValue):
         factorization.PositiveFactorization(bad, x)
+    # finite positive factors whose product overflows
+    big = (np.broadcast_to(1e200 * np.eye(2), (2, 2, 2)), good[1])
+    with pytest.raises(NonFiniteValue, match="the product of the factors is not finite"):
+        factorization.PositiveFactorization(big, x)
     assert factorization.PositiveFactorization(good, x).residual > 0
 
 

@@ -1,5 +1,7 @@
 """No module of apfp imports a name it never uses, no private
-definition of apfp goes unread, and no public one is read by tests alone.
+definition of apfp goes unread, no public one is read by tests alone,
+and no module spells a conjugate transpose or scipy's expm outside the
+algebra functions that own them.
 
 A name kept on purpose (for instance for a tracer that wraps it by its
 module attribute) carries `# noqa: F401` on its line.  __init__.py is
@@ -7,6 +9,7 @@ left out of the import scan: its imports are the public API.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -149,3 +152,45 @@ def test_every_public_definition_is_read():
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     unread = unread_public_definitions(sources, readers)
     assert [name for name in unread if name not in UNREAD_PUBLIC] == []
+
+
+# algebra owns the conjugate transpose and scipy's Pade exponential: each
+# is spelled once, inside the one function that forms it
+RAW_SPELLINGS = re.compile(r"\.conj\(\)\.(T\b|swapaxes\()|\.expm\b|\bimport\b.*\bexpm\b")
+OWNERS = {"algebra.py": ("_ct", "_expm")}
+
+
+def raw_spellings(source: str, owners=()) -> list[str]:
+    """The lines of source that spell a conjugate transpose or scipy's
+    expm, as "line: text", outside the functions named in owners."""
+    owned = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name in owners:
+            owned.update(range(node.lineno, node.end_lineno + 1))
+    return [
+        f"{i}: {line.strip()}"
+        for i, line in enumerate(source.splitlines(), 1)
+        if i not in owned and RAW_SPELLINGS.search(line)
+    ]
+
+
+def test_the_scan_finds_a_raw_spelling():
+    source = (
+        "def _ct(a):\n    return a.conj().swapaxes(-1, -2)\n"
+        "def _expm(a):\n    return scipy.linalg.expm(a)\n"
+        "def f(q):\n    return q @ q.conj().T\n"
+        "g = sla.expm(a)\nh = a.conj().swapaxes(0, 1)\nk = _ct(_expm(a)).conj().Tr\n"
+        "from scipy.linalg import expm\n"
+    )
+    assert raw_spellings(source, ("_ct", "_expm")) == [
+        "6: return q @ q.conj().T",
+        "7: g = sla.expm(a)",
+        "8: h = a.conj().swapaxes(0, 1)",
+        "10: from scipy.linalg import expm",
+    ]
+    assert len(raw_spellings(source)) == 6
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_conjugate_transposes_and_expm_go_through_algebra(module):
+    assert raw_spellings((SRC / module).read_text(), OWNERS.get(module, ())) == []
