@@ -189,10 +189,39 @@ def adjoint(x: Element) -> Element:
 # norms, invertibility and positivity
 
 
+def _binary_exponent(b: np.ndarray) -> int:
+    """e with every real and imaginary part of the block b below 2^e, the
+    largest at or above 2^(e-1): b * 2.0**-e is b at an exact scale,
+    short of underflow, whose entries no longer overflow what is formed
+    from them."""
+    return math.frexp(float(np.abs(b.view(np.float64)).max()))[1]
+
+
+def _scaled_singular_values(x: Element) -> tuple[tuple[np.ndarray, int], ...]:
+    """(s, e) per block, with s * 2^e its singular values, descending,
+    and s finite: e = 0 where one SVD of the block is finite, and where
+    that SVD overflows, s is the SVD of b * 2.0**-e (_binary_exponent);
+    kept through x._once."""
+    out = []
+    for b in x.blocks:
+        s, e = np.linalg.svd(b, compute_uv=False), 0
+        if not np.isfinite(s).all():
+            e = _binary_exponent(b)
+            s = np.linalg.svd(b * 2.0**-e, compute_uv=False)
+        out.append((s, e))
+    return tuple(out)
+
+
 def _singular_values(x: Element) -> tuple[np.ndarray, ...]:
-    """Each block's singular values, descending; one SVD per block, kept
-    through x._once."""
-    return tuple(np.linalg.svd(b, compute_uv=False) for b in x.blocks)
+    """Each block's singular values, descending, inf past the float
+    range; kept through x._once."""
+    out = []
+    for s, e in x._once(_scaled_singular_values):
+        if e:
+            with np.errstate(over="ignore"):  # inf: past the float range
+                s = np.ldexp(s, e)
+        out.append(s)
+    return tuple(out)
 
 
 def op_norm(x: Element) -> float:
@@ -207,11 +236,19 @@ def _singular(smallest, norm):
 
 
 def _require_invertible(x: Element) -> None:
-    """SingularInput when a block of x is singular by _singular."""
-    norm = op_norm(x)
-    for s in x._once(_singular_values):
-        if _singular(s[-1], norm):
-            raise SingularInput(f"smallest singular value {s[-1]:.3e} <= {SINGULARITY_RTOL * norm:.3e}")
+    """SingularInput when a block of x is singular by _singular, read at
+    the largest scale 2^top of _scaled_singular_values: with no overflow,
+    top = 0 and the rule reads the singular values themselves."""
+    scaled = x._once(_scaled_singular_values)
+    top = max(e for _, e in scaled)
+    norm = max(math.ldexp(float(s[0]), e - top) for s, e in scaled)
+    for s, e in scaled:
+        smallest = math.ldexp(float(s[-1]), e - top)
+        if _singular(smallest, norm):
+            scale = f" at scale 2^{top}" if top else ""
+            raise SingularInput(
+                f"smallest singular value {smallest:.3e} <= {SINGULARITY_RTOL * norm:.3e}{scale}"
+            )
 
 
 # Stacks: k values at once, one (k, n, n) array per block; their
@@ -341,10 +378,11 @@ def _symmetry(m, rtol=1e-13) -> str:
 # route for a block neither hermitian nor skew-hermitian by _expm alone.
 
 
-def _spectral(q: np.ndarray, f: np.ndarray) -> np.ndarray:
+def _spectral(q: np.ndarray, f: np.ndarray, qh: np.ndarray | None = None) -> np.ndarray:
     """q diag(f) q*, or q_j diag(f_j) q_j* for each row f_j of a stack of
-    vectors, q one matrix or a stack of them."""
-    return (q * f[..., None, :]) @ _ct(q)
+    vectors, q one matrix or a stack of them; qh is _ct(q) where the
+    caller already has it."""
+    return (q * f[..., None, :]) @ (_ct(q) if qh is None else qh)
 
 
 def _expm(a: np.ndarray) -> np.ndarray:

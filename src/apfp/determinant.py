@@ -20,6 +20,7 @@ log det x_i modulo 2 pi i Z^k, with no path at all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,6 +33,7 @@ from .algebra import (
     AlgebraDescriptor,
     Element,
     TraceValue,
+    _binary_exponent,
     _exp_mode,
     _exp_values,
     _expm,
@@ -40,7 +42,6 @@ from .algebra import (
     _identity_distances,
     _require_invertible,
     _singular_at,
-    _singular_values,
     _spectral,
     _symmetry,
     _unitarity_defects,
@@ -344,6 +345,8 @@ class Concatenation(InvertiblePath):
     def __post_init__(self):
         if self.first.algebra != self.second.algebra:
             raise ValueError("concatenation needs a common algebra")
+        if not math.isfinite(self.domain[1]):
+            raise ValueError(f"concatenation domain {self.domain} is not finite")
 
     @property
     def algebra(self):
@@ -443,16 +446,18 @@ def log_det(x: Element) -> TraceValue:
 
 def _block_log_dets(x: Element) -> tuple[complex, ...]:
     """log det x_i, imaginary part in (-pi, pi], one slogdet per block kept
-    through x._once; untested for invertibility, a singular LU reads -inf."""
+    through x._once; untested for invertibility, a singular LU reads -inf.
+    Where that slogdet overflows (a sign that is not finite, or log |det|
+    +inf or NaN), the block is read at the exact scale b * 2.0**-e of
+    algebra._binary_exponent, and log |det| gains n e log 2."""
     out = []
-    for i, b in enumerate(x.blocks):
+    for b in x.blocks:
         with np.errstate(over="ignore", invalid="ignore"):
             sign, logabs = np.linalg.slogdet(b)
-        if sign != 0 and not (np.isfinite(sign) and np.isfinite(logabs)):
-            # the LU overflowed: b / s_1 has entries of modulus at most 1
-            s1 = x._once(_singular_values)[i][0]
-            sign, logabs = np.linalg.slogdet(b / s1)
-            logabs += len(b) * np.log(s1)
+        if not (np.isfinite(sign) and logabs < np.inf):
+            e = _binary_exponent(b)
+            sign, logabs = np.linalg.slogdet(b * 2.0**-e)
+            logabs += len(b) * e * np.log(2.0)
         out.append(complex(logabs, np.angle(sign)))
     return tuple(out)
 

@@ -241,13 +241,35 @@ def membership_test(x: Element, tol: float = MEMBERSHIP_TOL) -> MembershipResult
 # parts of the strict upper triangle: theta.reshape(m, n*n).  One batched
 # eigh gives every exp(h_j), and the gradient of a residual goes back
 # through one batched Daleckii-Krein kernel for the Frechet derivative of
-# exp; only the prefix and suffix products remain a loop over m.
+# exp; only the prefix and suffix products remain a loop over m, one
+# batched matmul per step for both.
 # Coordinates are gathered by index, not through a basis-matrix product,
 # so a non-finite coordinate cannot spread into other entries.
+#
+# The blocks are small (n^2 <= 25 entries per factor, in practice n <= 3)
+# and each evaluation is some fifty numpy calls, so the cost is the calls,
+# not the arithmetic.  The kernels below keep every floating-point
+# operation, its operands and their order, as tests/oracles.py's former
+# route spells them, so the search's thetas and answers keep their bits;
+# they save calls and temporaries only.
 
 # PositiveFactorization's positivity tolerance on each factor; a restart
 # whose factors miss it cannot become a factorization.
 FACTOR_POSITIVITY_TOL = 1e-10
+
+
+def _operand(value) -> np.ndarray:
+    """value as a read-only 0-d array.  numpy turns a Python scalar
+    operand into one on every call, which on these stacks costs more than
+    the arithmetic; the dtype is the one numpy gives the Python scalar
+    against the array it meets, so the results are the same."""
+    a = np.array(value)
+    a.setflags(write=False)
+    return a
+
+
+_I, _ZERO, _HALF_C, _ONE_C, _TWO_C = (_operand(complex(v)) for v in (1j, 0, 0.5, 1, 2))
+_HALF, _ONE, _SIX = (_operand(float(v)) for v in (0.5, 1, 6))
 
 
 @functools.lru_cache(maxsize=None)
@@ -256,15 +278,33 @@ def _upper(n: int):
     return np.triu_indices(n, 1)
 
 
-def _hermitian(coords: np.ndarray, n: int) -> np.ndarray:
-    """(m, n^2) coordinates -> (m, n, n) stack of hermitian matrices."""
+@functools.lru_cache(maxsize=None)
+def _hermitian_index(n: int) -> np.ndarray:
+    """Where each entry of a row-major n x n matrix sits in the row
+    [diagonal (n), upper triangle (k), lower triangle (k)] that
+    _hermitian concatenates, k = n(n-1)/2, both triangles in the
+    row-major order of the upper one."""
     rows, cols = _upper(n)
-    k = n + len(rows)
-    h = np.zeros((len(coords), n, n), dtype=complex)
-    h[:, rows, cols] = coords[:, n:k] + 1j * coords[:, k:]
-    h = h + _ct(h)
-    h[:, np.arange(n), np.arange(n)] = coords[:, :n]
-    return h
+    k = len(rows)
+    index = np.empty((n, n), dtype=np.intp)
+    index[np.arange(n), np.arange(n)] = np.arange(n)
+    index[rows, cols] = n + np.arange(k)
+    index[cols, rows] = n + k + np.arange(k)
+    return index.ravel()
+
+
+def _hermitian(coords: np.ndarray, n: int) -> np.ndarray:
+    """(m, n^2) coordinates -> (m, n, n) stack of hermitian matrices.
+
+    Bit for bit, this is u = a + 1j b scattered into the strict upper
+    triangle of zeros h, then h + h*, then the real diagonal written over
+    it: u + conj(0) above the diagonal and 0 + conj(u) below.  They are
+    spelled u + 0 (the imaginary part 0 + (0 + b) of u is never -0.0, so
+    adding +0.0 or -0.0 to it is the same) and conj(u) + 0."""
+    k = n + len(_upper(n)[0])
+    u = coords[:, n:k] + _I * coords[:, k:]
+    row = np.concatenate([coords[:, :n], u + _ZERO, np.conjugate(u) + _ZERO], axis=1)
+    return row.take(_hermitian_index(n), axis=1).reshape(-1, n, n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -275,6 +315,13 @@ def _coordinate_index(n: int) -> np.ndarray:
     rows, cols = _upper(n)
     at = 2 * (rows * n + cols)
     return np.concatenate([2 * (n + 1) * np.arange(n), at, at + 1])
+
+
+@functools.lru_cache(maxsize=None)
+def _coordinate_weights(n: int) -> np.ndarray:
+    """1.0 on the diagonal coordinates and 2.0 on the others: each of
+    those sits in two entries of the matrix."""
+    return np.repeat([1.0, 2.0], [n, n * (n - 1)])
 
 
 def _coordinates(h: np.ndarray) -> np.ndarray:
@@ -289,63 +336,96 @@ def _block_elements(x: Element) -> list[Element]:
 
 
 class _Block(NamedTuple):
-    """The m factors at one theta: eigenpairs (w, q) of the h_j, the
-    factors p_j, prefix products pre[j] = p_0 ... p_{j-1} (pre[m] is the
-    product), suffix products suf[j] = p_j ... p_{m-1}, and the residual
-    r = pre[m] - x; all but r are stacked along axis 0."""
+    """The m factors at one theta: eigenpairs (w, q) of the h_j and qh =
+    q*, the factors p_j stacked along axis 0, and the residual r = p_0
+    ... p_{m-1} - x.  The prefix and suffix products stay in the
+    objective's chain until its next evaluation."""
 
     w: np.ndarray
     q: np.ndarray
+    qh: np.ndarray
     p: np.ndarray
-    pre: np.ndarray
-    suf: np.ndarray
     r: np.ndarray
 
 
 class _Objective:
-    """Frobenius-squared residual of prod_j exp(h_j) - x, x in M_n, and its gradient."""
+    """Frobenius-squared residual of prod_j exp(h_j) - x, x in M_n, and its gradient.
+
+    The chain is a workspace of 3m + 2 matrices.  Pair i, at 2i and 2i +
+    1, holds the prefix product pre_{m-i} = p_0 ... p_{m-i-1} and the
+    suffix product suf_i = p_i ... p_{m-1}, so pair 0 is the product
+    twice and pair m is the identity twice; the factors p_0 ... p_{m-1}
+    follow at 2m + 2.  Step j of the loop multiplies (pre_j, p_{m-1-j}) by
+    (p_j, suf_{m-j}) in one batched matmul, into the pair in front of
+    pre_j's, which no operand of that step spans: numpy then neither
+    copies an operand nor buffers the output.  The kernel workspace holds
+    the eigenvalue differences and means.  Results that outlive a call
+    are fresh arrays.
+    """
 
     def __init__(self, x: Element, m: int):
         self.x = x
         (self.n,) = x.algebra.block_sizes
         self.m = m
-        self.eye = np.eye(self.n)
+        chain = np.empty((3 * m + 2, self.n, self.n), dtype=complex)
+        chain[2 * m : 2 * m + 2] = np.eye(self.n)
+        self._chain = chain
+        self._steps = [
+            (
+                chain[2 * (m - j) :: m + 1 + j][:2],  # pre_j, p_{m-1-j}
+                chain[2 * m + 2 + j :: -(3 * j + 1)][:2],  # p_j, suf_{m-j}
+                chain[2 * (m - j) - 2 : 2 * (m - j)],  # pre_{j+1}, suf_{m-1-j}
+            )
+            for j in range(m)
+        ]
+        self._kernel = np.empty((2, m, self.n, self.n))
 
     def _block(self, theta) -> _Block:
         n, m = self.n, self.m
         w, q = np.linalg.eigh(_hermitian(theta.reshape(m, n * n), n))
-        p = _spectral(q, np.exp(w))
-        pre = np.empty((m + 1, n, n), dtype=complex)
-        suf = np.empty_like(pre)
-        pre[0] = suf[m] = self.eye
-        for j in range(m):
-            np.matmul(pre[j], p[j], out=pre[j + 1])
-            np.matmul(p[m - 1 - j], suf[m - j], out=suf[m - 1 - j])
-        return _Block(w, q, p, pre, suf, pre[m] - self.x.blocks[0])
+        qh = _ct(q)
+        p = _spectral(q, np.exp(w), qh)
+        chain = self._chain
+        chain[2 * m + 2 :] = p
+        for left, right, out in self._steps:
+            np.matmul(left, right, out)
+        return _Block(w, q, qh, p, chain[0] - self.x.blocks[0])
 
-    @staticmethod
-    def _gradient(b: _Block, e: np.ndarray, scale: float) -> np.ndarray:
+    def _gradient(self, b: _Block, e: np.ndarray, scale: np.ndarray) -> np.ndarray:
         """Raveled (m, n^2) gradient coordinates of scale * Re tr(e* prod)
         in the h_j: e pulled back through the prefix and suffix products,
         then through the Frechet derivative of exp at h_j, which in the
         eigenbasis is the kernel exp((wa+wb)/2) * sinhc((wa-wb)/2)."""
-        w, q = b.w, b.q
-        qh = _ct(q)
-        c = _ct(b.pre[:-1]) @ e @ _ct(b.suf[1:])
-        half = 0.5 * (w[:, :, None] - w[:, None, :])
-        mean = 0.5 * (w[:, :, None] + w[:, None, :])
+        w, q, qh, m = b.w, b.q, b.qh, self.m
+        chain = _ct(self._chain[: 2 * m + 2])
+        c = chain[2 * m : 0 : -2] @ e @ chain[3::2]  # pre_j* e suf_{j+1}*
+        kernel = self._kernel
+        np.subtract(w[:, :, None], w[:, None, :], kernel[0])
+        np.add(w[:, :, None], w[:, None, :], kernel[1])
+        kernel *= _HALF
+        half, mean = kernel
         small = np.abs(half) < 1e-7
-        safe = np.where(small, 1.0, half)
-        sinhc = np.where(small, 1.0 + half * half / 6.0, np.sinh(safe) / safe)
-        phi = np.exp(mean) * sinhc
+        # 1 + half^2 / 6 takes the small entries, so sinh(safe) / safe
+        # needs there only a nonzero divisor: half + 1
+        safe = half + small
+        sinhc = np.sinh(safe)
+        sinhc /= safe
+        tiny = half * half
+        tiny /= _SIX
+        tiny += _ONE
+        np.copyto(sinhc, tiny, where=small)
+        phi = np.exp(mean, out=mean)
+        phi *= sinhc
         g = scale * (q @ (phi * (qh @ c @ q)) @ qh)
-        coords = _coordinates(0.5 * (g + _ct(g)))
-        coords[:, w.shape[-1] :] *= 2.0  # each off-diagonal coordinate sits in two entries
+        coords = _coordinates(_HALF_C * (g + _ct(g)))
+        coords *= _coordinate_weights(self.n)
         return coords.ravel()
 
     def value_and_grad(self, theta):
         b = self._block(theta)
-        return float(np.linalg.norm(b.r, "fro") ** 2), self._gradient(b, b.r, 2.0)
+        r = b.r.ravel()  # np.linalg.norm(b.r, "fro"), spelled as numpy does
+        value = np.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag)) ** 2
+        return float(value), self._gradient(b, b.r, _TWO_C)
 
     def factorization(self, theta, restarts_used: int) -> PositiveFactorization | None:
         """The factors at theta, the stack b.p, as a PositiveFactorization
@@ -363,8 +443,8 @@ class _Objective:
         through its top singular pair."""
         b = self._block(theta)
         uu, ss, vvh = np.linalg.svd(b.r)
-        wmat = np.outer(uu[:, 0], vvh[0, :].conj())
-        return float(ss[0]), self._gradient(b, wmat, 1.0)
+        wmat = uu[:, :1] * vvh[:1].conj()  # np.outer(uu[:, 0], vvh[0, :].conj())
+        return float(ss[0]), self._gradient(b, wmat, _ONE_C)
 
 
 def _lbfgs(value_and_grad, x0, maxiter, gtol):

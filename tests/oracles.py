@@ -447,3 +447,128 @@ def det_path_mix(rng):
         gens.append(g)
     paths["loop"] = ExpLine(Element(M23, tuple(gens)))
     return paths
+
+
+# ---------------------------------------------------------------------------
+# the search's objective as it was first written: scatter, then one numpy
+# call per step.  The package's _Objective must give the same value and
+# gradient bytes, NaN bytes included, at every theta.
+
+
+def scattered_hermitian(coords, n: int):
+    """(m, n^2) coordinates -> (m, n, n) hermitian stack, spelled as a
+    scatter: the upper triangle a + 1j b written into zeros, h + h*, then
+    the real diagonal written over it."""
+    rows, cols = np.triu_indices(n, 1)
+    k = n + len(rows)
+    h = np.zeros((len(coords), n, n), dtype=complex)
+    h[:, rows, cols] = coords[:, n:k] + 1j * coords[:, k:]
+    h = h + h.conj().swapaxes(-1, -2)
+    h[:, np.arange(n), np.arange(n)] = coords[:, :n]
+    return h
+
+
+def _former_block(x, m: int, theta):
+    """The factors at theta, their prefix products pre[j] = p_0 ...
+    p_{j-1} and suffix products suf[j] = p_j ... p_{m-1}, one matmul each."""
+    n = len(x)
+    w, q = np.linalg.eigh(scattered_hermitian(theta.reshape(m, n * n), n))
+    p = (q * np.exp(w)[..., None, :]) @ q.conj().swapaxes(-1, -2)
+    pre = np.empty((m + 1, n, n), dtype=complex)
+    suf = np.empty_like(pre)
+    pre[0] = suf[m] = np.eye(n)
+    for j in range(m):
+        np.matmul(pre[j], p[j], out=pre[j + 1])
+        np.matmul(p[m - 1 - j], suf[m - j], out=suf[m - 1 - j])
+    return w, q, pre, suf, pre[m] - x
+
+
+def _former_gradient(w, q, pre, suf, e, scale: float):
+    """e pulled back through the products and the Daleckii-Krein kernel,
+    as gathered (m, n^2) coordinates of its hermitian part, raveled."""
+    n = w.shape[-1]
+    qh = q.conj().swapaxes(-1, -2)
+    c = pre[:-1].conj().swapaxes(-1, -2) @ e @ suf[1:].conj().swapaxes(-1, -2)
+    half = 0.5 * (w[:, :, None] - w[:, None, :])
+    mean = 0.5 * (w[:, :, None] + w[:, None, :])
+    small = np.abs(half) < 1e-7
+    safe = np.where(small, 1.0, half)
+    sinhc = np.where(small, 1.0 + half * half / 6.0, np.sinh(safe) / safe)
+    phi = np.exp(mean) * sinhc
+    g = scale * (q @ (phi * (qh @ c @ q)) @ qh)
+    h = 0.5 * (g + g.conj().swapaxes(-1, -2))
+    rows, cols = np.triu_indices(n, 1)
+    at = 2 * (rows * n + cols)
+    index = np.concatenate([2 * (n + 1) * np.arange(n), at, at + 1])
+    coords = h.view(np.float64).reshape(len(h), -1).take(index, axis=1)
+    coords[:, n:] *= 2.0
+    return coords.ravel()
+
+
+def former_value_and_grad(x, m: int, theta):
+    """||prod_j exp(h_j) - x||_F^2 and its gradient, x one n x n block."""
+    w, q, pre, suf, r = _former_block(x, m, theta)
+    return float(np.linalg.norm(r, "fro") ** 2), _former_gradient(w, q, pre, suf, r, 2.0)
+
+
+def former_opnorm_value_and_grad(x, m: int, theta):
+    """The top singular value of the residual and its gradient."""
+    w, q, pre, suf, r = _former_block(x, m, theta)
+    uu, ss, vvh = np.linalg.svd(r)
+    wmat = np.outer(uu[:, 0], vvh[0, :].conj())
+    return float(ss[0]), _former_gradient(w, q, pre, suf, wmat, 1.0)
+
+
+def recorded_search(run):
+    """(evaluations, outcome) of run(), a call that runs the package's
+    searches: every objective evaluation that factorization._lbfgs makes,
+    in order, as (objective, method name, theta, result), with result
+    the (value, gradient) returned or the LinAlgError raised, and what
+    run() returned, or the LinAlgError or APFPError it raised."""
+    from apfp import factorization
+    from apfp.errors import APFPError
+
+    evaluations = []
+    lbfgs = factorization._lbfgs
+
+    def recording(value_and_grad, x0, maxiter, gtol):
+        def evaluated(theta):
+            record = [value_and_grad.__self__, value_and_grad.__name__, theta.copy(), None]
+            evaluations.append(record)
+            try:
+                record[3] = value_and_grad(theta)
+            except np.linalg.LinAlgError as exc:
+                record[3] = exc
+                raise
+            return record[3]
+
+        return lbfgs(evaluated, x0, maxiter, gtol)
+
+    factorization._lbfgs = recording
+    try:
+        outcome = run()
+    except (np.linalg.LinAlgError, APFPError) as exc:
+        outcome = exc
+    finally:
+        factorization._lbfgs = lbfgs
+    return [tuple(record) for record in evaluations], outcome
+
+
+def former_evaluation(name: str, x, m: int, theta):
+    """What the former kernel's method name gives at theta for the n x n
+    block x: (value, gradient), or the LinAlgError it raises."""
+    evaluate = {"value_and_grad": former_value_and_grad, "opnorm_value_and_grad": former_opnorm_value_and_grad}
+    try:
+        with np.errstate(all="ignore"):
+            return evaluate[name](x, m, theta)
+    except np.linalg.LinAlgError as exc:
+        return exc
+
+
+def evaluation_bytes(result):
+    """A (value, gradient) result as the bytes of both, NaN payloads and
+    signed zeros included; a LinAlgError as its message."""
+    if isinstance(result, np.linalg.LinAlgError):
+        return ("LinAlgError", str(result))
+    value, grad = result
+    return np.float64(value).tobytes() + grad.tobytes()

@@ -273,6 +273,18 @@ def test_det_path_handled_overflow_warns_nothing(tmp_path, capsys, obj, expected
         assert out == "" and err == answer
 
 
+def test_det_path_rejects_a_concatenation_whose_domain_overflows(tmp_path, capsys):
+    # each domain is finite, the joined one ends at 2e308 = inf
+    line = {"kind": "ExpLine", "c": {"blocks": [[[[0, 0]]]]}, "domain": [0, 1e308]}
+    f = write_json(tmp_path, "path.json", {"kind": "Concatenation", "first": line, "second": line})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["det-path", f])
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == "error: bad path file: concatenation domain (0.0, inf) is not finite\n"
+
+
 def det_path_report_flags(tmp_path, capsys, path, *flags):
     f = write_json(tmp_path, "path.json", path_to_obj(path))
     code, report = run(capsys, "det-path", f, *flags)
@@ -773,6 +785,36 @@ def test_membership_of_an_element_whose_determinant_overflows(tmp_path, capsys):
     assert code == EXIT_OK
     assert report["results"]["member"] is False
     assert report["results"]["det_phases"] == [pytest.approx(np.pi)]
+
+
+# |z| = 2.4e308 overflows, so the 1x1 SVD reads nan and slogdet sign 0j
+# with log |det| = inf; the phase of det is pi/4
+HUGE_SCALAR = {"blocks": [[[[1.7e308, 1.7e308]]]]}
+# 1.3e308 times a rotation by pi/4 and sqrt(2): condition number 1, det > 0,
+# and both singular values 1.84e308 overflow
+HUGE_ROTATION = {"blocks": [[[[1.3e308, 0.0], [1.3e308, 0.0]], [[-1.3e308, 0.0], [1.3e308, 0.0]]]]}
+
+
+def test_membership_reads_an_overflowing_block_at_a_binary_scale(tmp_path, capsys):
+    code = main(["membership", write_json(tmp_path, "scalar.json", HUGE_SCALAR)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["results"]["member"] is False
+    assert json.loads(out)["results"]["det_phases"] == [0.7853981633974483]
+    code = main(["membership", write_json(tmp_path, "rotation.json", HUGE_ROTATION)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["results"] == {"det_phases": [0.0], "member": True, "tol": 1e-08}
+
+
+def test_factor_of_a_member_whose_scale_overflows(tmp_path, capsys):
+    f = write_json(tmp_path, "rotation.json", HUGE_ROTATION)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["factor", f, "--factors", "5"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert err == "error: NonFiniteValue: the scale of x overflows: op_norm inf\n"
 
 
 def test_factor_of_an_element_whose_determinant_overflows(tmp_path, capsys):

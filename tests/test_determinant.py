@@ -25,7 +25,7 @@ from apfp import (
     path_determinant,
     universal_trace,
 )
-from apfp.determinant import evaluate_many
+from apfp.determinant import evaluate_many, log_det
 from apfp.errors import (
     NonFiniteValue,
     NotALoop,
@@ -442,6 +442,10 @@ def test_composite_paths_need_one_algebra_and_a_common_domain():
         PointwiseProduct(one, ExpLine(M1.zero(), (0.0, 2.0)))
     with pytest.raises(ValueError, match="concatenation needs a common algebra"):
         Concatenation(one, other)
+    # each domain is finite, as serialize reads them; the joined one is not
+    long = ExpLine(M1.zero(), (-1e308, 1e308))
+    with pytest.raises(ValueError, match=r"concatenation domain \(-1e\+308, inf\) is not finite"):
+        Concatenation(long, long)
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +654,28 @@ def test_determinant_rejects_singular_element():
     x = elem(M23, [[1, 0], [0, 1]], [[1, 2, 3], [2, 4, 6], [0, 0, 1]])
     with pytest.raises(SingularInput):
         determinant_mod_lattice(x)
+
+
+def test_an_overflowing_block_is_read_at_a_binary_scale():
+    # |z| = 2.4e308 overflows: the 1x1 SVD reads nan and slogdet sign 0j
+    # with log |det| = inf; at the exact scale 2^-1024 both are finite
+    z = 1.7e308 * (1 + 1j)
+    x = elem(AlgebraDescriptor((1, 1)), [[z]], [[1e300]])
+    assert op_norm(x) == np.inf
+    (c, small) = log_det(x).coords
+    assert c.imag == np.pi / 4
+    assert c.real == pytest.approx(np.log(1.7e308) + 0.5 * np.log(2.0), rel=1e-15)
+    assert small == np.log(1e300)
+    # the invertibility rule reads both blocks at that scale: 1e300 is
+    # 4e-9 of the norm, 1e290 is 4e-19 of it and below SINGULARITY_RTOL
+    with pytest.raises(SingularInput, match="at scale 2"):
+        log_det(elem(AlgebraDescriptor((1, 1)), [[z]], [[1e290]]))
+    # a scaled rotation, condition number 1: each singular value overflows
+    rotation = elem(M2, [[1.3e308, 1.3e308], [-1.3e308, 1.3e308]])
+    assert op_norm(rotation) == np.inf
+    (c,) = log_det(rotation).coords
+    assert c.imag == 0.0
+    assert c.real == pytest.approx(2 * np.log(1.3e308) + np.log(2.0), rel=1e-15)
 
 
 def test_determinant_canonical_strip():

@@ -13,10 +13,14 @@ from oracles import (
     concatenated_coordinates,
     depth_first_split,
     element_residual,
+    evaluation_bytes,
+    former_evaluation,
     memoized_lbfgs,
     per_candidate_construct,
     positive_at_by_svd,
     power_iteration_norm,
+    recorded_search,
+    scattered_hermitian,
     turn_radius_by_bisection,
 )
 
@@ -1101,6 +1105,100 @@ def test_coordinates_match_the_concatenating_reference():
         got = factorization._coordinates(stack)
         assert got.shape == (3, n * n)
         assert got.tobytes() == concatenated_coordinates(stack).tobytes()
+
+
+def adversarial_floats():
+    """Signed zeros, subnormals, the largest float, infinities, and NaNs
+    of either sign, quiet and signaling, with payloads."""
+    nans = np.array(
+        [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000ABC, 0xFFF800000000D00D, 0x7FF4000000000001],
+        dtype=np.uint64,
+    ).view(np.float64)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    return np.concatenate([special, [-1.5, 0.75, np.inf, -np.inf], nans])
+
+
+def test_hermitian_matches_the_scattering_reference():
+    # the twin of the test above: the same bits, NaN payloads and signed
+    # zeros included, as the upper triangle scattered into zeros, h + h*
+    # and the diagonal written over it.  numpy's loops pick which of two
+    # NaNs survives by the length of the stack, so each m is its own case
+    rng = np.random.default_rng(45)
+    floats = adversarial_floats()
+    for n in (1, 2, 3, 4):
+        for m in (1, 2, 3, 5):
+            for _ in range(100):
+                coords = rng.choice(floats, size=(m, n * n))
+                with np.errstate(invalid="ignore"):  # 0 * inf in a + 1j b
+                    got = factorization._hermitian(coords, n)
+                    want = scattered_hermitian(coords, n)
+                assert got.shape == (m, n, n)
+                assert got.tobytes() == want.tobytes()
+
+
+def corpus_searches():
+    """Seeded searches whose thetas the objective must evaluate as the
+    former kernel did: the distance-probe input whose polish overflows
+    into a LinAlgError (m = 3, 4 restarts: continuation and Gaussian
+    starts, each with its polish), then non-members at m = 2 and 3 and
+    M3 members at m = 3, with one restart and a shortened continuation
+    to keep the corpus to a few seconds."""
+    yield lambda: best_approx_distance(random_element(M2, rng_from(4)), 3, OptimizerConfig(restarts=4))
+    short = OptimizerConfig(restarts=1, max_iterations=40)
+    for alg in (M1, M2, M3, M23):
+        for k in range(3):
+            x = random_element(alg, rng_from((77, k)))
+            for m in (2, 3):
+                yield lambda x=x, m=m: best_approx_distance(x, m, short)
+    for k in range(3):
+        x = random_member(M3, rng_from((901, 1, k)))
+        yield lambda x=x: factor_positive_products(x, 3, short)
+
+
+def test_objective_matches_the_former_kernel_bit_for_bit(monkeypatch):
+    seen, count = set(), 0
+    for i, run in enumerate(corpus_searches()):
+        if i == 1:  # the pinned search runs at full length, the rest shortened
+            monkeypatch.setattr(factorization, "_CONTINUATION_ITERS", 30)
+        evaluations, _ = recorded_search(run)
+        for obj, name, theta, result in evaluations:
+            want = former_evaluation(name, obj.x.blocks[0], obj.m, theta)
+            assert evaluation_bytes(result) == evaluation_bytes(want)
+            seen.add((name, type(result)))
+        count += len(evaluations)
+    # both objectives return, and the first search's polish raises
+    assert seen == {
+        ("value_and_grad", tuple),
+        ("opnorm_value_and_grad", tuple),
+        ("opnorm_value_and_grad", np.linalg.LinAlgError),
+    }
+    assert count > 15000
+
+
+def test_objective_matches_the_former_kernel_off_the_float_range():
+    # thetas up to 1e308 and with special coordinates: exp overflows, and
+    # values and gradients hold inf, NaN and signed zeros
+    rng = np.random.default_rng(46)
+    floats = adversarial_floats()
+    non_finite = 0
+    for n in (1, 2, 3):
+        x = random_element(AlgebraDescriptor((n,)), rng_from((46, n)))
+        for m in (1, 2, 3):
+            obj = factorization._Objective(x, m)
+            for trial in range(40):
+                theta = 10.0 ** rng.uniform(-1, 307 if trial % 2 else 3) * rng.normal(size=m * n * n)
+                if trial % 3 == 0:
+                    at = rng.integers(0, len(theta), size=2)
+                    theta[at] = rng.choice(floats, size=2)
+                for name in ("value_and_grad", "opnorm_value_and_grad"):
+                    try:
+                        with np.errstate(all="ignore"):
+                            got = getattr(obj, name)(theta)
+                    except np.linalg.LinAlgError as exc:
+                        got = exc
+                    assert evaluation_bytes(got) == evaluation_bytes(former_evaluation(name, x.blocks[0], m, theta))
+                    non_finite += isinstance(got, tuple) and not np.isfinite(got[1]).all()
+    assert non_finite > 50
 
 
 def lbfgs_outcome(run, fun, theta):
