@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Residual of the best m-factor approximation for seeded random members
 of the closure, as m grows.  From m = 4 on, members are factored in
-closed form, essentially exactly; the optimizer runs only below four
-factors, or where the construction fails."""
+closed form, essentially exactly, and a member the construction misses
+reports the construction's residual (inf when it gave no factors); the
+optimizer runs only below four factors."""
 
 import argparse
 import csv

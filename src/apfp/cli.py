@@ -235,15 +235,19 @@ def _cmd_factor(args, config: RunConfig):
     try:
         fac = factor_positive_products(x, args.factors, config.optimizer)
     except NoConvergence as exc:
-        # inf when no restart gave finite positive factors; null keeps the
+        # inf when no route gave finite positive factors; null keeps the
         # report strict JSON
         best = float(exc.best_residual)
         results["best_residual"] = best if np.isfinite(best) else None
-        return results, EXIT_NO_CONVERGENCE
-    results["factorization"] = serialize.factorization_to_obj(fac)
+        fac, code = exc.best, EXIT_NO_CONVERGENCE
+    else:
+        results["factorization"] = serialize.factorization_to_obj(fac)
+        code = EXIT_OK
+    if fac is None:
+        return results, code
     # how the factors were found goes to provenance: results stay the answer
     route = {"route": fac.route, "max_factor_norm": fac.max_factor_norm}
-    return results, EXIT_OK, {"factorization": route}
+    return results, code, {"factorization": route}
 
 
 def _cmd_membership(args, config: RunConfig):

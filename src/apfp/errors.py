@@ -43,9 +43,10 @@ class NonFiniteValue(APFPError):
 
 
 class NoConvergence(APFPError):
-    """Iterative refinement hit its cap before reaching tolerance.
+    """No route reached the target: a search hit its cap, or a closed
+    form missed or gave nothing.
 
-    For the factorizer the best run found is attached.
+    For the factorizer the best factorization found, if any, is attached.
     """
 
     def __init__(self, message, best_residual=None, best=None):

@@ -9,10 +9,10 @@ provides the membership test, the witnesses used on
 the positive side (the unitary polar path of e^{tc} e^{td}, its
 exponential splitting with trace-zero log sums, explicit commutator
 factorizations of determinant-one unitaries), exact factorizations of
-members into m >= 4 positive factors in closed form, an optimizer that
-produces factorizations for every m one block at a time, and the distance
-from elements outside the closure to it, in closed form, with a search,
-block by block, only for products of fewer than four positives.
+members into m >= 4 positive factors in closed form, a block-by-block
+search for factorizations into fewer, and the distance from elements
+outside the closure to it, in closed form, with a search, block by block,
+only for products of fewer than four positives.
 """
 
 from __future__ import annotations
@@ -76,6 +76,8 @@ class OptimizerConfig:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
+        if self.seed < 0:  # numpy seeds its generators from non-negative integers only
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         for name in ("gradient_tolerance", "target_residual"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:
@@ -791,7 +793,7 @@ def _construct_block(t: np.ndarray, m: int, seed: int, i: int, logabs: float) ->
     stack: their draws, _draws(seed, i, n), are made once and kept.  The
     one with the smallest finite norm wins, ties to the lower index.  A
     LinAlgError in a stacked step raises for the whole stack, so one
-    failing candidate leaves the element to the search."""
+    failing candidate fails the construction."""
     route = _lead(t, m)
     if route is None:
         return None
@@ -839,18 +841,21 @@ def factor_positive_products(
     factors.
 
     An x positive within the smaller of FACTOR_POSITIVITY_TOL and
-    POSITIVITY_RTOL * op_norm(x) is its own first factor.  For m >= 4 the factors are
-    constructed in closed form (Sourour, then Wu; see above) and returned
-    when they pass PositiveFactorization's checks and reach the target,
-    with restarts_used 0.  Otherwise a multi-start quasi-Newton search
-    runs on each block x_i: restart 0 is a deterministic continuation
-    from the positive part of x_i; restart k > 0 is a Gaussian
-    perturbation seeded by (opt.seed, k) in every block.  Each block stops
-    at its first restart within opt.target_residual * op_norm(x), and the
-    blocks' factors, with restarts_used the largest, are the answer if
-    they reach it; otherwise NoConvergence carries them, or best=None and
-    best_residual=inf when no restart of a block gave finite positive
-    factors or a search raised LinAlgError (an eigh or SVD that failed).
+    POSITIVITY_RTOL * op_norm(x) is its own first factor.  The target is
+    opt.target_residual * op_norm(x).  For m >= 4 the factors are
+    constructed in closed form (Sourour, then Wu; see above), with
+    restarts_used 0, and no search runs.  For m < 4 a multi-start
+    quasi-Newton search runs on each block x_i: restart 0 is a
+    deterministic continuation from the positive part of x_i; restart k >
+    0 is a Gaussian perturbation seeded by (opt.seed, k) in every block.
+    Each block stops at its first restart within the target, and the
+    blocks' factors, with restarts_used the largest, make one
+    factorization.  Either route's factorization is the answer if it
+    reaches the target; otherwise NoConvergence carries it, or best=None
+    and best_residual=inf when the construction gave no factors passing
+    PositiveFactorization's checks, no restart of a block gave finite
+    positive factors, or a search raised LinAlgError (an eigh or SVD that
+    failed).
     A non-positive x with max_i n_i * op_norm(x) beyond the float range
     raises NonFiniteValue before either route runs.
     """
@@ -874,33 +879,28 @@ def factor_positive_products(
     target = opt.target_residual * norm
     if m >= 4:
         try:
-            stacks = _construct(x, m, opt.seed)
-            if stacks is not None:
-                result = PositiveFactorization(stacks, x, route="construction")
-                if result.residual <= target:
-                    return result
+            # a step that overflows ends in LinAlgError or a non-finite factor
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                stacks = _construct(x, m, opt.seed)
+            result = None if stacks is None else PositiveFactorization(stacks, x, route="construction")
         except (np.linalg.LinAlgError, NonFiniteValue, NotPositive):
-            pass  # the search below decides
-    try:
-        found = [_search(_Objective(b, m), opt, polish=False, stop_at=target) for b in _block_elements(x)]
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"the search failed: LinAlgError: {exc}", best_residual=np.inf, best=None) from exc
-    if any(f is None for f in found):
-        raise NoConvergence(
-            f"no restart of {opt.restarts} gave finite positive factors of a block",
-            best_residual=np.inf,
-            best=None,
+            result = None
+        if result is None:
+            raise NoConvergence("the construction gave no finite positive factors", best_residual=np.inf, best=None)
+    else:
+        try:
+            found = [_search(_Objective(b, m), opt, polish=False, stop_at=target) for b in _block_elements(x)]
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"the search failed: LinAlgError: {exc}", best_residual=np.inf, best=None) from exc
+        if any(f is None for f in found):
+            why = f"no restart of {opt.restarts} gave finite positive factors of a block"
+            raise NoConvergence(why, best_residual=np.inf, best=None)
+        result = PositiveFactorization(
+            tuple(f.stacks[0] for f in found), x, restarts_used=max(f.restarts_used for f in found)
         )
-    result = PositiveFactorization(
-        tuple(f.stacks[0] for f in found), x, restarts_used=max(f.restarts_used for f in found)
-    )
     if result.residual > target:
-        raise NoConvergence(
-            f"best residual {result.residual:.3e} above target {target:.3e} "
-            f"after {opt.restarts} restarts",
-            best_residual=result.residual,
-            best=result,
-        )
+        why = f"best residual {result.residual:.3e} above target {target:.3e} by {result.route}"
+        raise NoConvergence(why, best_residual=result.residual, best=result)
     return result
 
 

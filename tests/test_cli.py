@@ -55,7 +55,7 @@ from apfp.cli import (
     _build_parser,
     main,
 )
-from apfp.errors import NoConvergence
+from apfp.errors import APFPError, NoConvergence
 from apfp.sampling import (
     random_element,
     random_member,
@@ -64,7 +64,7 @@ from apfp.sampling import (
     rng_from,
 )
 from apfp.serialize import element_to_obj, factorization_to_obj, path_to_obj, payload_to_csv, report_to_json
-from oracles import det_path_flags, det_path_mix
+from oracles import det_path_flags, det_path_mix, element_residual
 
 M2 = AlgebraDescriptor((2,))
 M23 = AlgebraDescriptor((2, 3))
@@ -564,8 +564,9 @@ HUGE_M3 = {"blocks": [[[[v * 1e308, 0.0] for v in row] for row in [[1, 1, -1], [
 @given(st.one_of(element_objs(), JUNK))
 @example(HUGE_M3)
 def test_factor_contract_on_any_element_object(obj):
-    # few restarts and iterations: a member that reaches the search ends
-    # in exit 0 or 5 all the same
+    # at five factors a member takes the construction alone (exit 0 or 5)
+    # and a non-member the closed-form distance (exit 4): no search runs,
+    # and the few restarts and iterations bound one if it did
     flags = ("--factors", "5", "--restarts", "1", "--max-iterations", "20")
     run_contract("factor", obj, *flags, reports=(EXIT_OK, EXIT_NOT_IN_CLOSURE, EXIT_NO_CONVERGENCE))
 
@@ -731,6 +732,39 @@ def test_factor_starved_optimizer_exits_5(tmp_path, capsys):
     )
     assert code == EXIT_NO_CONVERGENCE
     assert report["results"]["best_residual"] > 0.0
+    # the best run's diagnostics, as on exit 0
+    assert report["provenance"]["factorization"]["route"] == "search"
+    assert report["provenance"]["factorization"]["max_factor_norm"] > 0.0
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 12, 16, 24, 32, 48])
+def test_factor_members_of_large_blocks_take_the_construction_alone(tmp_path, capsys, n):
+    # from n = 16 the construction misses the target, and from n = 24 it
+    # gives no positive factors at all: exit 5, with no search
+    x = random_member(AlgebraDescriptor((n,)), rng_from((901, 1, 0)))
+    f = element_file(tmp_path, "member.json", x)
+    code = main(["factor", f, "--factors", "5"])
+    out, err = capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_NO_CONVERGENCE)
+    assert err == ""  # the construction's overflows are handled, not warned
+    report = json.loads(out)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        try:
+            stacks = apfp.factorization._construct(x, 5, 0)
+            want = apfp.factorization.PositiveFactorization(stacks, x, route="construction")
+        except (np.linalg.LinAlgError, APFPError):
+            want = None
+    if want is None:
+        assert code == EXIT_NO_CONVERGENCE and n >= 24
+        assert report["results"]["best_residual"] is None
+        assert "factorization" not in report["provenance"]
+        return
+    factors = [Element(x.algebra, (b,)) for b in stacks[0]]
+    residual = element_residual(factors, x)
+    got = report["results"]["factorization"]["residual"] if code == EXIT_OK else report["results"]["best_residual"]
+    assert got == residual
+    assert (code == EXIT_OK) == (residual <= 1e-6 * op_norm(x))
+    assert report["provenance"]["factorization"] == {"route": "construction", "max_factor_norm": want.max_factor_norm}
 
 
 def test_factor_without_finite_residual_writes_strict_json(tmp_path, capsys, monkeypatch):
@@ -897,6 +931,8 @@ def test_bad_tolerance_flags_exit_2(tmp_path, capsys, argv):
         ["--restarts", "-2", "--factors", "5"],
         ["--max-iterations", "0"],
         ["--max-iterations", "-1"],
+        # numpy seeds generators from non-negative integers only
+        ["--seed", "-1"],
     ],
 )
 @pytest.mark.parametrize("member", [True, False])
@@ -907,8 +943,9 @@ def test_factor_counts_below_one_exit_2(tmp_path, capsys, flags, member):
     f = element_file(tmp_path, "x.json", x)
     code = main(["factor", f, *flags])
     out, err = capsys.readouterr()
+    least = "at least 0" if flags[0] == "--seed" else "at least 1"
     assert code == EXIT_PARSE
-    assert out == "" and err.startswith("error:") and "at least 1" in err
+    assert out == "" and err.startswith("error:") and least in err
 
 
 # ---------------------------------------------------------------------------

@@ -680,27 +680,15 @@ def test_construction_scales_each_block_by_its_own_norm(m):
         assert_positive_factorization(block, parts, 1e-6 * op_norm(block))
 
 
-def test_construction_leaves_non_positive_scalars_to_the_search_at_m4(monkeypatch):
-    # a non-positive scalar is no product of four positives: its fifth
-    # factor does not fit, so the search takes over
-    searched = []
-    search = factorization._search
-
-    def spy(obj, opt, polish, stop_at=None):
-        searched.append(obj.x)
-        return search(obj, opt, polish, stop_at)
-
-    monkeypatch.setattr(factorization, "_search", spy)
-    opt = OptimizerConfig(restarts=1, max_iterations=50)
+def test_non_positive_scalars_are_no_products_of_four_positives(monkeypatch):
+    # their fifth factor does not fit: the construction declines, and no
+    # search runs in its place
+    no_search(monkeypatch)
     for x in SCALARS[:2]:
         assert factorization._construct(x, 4, 0) is None
-        try:
-            got = factor_positive_products(x, m=4, opt=opt)
-            assert got.route == "search"
-        except NoConvergence:
-            pass
-        assert np.array_equal(searched[-1].blocks[0], x.blocks[0])
-    assert len(searched) == 2
+        with pytest.raises(NoConvergence) as err:
+            factor_positive_products(x, m=4)
+        assert err.value.best is None and err.value.best_residual == np.inf
 
 
 @pytest.mark.parametrize(
@@ -763,7 +751,7 @@ def test_stacked_construction_matches_the_per_candidate_reference(m):
     members = [random_member(a, rng_from((83, k))) for a in algebras for k in range(5)]
     # at m = 4 the near scalars go without the lead, and in M3 at eps =
     # 1e-11 one candidate is singular: the reference skips it, the stack
-    # leaves the element to the search (the test below)
+    # fails the construction (the test below)
     near = [near_non_positive_scalar(a, eps) for a in (M2, M3, M23) for eps in NEAR_SCALAR_EPS]
     for seed in (0, 1):
         for x in members + list(SCALARS) + (near if m == 5 else []):
@@ -842,16 +830,46 @@ def test_construction_gives_the_same_bytes_from_cleared_caches():
         assert len({b"".join(s.tobytes() for s in stacks) for stacks in runs}) == 1
 
 
-def test_a_failing_stacked_step_leaves_the_element_to_the_search(monkeypatch):
-    # one singular candidate raises for the whole stack: no construction
+def test_a_failing_stacked_step_fails_the_construction(monkeypatch):
+    # one singular candidate raises for the whole stack: no factors, and
+    # no search in their place
     def singular(*args):
         raise np.linalg.LinAlgError("Singular matrix")
 
+    no_search(monkeypatch)
     monkeypatch.setattr(factorization, "_triangular_eigvecs", singular)
-    x = random_member(M2, rng_from(17))
-    got = factor_positive_products(x, m=5, opt=OptimizerConfig(restarts=1))
-    assert got.route == "search"
-    assert got.residual <= 1e-6 * op_norm(x)
+    with pytest.raises(NoConvergence) as err:
+        factor_positive_products(random_member(M2, rng_from(17)), m=5)
+    assert err.value.best is None and err.value.best_residual == np.inf
+
+
+def test_a_construction_off_target_is_the_best_run(monkeypatch):
+    # at m = 4 a block near -1 goes without the lead, and its four
+    # factors miss the target: they are the answer NoConvergence carries
+    no_search(monkeypatch)
+    x = near_non_positive_scalar(M2, 1e-3)
+    with pytest.raises(NoConvergence) as err:
+        factor_positive_products(x, m=4)
+    best = err.value.best
+    assert (best.route, best.restarts_used) == ("construction", 0)
+    assert err.value.best_residual == best.residual > 1e-6 * op_norm(x)
+    assert_stacks_are_the_factors(best, per_candidate_construct(x, 4, 0), x)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_factoring_from_four_factors_never_searches(monkeypatch, m):
+    # members, blocks near a non-positive scalar, the non-positive scalars
+    # themselves and an M16 member the construction takes off target:
+    # each is answered or refused by the construction alone
+    no_search(monkeypatch)
+    members = [random_member(a, rng_from((61, k))) for a in (M2, M3, M23, M4) for k in range(2)]
+    members.append(random_member(AlgebraDescriptor((16,)), rng_from((901, 1, 0))))
+    near = [near_non_positive_scalar(a, eps) for a in (M2, M3, M23) for eps in NEAR_SCALAR_EPS]
+    for x in members + near + list(SCALARS):
+        try:
+            assert factor_positive_products(x, m=m).route == "construction"
+        except NoConvergence as exc:
+            assert exc.best is None or exc.best.route == "construction"
 
 
 # ---------------------------------------------------------------------------
